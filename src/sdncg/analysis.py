@@ -30,7 +30,6 @@ from .game import (
     addition_decreases,
     apply_move,
     as_alpha,
-    canonical_key,
     has_improving_move,
     improving_moves,
     is_pairwise_stable,
@@ -39,7 +38,7 @@ from .game import (
     social_welfare,
     stability_interval,
 )
-from .graphs import GameState, HostGraph, _bfs_distance_sum, edge, full_state
+from .graphs import GameState, HostGraph, _bfs_distance_sum, canonical_key, edge, full_state
 from .spanning import find_hamilton_path, mrcst_exact, smrcst, smrcst_certificates
 
 SWEEP_COLUMNS = (
@@ -270,13 +269,15 @@ def _random_state(host: HostGraph, rng: random.Random) -> GameState:
     n = host.n
     order = list(range(n))
     rng.shuffle(order)
-    chosen = set()
+    index = host.edge_index
+    mask = 0
     for i in range(1, n):
-        chosen.add(edge(order[i], order[rng.randrange(i)]))
-    for e in host.edges:
-        if e not in chosen and rng.random() < 0.5:
-            chosen.add(e)
-    return GameState(host, chosen)
+        mask |= 1 << index[edge(order[i], order[rng.randrange(i)])]
+    for i in range(host.m):
+        if not mask >> i & 1 and rng.random() < 0.5:
+            mask |= 1 << i
+    # connected by construction: it contains a spanning tree
+    return GameState._from_mask(host, mask)
 
 
 def find_improving_cycle(
@@ -284,15 +285,29 @@ def find_improving_cycle(
 ) -> Optional[DynamicsOutcome]:
     """Seeded random-restart search on the complete host for a trajectory of
     improving moves that revisits a state. Not-found within budget is a
-    legitimate result (None)."""
+    legitimate result (None).
+
+    Each restart draws a random connected start state and runs seeded-random
+    dynamics from it, all on one generator; ``search_budget`` caps the moves
+    summed over restarts. The restarts share one memo of the improving-move
+    graph, from a state's edge mask to its ``(move, next mask)`` arcs, so each
+    distinct state is scanned once per search and later visits read its arcs.
+    The arcs keep ``improving_moves`` order, so every draw, and therefore the
+    outcome for every seed, is the same as with a fresh scan at every step.
+    The memo lives for one call and holds one small entry per distinct state
+    scanned: at most the number of connected spanning subgraphs of K_n (728
+    on K_5), and at most ``2 * search_budget``, since a walk of s moves scans
+    at most s + 1 states and is charged max(1, s).
+    """
     a = as_alpha(alpha)
     host = clique(n)
     rng = random.Random(seed)
+    arcs = {}
     used = 0
     while used < search_budget:
         start = _random_state(host, rng)
         out = run_dynamics(
-            start, a, policy=SEEDED_RANDOM, budget=search_budget - used, rng=rng
+            start, a, policy=SEEDED_RANDOM, budget=search_budget - used, rng=rng, _arcs=arcs
         )
         used += max(1, out.steps)
         if out.terminal == CYCLE:
@@ -891,9 +906,9 @@ def _suite_smrcst_certificates(
     bad = ""
     for h in opt_hosts:
         res = smrcst(h)
+        mr = mrcst_exact(h, tree_budget)
         for a in (Fraction(1, 2), Fraction(1)):
             opt_w = _optimum_welfare_cached(h, a, subset_budget)
-            mr = mrcst_exact(h, tree_budget)
             ratio = opt_w / social_welfare(mr.tree, a)
             bound = Fraction(h.m, h.n - 1) + 1
             if ratio > bound:

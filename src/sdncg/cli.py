@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from multiprocessing import Pool
@@ -245,6 +246,9 @@ def _sweep_cell_task(task):
 
 
 def _cmd_sweep(args):
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise ParameterError(f"--workers must be between 1 and {cpus}, got {args.workers}")
     alphas = [game.parse_alpha(s) for s in args.alpha.split(",")]
     if args.input:
         hosts = [graphio.load_graph(p) for p in args.input]

@@ -24,7 +24,6 @@ from .errors import ParameterError, StructureError
 from .graphs import (
     GameState,
     _bfs_distance_sum,
-    canonical_key,
     edge,
     is_bridge,
 )
@@ -343,14 +342,14 @@ def apply_move(state: GameState, move: Move) -> GameState:
     raise StructureError(f"unknown move kind {move.kind!r}")
 
 
-def _best_move(state: GameState, alpha: Fraction, moves) -> Move:
+def _best_arc(host, alpha: Fraction, arcs):
     # welfare-greedy pivot; ties fall back to lexicographic move order
     best = None
     best_w = None
-    for mv in moves:
-        w = social_welfare(apply_move(state, mv), alpha)
-        if best_w is None or w > best_w or (w == best_w and mv < best):
-            best = mv
+    for mv, nxt in arcs:
+        w = social_welfare(GameState._from_mask(host, nxt), alpha)
+        if best_w is None or w > best_w or (w == best_w and mv < best[0]):
+            best = (mv, nxt)
             best_w = w
     return best
 
@@ -362,12 +361,19 @@ def run_dynamics(
     budget: int = 10_000,
     seed: Optional[int] = None,
     rng: Optional[random.Random] = None,
+    _arcs: Optional[dict] = None,
 ) -> DynamicsOutcome:
     """Iterate policy-selected improving moves until stable, revisit, or budget.
 
     Revisits are detected on labeled canonical keys, so a cycle outcome means
     an exact state recurrence. Deterministic given (start, alpha, policy,
     seed); ``rng`` may be passed instead of ``seed`` to share a generator.
+
+    The walk runs on edge masks. Each state's improving arcs, ``(move, next
+    mask)`` in ``improving_moves`` order, are scanned once and kept in
+    ``_arcs``. That private memo lets repeated walks on one host share
+    their scans; every walk that shares it must use the same alpha and
+    policy.
     """
     a = as_alpha(alpha)
     if policy not in POLICIES:
@@ -378,30 +384,42 @@ def run_dynamics(
         rng = random.Random(seed)
     if budget < 0:
         raise ParameterError("budget must be nonnegative")
-    state = start
-    seen = {canonical_key(state): 0}
+    host = start.host
+    limit = 1 if policy == FIRST_IMPROVING else None
+    memo = {} if _arcs is None else _arcs
+
+    def state_of(mask):
+        return start if mask == start.mask else GameState._from_mask(host, mask)
+
+    def arcs_of(mask):
+        arcs = memo.get(mask)
+        if arcs is None:
+            st = state_of(mask)
+            arcs = memo[mask] = tuple(
+                (mv, apply_move(st, mv).mask) for mv in improving_moves(st, a, limit=limit)
+            )
+        return arcs
+
+    mask = start.mask
+    seen = {mask: 0}
     trajectory = []
     for _ in range(budget):
+        arcs = arcs_of(mask)
+        if not arcs:
+            return DynamicsOutcome(tuple(trajectory), STABLE, state_of(mask))
         if policy == FIRST_IMPROVING:
-            moves = improving_moves(state, a, limit=1)
-        else:
-            moves = improving_moves(state, a)
-        if not moves:
-            return DynamicsOutcome(tuple(trajectory), STABLE, state)
-        if policy == FIRST_IMPROVING:
-            mv = moves[0]
+            mv, nxt = arcs[0]
         elif policy == SEEDED_RANDOM:
-            mv = rng.choice(moves)
+            mv, nxt = rng.choice(arcs)
         else:
-            mv = _best_move(state, a, moves)
-        nxt = apply_move(state, mv)
-        trajectory.append((canonical_key(state), mv))
-        key = canonical_key(nxt)
-        if key in seen:
-            return DynamicsOutcome(tuple(trajectory), CYCLE, nxt, cycle_start=seen[key])
-        seen[key] = len(trajectory)
-        state = nxt
+            mv, nxt = _best_arc(host, a, arcs)
+        # (host, mask) is the state's canonical key
+        trajectory.append(((host, mask), mv))
+        if nxt in seen:
+            return DynamicsOutcome(tuple(trajectory), CYCLE, state_of(nxt), cycle_start=seen[nxt])
+        seen[nxt] = len(trajectory)
+        mask = nxt
     # one last look: the budget may have run out exactly at a stable state
-    if not improving_moves(state, a, limit=1):
-        return DynamicsOutcome(tuple(trajectory), STABLE, state)
-    return DynamicsOutcome(tuple(trajectory), BUDGET_EXHAUSTED, state)
+    if not arcs_of(mask):
+        return DynamicsOutcome(tuple(trajectory), STABLE, state_of(mask))
+    return DynamicsOutcome(tuple(trajectory), BUDGET_EXHAUSTED, state_of(mask))

@@ -123,6 +123,9 @@ class HostGraph:
         for u, v in norm:
             if u < 0 or v >= n:
                 raise StructureError(f"edge ({u}, {v}) out of range for n={n}")
+        # too few edges to connect n nodes: refuse before allocating per-node data
+        if len(norm) < n - 1:
+            raise StructureError("host graph must be connected")
         self.n = n
         self.edges = tuple(norm)
         adj = [set() for _ in range(n)]
@@ -132,7 +135,7 @@ class HostGraph:
         self.adj = tuple(frozenset(s) for s in adj)
         self.adj_mask = tuple(_neighbor_masks(n, norm))
         self.edge_index = {e: i for i, e in enumerate(norm)}
-        if len(norm) < n - 1 or _bfs_reach(self.adj_mask, 0) != (1 << n) - 1:
+        if _bfs_reach(self.adj_mask, 0) != (1 << n) - 1:
             raise StructureError("host graph must be connected")
         self._hash = hash((n, self.edges))
 

@@ -5,6 +5,7 @@ adjacency, Floyd-Warshall, itertools subsets, fraction Gaussian
 elimination) so that agreement with the package is meaningful.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -154,3 +155,71 @@ def connected_spanning_subgraphs(n, edges):
         if len(subset) >= n - 1 and is_connected(n, subset):
             out.append(frozenset(subset))
     return out
+
+
+def reference_improving_cycle(n, alpha, search_budget, seed):
+    """The improving-cycle search on K_n as a plain restart loop that scans
+    every state afresh at every step.
+
+    It draws from the generator exactly as ``find_improving_cycle`` does: a
+    start state is a random spanning tree over a shuffled node order plus a
+    fair coin for each other edge, and each step takes ``rng.choice`` over
+    the improving moves in lexicographic order. The moves come from
+    ``sdncg.game.improving_moves`` on a newly built state, which is checked
+    against the brute-force ``improving_moves`` above on its own. Masks put
+    bit i on the i-th pair of ``combinations(range(n), 2)``.
+
+    Returns ``(found, walks)`` where each walk is ``(terminal, cycle_start,
+    [(mask, (kind, u, v)), ...], final mask)``.
+    """
+    from sdncg import GameState, clique, improving_moves as scan
+
+    alpha = Fraction(alpha)
+    host = clique(n)
+    pairs = list(combinations(range(n), 2))
+    bits = {e: 1 << i for i, e in enumerate(pairs)}
+
+    def mask_of(active):
+        return sum(bits[e] for e in active)
+
+    rng = random.Random(seed)
+    walks = []
+    used = 0
+    while used < search_budget:
+        order = list(range(n))
+        rng.shuffle(order)
+        active = set()
+        for i in range(1, n):
+            u, v = order[i], order[rng.randrange(i)]
+            active.add((min(u, v), max(u, v)))
+        for e in pairs:
+            if e not in active and rng.random() < 0.5:
+                active.add(e)
+        seen = {mask_of(active): 0}
+        steps = []
+        cycle_start = None
+        for _ in range(search_budget - used):
+            moves = scan(GameState(host, active), alpha)
+            if not moves:
+                terminal = "stable"
+                break
+            mv = rng.choice(moves)
+            steps.append((mask_of(active), (mv.kind, mv.u, mv.v)))
+            if mv.kind == "add":
+                active = active | {(mv.u, mv.v)}
+            else:
+                active = active - {(mv.u, mv.v)}
+            key = mask_of(active)
+            if key in seen:
+                terminal = "cycle"
+                cycle_start = seen[key]
+                break
+            seen[key] = len(steps)
+        else:
+            stuck = not scan(GameState(host, active), alpha)
+            terminal = "stable" if stuck else "budget-exhausted"
+        walks.append((terminal, cycle_start, steps, mask_of(active)))
+        used += max(1, len(steps))
+        if terminal == "cycle":
+            return True, walks
+    return False, walks

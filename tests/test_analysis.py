@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from sdncg import (
     threshold_table,
     write_sweep_csv,
 )
+from sdncg import analysis, game
 from sdncg.analysis import SWEEP_COLUMNS
 
 
@@ -172,6 +174,52 @@ class TestImprovingCycle:
 
     def test_not_found_small_budget(self):
         assert find_improving_cycle(4, Fraction(1, 2), search_budget=40, seed=0) is None
+
+    @pytest.mark.parametrize(
+        "n, alpha, budget, seed",
+        [
+            (4, Fraction(1, 2), 40, 0),
+            # the budget runs out on a stable state: the last look decides
+            (4, Fraction(1, 2), 11, 0),
+            (5, Fraction(5, 2), 3000, 0),
+            (5, Fraction(5, 2), 10**6, 3),
+            (5, Fraction(5, 2), 10**6, 5),
+            (6, Fraction(3), 2000, 0),
+        ],
+    )
+    def test_matches_rescanning_reference(self, monkeypatch, n, alpha, budget, seed):
+        # record every restart's walk, not only the returned one
+        walks = []
+        walk = analysis.run_dynamics
+
+        def recorded(*args, **kwargs):
+            out = walk(*args, **kwargs)
+            steps = [(mask, (mv.kind, mv.u, mv.v)) for (_, mask), mv in out.trajectory]
+            walks.append((out.terminal, out.cycle_start, steps, out.final_state.mask))
+            return out
+
+        monkeypatch.setattr(analysis, "run_dynamics", recorded)
+        out = find_improving_cycle(n, alpha, search_budget=budget, seed=seed)
+        found, want = oracles.reference_improving_cycle(n, alpha, budget, seed)
+        assert (out is not None) == found
+        assert walks == want
+        if found:
+            assert walks[-1][0] == out.terminal == "cycle"
+
+    def test_each_state_scanned_once(self, monkeypatch):
+        scanned = Counter()
+        scan = game.improving_moves
+
+        def counted(state, *args, **kwargs):
+            scanned[state.mask] += 1
+            return scan(state, *args, **kwargs)
+
+        monkeypatch.setattr(game, "improving_moves", counted)
+        out = find_improving_cycle(5, Fraction(5, 2), search_budget=10**6, seed=3)
+        assert out is not None and out.terminal == "cycle"
+        assert set(scanned.values()) == {1}
+        # K_5 has 728 connected spanning subgraphs
+        assert sum(scanned.values()) <= 728
 
 
 class TestApproximationReport:

@@ -1,10 +1,11 @@
 """Golden-file coverage for every CLI path."""
 
 import json
+import os
 
 import pytest
 
-from sdncg import clique, cycle, dump_text, parse_text, path
+from sdncg import cli, clique, cycle, dump_text, parse_text, path
 from sdncg.cli import main
 
 
@@ -244,6 +245,19 @@ class TestSweep:
             assert code == 0
             outs.append(f.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range_rejected_first(self, capsys, monkeypatch, k4, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached past the --workers check")
+
+        monkeypatch.setattr(cli, "Pool", refuse)
+        monkeypatch.setattr(cli.graphio, "load_graph", refuse)
+        code, out, err = run(
+            capsys, "sweep", "--alpha", "1", "--input", k4, "--workers", str(workers)
+        )
+        assert code == 2 and out == ""
+        assert "--workers" in err
 
     def test_random_mode_requires_seed(self, capsys):
         code, _, err = run(capsys, "sweep", "--alpha", "1")

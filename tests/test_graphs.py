@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,18 @@ class TestHostGraph:
     def test_rejects_disconnected(self):
         with pytest.raises(StructureError):
             HostGraph(4, [(0, 1), (2, 3)])
+
+    def test_too_few_edges_rejected_before_allocation(self):
+        # 100k nodes would need ~20 MB of adjacency sets; the edge count alone
+        # already rules the host out
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructureError, match="connected"):
+                HostGraph(100_000, [(0, 1)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_tiny(self):
         with pytest.raises(StructureError):
