@@ -385,6 +385,7 @@ def run_dynamics(
     if budget < 0:
         raise ParameterError("budget must be nonnegative")
     host = start.host
+    index = host.edge_index
     limit = 1 if policy == FIRST_IMPROVING else None
     memo = {} if _arcs is None else _arcs
 
@@ -395,8 +396,11 @@ def run_dynamics(
         arcs = memo.get(mask)
         if arcs is None:
             st = state_of(mask)
+            # improving_moves yields only host edges and non-bridge removals,
+            # so each move toggles exactly its own edge bit
             arcs = memo[mask] = tuple(
-                (mv, apply_move(st, mv).mask) for mv in improving_moves(st, a, limit=limit)
+                (mv, mask ^ (1 << index[(mv.u, mv.v)]))
+                for mv in improving_moves(st, a, limit=limit)
             )
         return arcs
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import StructureError
 
@@ -53,12 +53,8 @@ def _bfs_reach(nbr, start: int) -> int:
     return seen
 
 
-def _bfs_distance_sum(nbr, src: int, allowed: Optional[int] = None):
-    """Return ``(sum of hop distances from src, bitmask of reached nodes)``.
-
-    When ``allowed`` is given the walk is confined to that node mask; the
-    source must lie inside it.
-    """
+def _bfs_distance_sum(nbr, src: int):
+    """Return ``(sum of hop distances from src, bitmask of reached nodes)``."""
     seen = 1 << src
     frontier = seen
     total = 0
@@ -71,8 +67,6 @@ def _bfs_distance_sum(nbr, src: int, allowed: Optional[int] = None):
             low = f & -f
             nxt |= nbr[low.bit_length() - 1]
             f ^= low
-        if allowed is not None:
-            nxt &= allowed
         frontier = nxt & ~seen
         if frontier:
             total += d * frontier.bit_count()
@@ -323,8 +317,9 @@ class TreeScaffold:
 
     ``below_mask`` maps each tree edge to the node mask of the component on
     the child side of that edge; ``subtree_size``, ``down`` (distance sums
-    within each subtree) and ``per_node_sum`` let a single-swap routing-cost
-    delta be computed in O(n).
+    within each subtree) and ``per_node_sum``, together with the tree's
+    cached distance table, let a single-swap routing-cost delta be computed
+    in O(1).
     """
 
     __slots__ = (
@@ -339,7 +334,6 @@ class TreeScaffold:
         "per_node_sum",
         "total",
         "below_mask",
-        "adj_mask",
     )
 
     def __init__(self, tree: GameState) -> None:
@@ -398,24 +392,20 @@ class TreeScaffold:
         self.per_node_sum = tuple(pns)
         self.total = 2 * total
         self.below_mask = below
-        self.adj_mask = nbr
 
     def __repr__(self):
         return f"TreeScaffold(n={self.tree.host.n}, cost={self.total})"
 
 
-def tree_routing_cost(scaffold: TreeScaffold) -> int:
-    """Routing cost of a spanning tree via the 2 * sum s_e (n - s_e) identity."""
-    return scaffold.total
-
-
 def tree_swap_delta(scaffold: TreeScaffold, remove, add) -> int:
-    """Exact routing-cost change of ``tree - remove + add`` in O(n).
+    """Exact routing-cost change of ``tree - remove + add`` in O(1).
 
     Distances inside each of the two components of ``tree - remove`` are
     unchanged by the swap, so only the cross terms move; those reduce to two
-    within-component distance sums read off the scaffold or recovered by one
-    masked BFS each.
+    within-component distance sums. In a tree every path from the far side
+    enters a component through the cut edge, so each sum is the node's whole
+    distance sum minus its cross-cut part, read off the scaffold and the
+    tree's distance table (built once per tree, on first use).
     """
     rem = edge(*remove)
     tree = scaffold.tree
@@ -438,19 +428,12 @@ def tree_swap_delta(scaffold: TreeScaffold, remove, add) -> int:
     a, b = rem
     if (below >> a) & 1:
         a, b = b, a  # a on the root side, b in the child component
-    n = host.n
     len_b = scaffold.subtree_size[b]
-    len_a = n - len_b
+    len_a = host.n - len_b
+    pns = scaffold.per_node_sum
     s_b_b = scaffold.down[b]
-    s_a_a = scaffold.per_node_sum[a] - len_b - s_b_b
-    nbr = scaffold.adj_mask
-    if v == b:
-        s_b_v = s_b_b
-    else:
-        s_b_v, _ = _bfs_distance_sum(nbr, v, allowed=below)
-    if u == a:
-        s_a_u = s_a_a
-    else:
-        root_side = ((1 << n) - 1) ^ below
-        s_a_u, _ = _bfs_distance_sum(nbr, u, allowed=root_side)
+    s_a_a = pns[a] - len_b - s_b_b
+    dist = tree.table.dist
+    s_b_v = pns[v] - len_a * (dist[v][b] + 1) - s_a_a
+    s_a_u = pns[u] - len_b * (dist[u][a] + 1) - s_b_b
     return 2 * (len_b * (s_a_u - s_a_a) + len_a * (s_b_v - s_b_b))

@@ -103,6 +103,27 @@ def improving_moves(n, host_edges, active, alpha):
     return out
 
 
+def random_spanning_tree(n, edges, rng):
+    """A random spanning tree: Kruskal over the edges in shuffled order."""
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = set()
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.add((u, v))
+    return chosen
+
+
 def spanning_trees_brute(n, edges):
     """All labeled spanning trees via size-(n-1) subsets + connectivity."""
     out = []

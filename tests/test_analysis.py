@@ -188,6 +188,22 @@ class TestImprovingCycle:
         ],
     )
     def test_matches_rescanning_reference(self, monkeypatch, n, alpha, budget, seed):
+        self._check_against_reference(monkeypatch, n, alpha, budget, seed)
+
+    @pytest.mark.parametrize(
+        "n, alpha, budget, seed",
+        [(4, Fraction(1, 2), 40, 0), (5, Fraction(5, 2), 10**6, 3)],
+    )
+    def test_arcs_built_without_apply_move(self, monkeypatch, n, alpha, budget, seed):
+        # an arc's next mask toggles the move's edge bit; no state is built for it
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_move called while building arcs")
+
+        monkeypatch.setattr(game, "apply_move", refuse)
+        self._check_against_reference(monkeypatch, n, alpha, budget, seed)
+
+    @staticmethod
+    def _check_against_reference(monkeypatch, n, alpha, budget, seed):
         # record every restart's walk, not only the returned one
         walks = []
         walk = analysis.run_dynamics

@@ -33,6 +33,7 @@ from sdncg import (
     star,
     utility,
 )
+from sdncg import game
 
 
 def random_state(host, rng):
@@ -267,6 +268,22 @@ class TestDynamics:
         out = run_dynamics(full_state(clique(5)), Fraction(1, 2), policy="first", budget=1)
         assert out.terminal == "budget-exhausted"
         assert out.steps == 1
+
+    @pytest.mark.parametrize("policy", ["first", "best", "random"])
+    def test_walk_applies_no_move(self, monkeypatch, policy):
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_move called during a walk")
+
+        host = clique(6)
+        monkeypatch.setattr(game, "apply_move", refuse)
+        out = run_dynamics(full_state(host), Fraction(1, 2), policy=policy, budget=100, seed=1)
+        monkeypatch.undo()
+        st_ = full_state(host)
+        for key, mv in out.trajectory:
+            assert canonical_key(st_) == key
+            st_ = apply_move(st_, mv)
+        assert st_ == out.final_state
+        assert out.terminal == "stable"
 
     def test_trajectory_replays(self):
         out = run_dynamics(full_state(clique(4)), Fraction(1, 2), policy="first", budget=100)

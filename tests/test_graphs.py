@@ -23,7 +23,6 @@ from sdncg import (
     random_connected_host,
     routing_cost,
     star,
-    tree_routing_cost,
     tree_swap_delta,
 )
 
@@ -163,14 +162,14 @@ class TestDistances:
 
 class TestTreeScaffold:
     def test_p4_cost(self):
-        assert tree_routing_cost(TreeScaffold(full_state(path(4)))) == 20
+        assert TreeScaffold(full_state(path(4))).total == 20
 
     def test_star_closed_form(self):
         for n in range(2, 20):
-            assert tree_routing_cost(TreeScaffold(full_state(star(n)))) == 2 * (n - 1) ** 2
+            assert TreeScaffold(full_state(star(n))).total == 2 * (n - 1) ** 2
 
     def test_p2(self):
-        assert tree_routing_cost(TreeScaffold(full_state(path(2)))) == 2
+        assert TreeScaffold(full_state(path(2))).total == 2
 
     def test_rejects_non_tree(self):
         with pytest.raises(StructureError):
@@ -214,13 +213,27 @@ class TestSwapDelta:
         with pytest.raises(StructureError):
             tree_swap_delta(sc, (0, 2), (1, 2))  # not a tree edge
 
+    def test_every_swap_of_every_tree_matches_bfs(self):
+        for host in (clique(5), cycle(6), random_connected_host(7, 0.5, random.Random(7))):
+            n = host.n
+            for sc in enumerate_spanning_trees(host):
+                tree_edges = sc.tree.active
+                _, before = oracles.distance_sums(n, tree_edges)
+                for rem in sorted(tree_edges):
+                    below = sc.below_mask[rem]
+                    for add in host.edges:
+                        if add in tree_edges or ((below >> add[0]) & 1) == ((below >> add[1]) & 1):
+                            continue
+                        _, after = oracles.distance_sums(n, (tree_edges - {rem}) | {add})
+                        assert tree_swap_delta(sc, rem, add) == after - before
+
     def test_200_random_swaps_match_from_scratch(self):
         rng = random.Random(321)
         checked = 0
         while checked < 200:
             n = rng.randint(4, 32)
             host = random_connected_host(n, rng.uniform(0.1, 0.5), rng)
-            tree_edges = self._random_tree(host, rng)
+            tree_edges = oracles.random_spanning_tree(n, host.edges, rng)
             sc = TreeScaffold(GameState(host, tree_edges))
             rem = rng.choice(sorted(tree_edges))
             below = sc.below_mask[rem]
@@ -238,26 +251,6 @@ class TestSwapDelta:
             _, after = oracles.distance_sums(n, swapped)
             assert got == after - before
             checked += 1
-
-    @staticmethod
-    def _random_tree(host, rng):
-        edges = sorted(host.edges)
-        rng.shuffle(edges)
-        parent = list(range(host.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        chosen = set()
-        for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.add((u, v))
-        return chosen
 
 
 class TestBridges:

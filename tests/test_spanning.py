@@ -8,6 +8,7 @@ from sdncg import (
     BudgetExceededError,
     CertificateError,
     GameState,
+    HostGraph,
     TreeScaffold,
     clique,
     cycle,
@@ -26,10 +27,12 @@ from sdncg import (
     StructureError,
     ParameterError,
 )
-from sdncg.spanning import _find_swap
+from sdncg import graphs, spanning
+from sdncg.spanning import SmrcstResult, _component_sums, _find_swap, _spanning_tree_count
 
 
-def no_improving_swap(scaffold):
+def crossing_swaps(scaffold):
+    """Every (tree edge out, crossing host edge in) pair, in scan order."""
     host = scaffold.tree.host
     active = scaffold.tree.active
     for e in sorted(active):
@@ -39,9 +42,20 @@ def no_improving_swap(scaffold):
                 continue
             if ((below >> f[0]) & 1) == ((below >> f[1]) & 1):
                 continue
-            if tree_swap_delta(scaffold, e, f) > 0:
-                return False
-    return True
+            yield e, f
+
+
+def no_improving_swap(scaffold):
+    return all(tree_swap_delta(scaffold, e, f) <= 0 for e, f in crossing_swaps(scaffold))
+
+
+def host_with_m_edges(n, m, rng):
+    """A random spanning tree on n nodes plus uniform extra pairs, m edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return HostGraph(n, edges)
 
 
 class TestGreedyLongPath:
@@ -166,6 +180,22 @@ class TestFindSwapAgainstDelta:
                             continue
                         assert tree_swap_delta(sc, e2, f2) <= best
 
+    def test_delta_matches_component_sums(self):
+        # the certificate's evaluator against the swap search's batched sums
+        rng = random.Random(37)
+        for _ in range(20):
+            n = rng.randint(5, 70)
+            h = host_with_m_edges(n, min(3 * n, n * (n - 1) // 2), rng)
+            sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
+            sums = {}
+            for e, f in crossing_swaps(sc):
+                if e not in sums:
+                    sums[e] = _component_sums(sc, e)
+                s, below, a, b, len_a, len_b = sums[e]
+                u, v = (f[1], f[0]) if (below >> f[0]) & 1 else f
+                want = 2 * (len_b * (s[u] - s[a]) + len_a * (s[v] - s[b]))
+                assert tree_swap_delta(sc, e, f) == want
+
 
 class TestEnumeration:
     def test_cycle_counts(self):
@@ -199,6 +229,12 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             list(gen)
 
+    def test_count_matches_kirchhoff_oracle(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            h = random_connected_host(rng.randint(2, 12), rng.uniform(0.1, 0.9), rng)
+            assert _spanning_tree_count(h) == oracles.kirchhoff_count(h.n, h.edges)
+
 
 class TestMrcst:
     def test_k4_and_k5(self):
@@ -224,6 +260,14 @@ class TestMrcst:
         with pytest.raises(BudgetExceededError):
             mrcst_exact(clique(6), budget=100)
 
+    def test_budget_checked_before_any_tree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree was built before the budget check")
+
+        monkeypatch.setattr(spanning, "TreeScaffold", refuse)
+        with pytest.raises(BudgetExceededError, match="exceeds budget 10"):
+            mrcst_exact(clique(9), budget=10)
+
 
 class TestCertificates:
     def test_k4_report(self):
@@ -248,8 +292,49 @@ class TestCertificates:
         h = clique(4)
         r = smrcst(h)
         star_tree = TreeScaffold(GameState(h, [(0, 1), (0, 2), (0, 3)]))
-        from sdncg.spanning import SmrcstResult
-
         fake = SmrcstResult(star_tree, r.seed_path_length, r.iterations, star_tree.total)
         with pytest.raises(CertificateError, match="swap-maximality|distance bound"):
             smrcst_certificates(fake, h)
+
+    def test_names_the_improving_swap(self):
+        # a tree one worsening swap away from an SMRCST result, whose only
+        # improving swap (by BFS recomputation) undoes that swap
+        h = random_connected_host(8, 0.35, random.Random(2))
+        res = smrcst(h)
+        for e, f in crossing_swaps(res.tree):
+            if tree_swap_delta(res.tree, e, f) >= 0:
+                continue
+            sc = TreeScaffold(GameState(h, (res.tree.tree.active - {e}) | {f}))
+            improving = [
+                (e2, f2)
+                for e2, f2 in crossing_swaps(sc)
+                if oracles.distance_sums(h.n, (sc.tree.active - {e2}) | {f2})[1] > sc.total
+            ]
+            if improving == [(f, e)] and 9 * sc.total >= h.n * res.seed_path_length**2:
+                break
+        else:
+            pytest.fail("no tree with a single improving swap")
+        fake = SmrcstResult(sc, res.seed_path_length, res.iterations, sc.total)
+        with pytest.raises(CertificateError) as err:
+            smrcst_certificates(fake, h)
+        assert str(err.value) == f"swap-maximality violated: improving swap ({f}, {e})"
+
+    def test_rescan_uses_one_distance_table(self, monkeypatch):
+        h = host_with_m_edges(50, 150, random.Random(43))
+        res = smrcst(h)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("masked BFS in the certificate rescan")
+
+        tables = []
+        build = graphs.bfs_all_pairs
+
+        def counted(state):
+            tables.append(state.mask)
+            return build(state)
+
+        monkeypatch.setattr(graphs, "_bfs_distance_sum", refuse)
+        monkeypatch.setattr(graphs, "bfs_all_pairs", counted)
+        rep = smrcst_certificates(res, h)
+        assert rep["swap_maximal"]
+        assert len(tables) <= 1
