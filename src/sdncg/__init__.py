@@ -16,6 +16,7 @@ from .analysis import (
     approximation_report,
     enumerate_stable_states,
     find_improving_cycle,
+    host_census,
     host_corpus,
     list_suites,
     optimum_complete_closed_form,
@@ -25,6 +26,7 @@ from .analysis import (
     random_connected_host,
     replay_validates_cycle,
     sweep_cell,
+    sweep_host,
     theorem_campaign,
     threshold_table,
     write_sweep_csv,
@@ -68,7 +70,6 @@ from .game import (
     addition_decreases,
     apply_move,
     as_alpha,
-    has_improving_move,
     improving_moves,
     is_pairwise_stable,
     parse_alpha,

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from multiprocessing import Pool
 
 from . import analysis, constructions, game, graphio, spanning
@@ -240,9 +239,9 @@ def _cmd_cycle(args):
     return 0
 
 
-def _sweep_cell_task(task):
-    n, edges, num, den, budget = task
-    return analysis.sweep_cell(HostGraph(n, edges), Fraction(num, den), budget)
+def _sweep_host_task(task):
+    n, edges, alphas, budget = task
+    return analysis.sweep_host(HostGraph(n, edges), alphas, budget)
 
 
 def _cmd_sweep(args):
@@ -263,18 +262,15 @@ def _cmd_sweep(args):
             max_edges=args.max_edges,
         )
         print(f"# seed: {args.seed}", file=sys.stderr)
-    tasks = [
-        (h.n, h.edges, a.numerator, a.denominator, args.budget)
-        for h in hosts
-        for a in alphas
-    ]
+    # one task per host: its census is built once and answers every alpha
+    tasks = [(h.n, h.edges, alphas, args.budget) for h in hosts]
     if args.workers > 1:
         with Pool(args.workers) as pool:
-            rows = pool.map(_sweep_cell_task, tasks)
+            per_host = pool.map(_sweep_host_task, tasks)
     else:
-        rows = [_sweep_cell_task(t) for t in tasks]
+        per_host = [_sweep_host_task(t) for t in tasks]
     buf = io.StringIO()
-    analysis.write_sweep_csv(rows, buf)
+    analysis.write_sweep_csv([row for rows in per_host for row in rows], buf)
     _out(args, buf.getvalue())
     return 0
 

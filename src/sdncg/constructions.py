@@ -51,6 +51,8 @@ def hypercube(d: int) -> HostGraph:
     Hamming distance 1."""
     if d < 1:
         raise ParameterError(f"hypercube needs d >= 1, got {d}")
+    if d > 16:
+        raise ParameterError(f"hypercube needs d <= 16 (65,536 nodes), got {d}")
     n = 1 << d
     edges = []
     for v in range(n):

@@ -488,9 +488,9 @@ def smrcst_certificates(
     if alpha is not None:
         a = as_alpha(alpha)
         if a <= 1:
-            from .analysis import _optimum_welfare_cached
+            from .analysis import optimum_exact
 
-            opt_w = _optimum_welfare_cached(host, a, subset_budget)
+            opt_w = optimum_exact(host, a, subset_budget).welfare
             mr = mrcst_exact(host, tree_budget)
             sw_mr = social_welfare(mr.tree, a)
             ratio = opt_w / sw_mr

@@ -244,3 +244,29 @@ def reference_improving_cycle(n, alpha, search_budget, seed):
         if terminal == "cycle":
             return True, walks
     return False, walks
+
+
+def reference_optimum_and_atlas(n, host_edges, alpha):
+    """The optimum and the stable set at one alpha by the per-alpha loop:
+    every connected spanning subgraph, its welfare summed from utilities and
+    its stability read from the brute-force move list.
+
+    Returns ``(optimum welfare, optimal edge sets, stable edge sets, stable
+    welfares)``; the edge sets come in ascending mask order, bit i being the
+    i-th host edge in sorted order.
+    """
+    alpha = Fraction(alpha)
+    best = None
+    best_sets = []
+    stable = []
+    welfares = []
+    for sub in connected_spanning_subgraphs(n, host_edges):
+        w = welfare(n, sub, alpha)
+        if best is None or w > best:
+            best, best_sets = w, [sub]
+        elif w == best:
+            best_sets.append(sub)
+        if not improving_moves(n, host_edges, sub, alpha):
+            stable.append(sub)
+            welfares.append(w)
+    return best, best_sets, stable, welfares

@@ -15,6 +15,7 @@ from sdncg import (
     enumerate_stable_states,
     find_improving_cycle,
     full_state,
+    host_census,
     host_corpus,
     is_pairwise_stable,
     list_suites,
@@ -29,12 +30,13 @@ from sdncg import (
     social_welfare,
     star,
     sweep_cell,
+    sweep_host,
     theorem_campaign,
     threshold_table,
     write_sweep_csv,
 )
 from sdncg import analysis, game
-from sdncg.analysis import SWEEP_COLUMNS
+from sdncg.analysis import SWEEP_COLUMNS, format_exact
 
 
 class TestOptimumExact:
@@ -72,6 +74,99 @@ class TestOptimumExact:
                     for sub in oracles.connected_spanning_subgraphs(h.n, h.edges)
                 )
                 assert res.welfare == brute
+
+
+def _census_hosts():
+    # random hosts with at least one cycle and at most 9 edges, so that the
+    # brute-force reference stays quick, plus K_4 and K_5
+    rng = random.Random(71)
+    hosts = []
+    while len(hosts) < 10:
+        h = random_connected_host(rng.randint(4, 7), rng.uniform(0.15, 0.6), rng)
+        if h.n <= h.m <= 9:
+            hosts.append(h)
+    return hosts + [clique(4), clique(5)]
+
+
+CENSUS_HOSTS = _census_hosts()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a census was built")
+
+
+class TestHostCensus:
+    @pytest.mark.parametrize(
+        "host", CENSUS_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(CENSUS_HOSTS)]
+    )
+    def test_matches_per_alpha_reference(self, host):
+        budget = 1 << host.m
+        recs = host_census(host, budget)
+        assert [r[0] for r in recs] == sorted(r[0] for r in recs)
+        assert len(recs) == len(oracles.connected_spanning_subgraphs(host.n, host.edges))
+        # every interval end, each side of it, and one alpha below them all
+        ends = {b for rec in recs for b in rec[3:] if b is not None}
+        alphas = sorted(
+            {Fraction(1, 3)} | {b + d for b in ends for d in (Fraction(-1, 2), 0, Fraction(1, 2))}
+        )
+        rows = []
+        for a in alphas:
+            opt, opt_sets, stable_sets, stable_w = oracles.reference_optimum_and_atlas(
+                host.n, host.edges, a
+            )
+            res = optimum_exact(host, a, budget)
+            assert res.welfare == opt
+            assert [st.active for st in res.best_states] == opt_sets
+            assert res.states_examined == len(recs)
+            atlas = enumerate_stable_states(host, a, budget)
+            assert [st.active for st in atlas.stable_states] == stable_sets
+            assert list(atlas.welfares) == stable_w
+            if stable_w:
+                poa, pos = opt / min(stable_w), opt / max(stable_w)
+                assert poa_exact(host, a, budget) == poa
+                assert pos_exact(host, a, budget) == pos
+            else:
+                poa = pos = None
+                with pytest.raises(NoEquilibriumError):
+                    poa_exact(host, a, budget)
+                with pytest.raises(NoEquilibriumError):
+                    pos_exact(host, a, budget)
+            row = sweep_cell(host, a, budget)
+            assert row == {
+                "n": host.n,
+                "m": host.m,
+                "alpha_num": a.numerator,
+                "alpha_den": a.denominator,
+                "sw_opt": format_exact(opt),
+                "sw_worst_stable": format_exact(min(stable_w, default=None)),
+                "sw_best_stable": format_exact(max(stable_w, default=None)),
+                "poa": format_exact(poa),
+                "pos": format_exact(pos),
+                "stable_count": len(stable_sets),
+                "states_examined": len(recs),
+                "poa_approx": "" if poa is None else f"{float(poa):.6g}",
+                "pos_approx": "" if pos is None else f"{float(pos):.6g}",
+            }
+            rows.append(row)
+        assert sweep_host(host, alphas, budget) == rows
+
+    def test_budget_checked_before_cache(self, monkeypatch):
+        host_census(clique(6), 1 << 15)
+        monkeypatch.setattr(analysis, "_census_records", _refuse)
+        with pytest.raises(BudgetExceededError):
+            optimum_exact(clique(6), 1, 1 << 4)
+        with pytest.raises(BudgetExceededError):
+            sweep_host(clique(6), [1], 1 << 4)
+
+    def test_budget_checked_before_build(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_census_records", _refuse)
+        with pytest.raises(BudgetExceededError):
+            host_census(clique(7), 1 << 20)
+
+    def test_campaign_census_reused(self, monkeypatch):
+        assert theorem_campaign("complete-optimum", seed=0)["passed"]
+        monkeypatch.setattr(analysis, "_census_records", _refuse)
+        assert poa_exact(clique(6), 1, 1 << 16) == Fraction(4, 3)
 
 
 class TestCompleteClosedForm:
@@ -321,28 +416,17 @@ class TestCampaignPlumbing:
         assert all({"id", "pass", "detail"} <= set(c) for c in rep["claims"])
 
 
-def test_no_equilibrium_error_path():
-    # artificial: bound the enumeration so the stable set is empty is not
-    # reachable for real hosts here; instead check the error type wiring via
-    # a monkeypatched sweep
+def test_no_equilibrium_error_path(monkeypatch):
+    # artificial: no real host here has an empty stable set, so the ratio
+    # queries read a census whose only state is unstable at alpha = 1
     h = path(3)
     atlas = enumerate_stable_states(h, 1, 1 << 8)
     assert atlas.stable_count == 1  # tree host: the host itself
     # empty atlases raise on ratio queries
-    from sdncg import analysis as an
-
-    class FakeAtlas:
-        stable_states = ()
-        welfares = ()
-        worst_welfare = None
-        best_welfare = None
-
-    orig = an._optimum_and_atlas
-    an._optimum_and_atlas = lambda *a, **k: (Fraction(1), FakeAtlas())
-    try:
-        with pytest.raises(NoEquilibriumError):
-            poa_exact(h, 1, 1 << 8)
-        with pytest.raises(NoEquilibriumError):
-            pos_exact(h, 1, 1 << 8)
-    finally:
-        an._optimum_and_atlas = orig
+    (mask, cnt, rc, lo, hi), = analysis.host_census(h, 1 << 8)
+    fake = ((mask, cnt, rc, 2, hi),)  # stable only from alpha = 2 on
+    monkeypatch.setattr(analysis, "host_census", lambda *a, **k: fake)
+    with pytest.raises(NoEquilibriumError):
+        poa_exact(h, 1, 1 << 8)
+    with pytest.raises(NoEquilibriumError):
+        pos_exact(h, 1, 1 << 8)

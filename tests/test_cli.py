@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sdncg import cli, clique, cycle, dump_text, parse_text, path
+from sdncg import analysis, cli, clique, cycle, dump_text, parse_text, path
 from sdncg.cli import main
 
 
@@ -83,6 +83,15 @@ class TestGen:
             code, out, _ = run(capsys, "gen", "--family", family, *flags)
             assert code == 0, family
             parse_text(out)
+
+    def test_oversized_hypercube_exit_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("HostGraph built past the dimension cap")
+
+        monkeypatch.setattr(cli.constructions, "HostGraph", refuse)
+        code, out, err = run(capsys, "gen", "--family", "hypercube", "--d", "40")
+        assert code == 2 and out == ""
+        assert "d <= 16" in err
 
     def test_infeasible_params_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "star-of-cliques", "--n", "5", "--alpha", "9")
@@ -234,17 +243,37 @@ class TestSweep:
         assert "# seed: 5" in err
         assert out.splitlines()[0].startswith("n,m,")
 
-    def test_workers_byte_identical(self, capsys, k4, tmp_path):
+    def test_workers_byte_identical(self, capsys, k4, p5, p6, tmp_path):
         outs = []
         for workers in ("1", "2"):
             f = tmp_path / f"w{workers}.csv"
             code, _, _ = run(
-                capsys, "sweep", "--alpha", "1/2,1,2", "--input", k4,
-                "--workers", workers, "--output", str(f), "--budget", "256",
+                capsys, "sweep", "--alpha", "1/2,1,2", "--input", k4, "--input", p5,
+                "--input", p6, "--workers", workers, "--output", str(f), "--budget", "256",
             )
             assert code == 0
             outs.append(f.read_bytes())
         assert outs[0] == outs[1]
+        # host-major rows, alphas in the given order within each host
+        rows = [line.split(",")[:4] for line in outs[0].decode().splitlines()[1:]]
+        assert rows == [
+            [n, m, num, den]
+            for n, m in (("4", "6"), ("5", "4"), ("6", "5"))
+            for num, den in (("1", "2"), ("1", "1"), ("2", "1"))
+        ]
+
+    def test_one_census_per_host(self, capsys, monkeypatch, k4):
+        built = []
+        build = analysis._census_records
+
+        def counted(host):
+            built.append(host)
+            return build(host)
+
+        monkeypatch.setattr(analysis, "_census_records", counted)
+        code, out, _ = run(capsys, "sweep", "--alpha", "1/2,1,2", "--input", k4, "--workers", "1")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert built == [clique(4)]
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_rejected_first(self, capsys, monkeypatch, k4, workers):

@@ -25,6 +25,7 @@ from sdncg import (
     addition_decreases,
     find_hamilton_path,
 )
+from sdncg import constructions
 
 
 def block_sizes(graph, expected):
@@ -51,6 +52,15 @@ class TestElementaryFamilies:
         for bad in (lambda: path(1), lambda: cycle(2), lambda: star(1), lambda: clique(1), lambda: hypercube(0)):
             with pytest.raises(ParameterError):
                 bad()
+
+    def test_hypercube_dimension_capped_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("HostGraph built past the dimension cap")
+
+        monkeypatch.setattr(constructions, "HostGraph", refuse)
+        for d in (17, 40):
+            with pytest.raises(ParameterError, match="d <= 16"):
+                hypercube(d)
 
     def test_hypercube_edges_at_hamming_one(self):
         h = hypercube(3)

@@ -111,8 +111,12 @@ class TestSocialWelfare:
         rng = random.Random(seed)
         host = random_connected_host(n, rng.uniform(0.2, 0.8), rng)
         st_ = random_state(host, rng)
+        _, total = oracles.distance_sums(n, st_.active)
         for a in (Fraction(1, 2), Fraction(1), Fraction(n, 3)):
-            assert social_welfare(st_, a) == sum(utility(st_, v, a) for v in range(n))
+            w = social_welfare(st_, a)
+            assert w == sum(utility(st_, v, a) for v in range(n))
+            # the identity the library computes by: sum of utilities = 2*alpha*|E| + d(V, V)
+            assert w == oracles.welfare(n, st_.active, a) == 2 * a * len(st_.active) + total
 
 
 class TestImprovingMoves:
