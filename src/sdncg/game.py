@@ -271,6 +271,8 @@ def stability_interval(state: GameState) -> tuple[Optional[int], Optional[int]]:
     max(dec_u, dec_v) (None when nothing is addable). The state is pairwise
     stable at alpha iff lo <= alpha <= hi with None meaning unbounded. Both
     bounds are integers, so one pass answers stability for every alpha.
+    ``analysis.host_census`` reads the same bounds off neighbouring states
+    without a scan; this function is its per-state oracle.
     """
     active = state.active
     hi = None
@@ -292,10 +294,15 @@ def stability_interval(state: GameState) -> tuple[Optional[int], Optional[int]]:
     return lo, hi
 
 
+def _in_interval(lo, hi, p: int, q: int) -> bool:
+    """alpha = p/q (q > 0) lies in [lo, hi], None unbounded; integers only."""
+    return (lo is None or p >= q * lo) and (hi is None or p <= q * hi)
+
+
 def stable_in_interval(interval, alpha) -> bool:
     lo, hi = interval
     a = as_alpha(alpha)
-    return (lo is None or a >= lo) and (hi is None or a <= hi)
+    return _in_interval(lo, hi, a.numerator, a.denominator)
 
 
 def apply_move(state: GameState, move: Move) -> GameState:

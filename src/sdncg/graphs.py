@@ -255,31 +255,24 @@ def full_state(host: HostGraph) -> GameState:
     return GameState._unchecked(host, frozenset(host.edges), (1 << host.m) - 1)
 
 
-def _distance_table(nbr, n: int):
-    """All-pairs table of the graph with neighbour masks ``nbr``, or None
-    when it is disconnected, which the first row already shows."""
-    full = (1 << n) - 1
-    rows = []
-    sums = []
-    for src in range(n):
-        row, seen = _bfs_row(nbr, src, n)
-        if seen != full:
-            return None
-        rows.append(tuple(row))
-        sums.append(sum(row))
-    return DistanceTable(tuple(rows), tuple(sums), sum(sums))
-
-
 def bfs_all_pairs(state: GameState) -> DistanceTable:
     """Exact all-pairs distances of a state.
 
     Defensive about disconnection even though validated states are always
     connected (unchecked fast-path constructions funnel through here).
     """
-    table = _distance_table(state.adjacency_masks, state.host.n)
-    if table is None:
-        raise StructureError("state is disconnected")
-    return table
+    n = state.host.n
+    nbr = state.adjacency_masks
+    full = (1 << n) - 1
+    rows = []
+    sums = []
+    for src in range(n):
+        row, seen = _bfs_row(nbr, src, n)
+        if seen != full:
+            raise StructureError("state is disconnected")
+        rows.append(tuple(row))
+        sums.append(sum(row))
+    return DistanceTable(tuple(rows), tuple(sums), sum(sums))
 
 
 def routing_cost(state: GameState) -> int:

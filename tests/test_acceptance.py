@@ -30,7 +30,7 @@ def test_criterion_01_closed_form_welfare():
 
 
 def test_criterion_02_complete_host_optimum():
-    _run(2, "complete-host optimum classification", "complete-optimum", time_limit=300)
+    _run(2, "complete-host optimum classification", "complete-optimum", time_limit=20)
 
 
 def test_criterion_03_complete_host_stability_regimes():

@@ -8,6 +8,9 @@ import pytest
 import oracles
 from sdncg import (
     BudgetExceededError,
+    CertificateError,
+    GameState,
+    HostGraph,
     NoEquilibriumError,
     approximation_report,
     clique,
@@ -27,6 +30,7 @@ from sdncg import (
     pos_exact,
     random_connected_host,
     replay_validates_cycle,
+    routing_cost,
     social_welfare,
     star,
     sweep_cell,
@@ -35,7 +39,7 @@ from sdncg import (
     threshold_table,
     write_sweep_csv,
 )
-from sdncg import analysis, game
+from sdncg import analysis, game, graphs
 from sdncg.analysis import SWEEP_COLUMNS, format_exact
 
 
@@ -167,6 +171,70 @@ class TestHostCensus:
         assert theorem_campaign("complete-optimum", seed=0)["passed"]
         monkeypatch.setattr(analysis, "_census_records", _refuse)
         assert poa_exact(clique(6), 1, 1 << 16) == Fraction(4, 3)
+
+
+# a branching tree host, where every removal is a bridge (lo is None), and a
+# cycle host, whose other states are paths
+BUILDER_HOSTS = CENSUS_HOSTS + [
+    HostGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)]),
+    cycle(6),
+]
+
+
+def _oracle_census(host):
+    """The census state by state: BFS routing cost and the full move scan."""
+    recs = []
+    for sub in oracles.connected_spanning_subgraphs(host.n, host.edges):
+        st = GameState(host, sub)
+        recs.append((st.mask, len(sub), routing_cost(st), *game.stability_interval(st)))
+    return tuple(sorted(recs))
+
+
+class TestCensusBuilder:
+    @pytest.mark.parametrize(
+        "host", BUILDER_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(BUILDER_HOSTS)]
+    )
+    def test_matches_per_state_oracle(self, host):
+        assert host_census(host, 1 << host.m) == _oracle_census(host)
+
+    def test_k5_lattice_work(self, monkeypatch):
+        # K_5: 848 masks with at least 4 of the 10 edges, 728 of them
+        # connected; one BFS decides connectivity, and a connected state
+        # needs the 4 other sources; no move scan and no distance row
+        calls = []
+        count = graphs._bfs_distance_sum
+
+        def counted(nbr, src):
+            calls.append(src)
+            return count(nbr, src)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census ran a move scan or built a distance row")
+
+        monkeypatch.setattr(analysis, "_bfs_distance_sum", counted)
+        for mod, name in (
+            (game, "removal_increases"),
+            (game, "addition_decreases"),
+            (game, "stability_interval"),
+            (analysis, "removal_increases"),
+            (analysis, "addition_decreases"),
+            (graphs, "_bfs_row"),
+        ):
+            monkeypatch.setattr(mod, name, refuse)
+        recs = analysis._census_records(clique(5))
+        assert len(recs) == 728
+        assert calls.count(0) == 848
+        assert len(calls) == 848 + 4 * 728 == 3760
+
+    def test_unconfirmed_interval_raises(self, monkeypatch):
+        # a census that claims K_4's host state is stable everywhere; at
+        # alpha = 1/2 every removal helps, so the full check refutes it
+        host = clique(4)
+        full_mask = (1 << host.m) - 1
+        fake = ((full_mask, host.m, routing_cost(full_state(host)), None, None),)
+        monkeypatch.setattr(analysis, "host_census", lambda *a, **k: fake)
+        with pytest.raises(CertificateError, match=f"mask {full_mask}"):
+            enumerate_stable_states(host, Fraction(1, 2), 1 << 8)
 
 
 class TestCompleteClosedForm:
