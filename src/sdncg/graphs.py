@@ -329,7 +329,6 @@ class TreeScaffold:
         "depth",
         "order",
         "subtree_size",
-        "subtree_mask",
         "down",
         "per_node_sum",
         "total",
@@ -387,7 +386,6 @@ class TreeScaffold:
         self.depth = tuple(depth)
         self.order = tuple(order)
         self.subtree_size = tuple(size)
-        self.subtree_mask = tuple(smask)
         self.down = tuple(down)
         self.per_node_sum = tuple(pns)
         self.total = 2 * total

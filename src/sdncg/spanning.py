@@ -44,36 +44,35 @@ class SmrcstResult:
 def _deepest_dfs_path(host: HostGraph) -> list[int]:
     """Deepest root-to-leaf path over DFS trees from every root.
 
-    In a DFS tree of a connected graph every edge joins an ancestor to a
-    descendant, so charging each edge to its deeper endpoint shows the depth
-    is at least m/n. That makes this an unconditional fallback for the long
-    path guarantee.
+    The search descends into the first unvisited neighbor, so the stack is
+    always the tree path from the root. In a DFS tree of a connected graph
+    every edge joins an ancestor to a descendant, so charging each edge to
+    its deeper endpoint shows the depth is at least m/n. That makes this an
+    unconditional fallback for the long path guarantee.
     """
     n = host.n
     adj = [sorted(host.adj[v]) for v in range(n)]
     best: list[int] = []
     for root in range(n):
-        parent = [-1] * n
-        depth = [-1] * n
-        depth[root] = 0
+        seen = [False] * n
+        seen[root] = True
+        nxt = [0] * n
         stack = [root]
-        deepest = root
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if depth[w] < 0:
-                    depth[w] = depth[v] + 1
-                    parent[w] = v
-                    stack.append(w)
-                    if depth[w] > depth[deepest]:
-                        deepest = w
-        if depth[deepest] + 1 > len(best):
-            node = deepest
-            chain = [node]
-            while node != root:
-                node = parent[node]
-                chain.append(node)
-            best = chain[::-1]
+            v = stack[-1]
+            nbrs = adj[v]
+            i = nxt[v]
+            while i < len(nbrs) and seen[nbrs[i]]:
+                i += 1
+            nxt[v] = i + 1
+            if i == len(nbrs):
+                stack.pop()
+                continue
+            w = nbrs[i]
+            seen[w] = True
+            stack.append(w)
+            if len(stack) > len(best):
+                best = list(stack)
     return best
 
 
@@ -176,7 +175,10 @@ def greedy_long_path(host: HostGraph) -> list[int]:
             path = rescue
         if n <= 20:
             path = _exact_longest_path(host, path)
-    assert (len(path) - 1) * n >= m, "long-path guarantee violated"
+    if (len(path) - 1) * n < m:
+        raise CertificateError(
+            f"long-path guarantee violated: l*n = {(len(path) - 1) * n} < m = {m}"
+        )
     return path
 
 
@@ -224,76 +226,71 @@ def extend_to_spanning_tree(host: HostGraph, path) -> TreeScaffold:
     return TreeScaffold(GameState(host, chosen))
 
 
-def _component_sums(scaffold: TreeScaffold, rem: tuple[int, int]):
-    """Within-component distance sums S[w] for both sides of tree - rem.
-
-    One O(n) pass over the scaffold order seeds each component at its natural
-    root (the global root for the parent side, the cut child for the child
-    side) and reroots along tree edges, which never cross the cut.
-    """
-    tree_host_n = scaffold.tree.host.n
-    n = tree_host_n
-    below = scaffold.below_mask[rem]
-    a, b = rem
-    if (below >> a) & 1:
-        a, b = b, a
-    size = scaffold.subtree_size
-    len_b = size[b]
-    len_a = n - len_b
-    down = scaffold.down
-    smask = scaffold.subtree_mask
-    parent = scaffold.parent
-    bbit = 1 << b
-    s = [0] * n
-    s[0] = scaffold.per_node_sum[0] - len_b * scaffold.depth[b] - down[b]
-    for w in scaffold.order:
-        if w == 0:
-            continue
-        if w == b:
-            s[w] = down[b]
-        elif (below >> w) & 1:
-            s[w] = s[parent[w]] + len_b - 2 * size[w]
-        else:
-            sz = size[w] - (len_b if smask[w] & bbit else 0)
-            s[w] = s[parent[w]] + len_a - 2 * sz
-    return s, below, a, b, len_a, len_b
-
-
 def _find_swap(scaffold: TreeScaffold, pivot: str):
     """Best (or first) strictly improving swap, or None when swap-maximal.
 
-    For each removable tree edge the component sums are built once; every
-    crossing host edge is then scored in O(1).
+    Removing tree edge e and adding host edge f leaves a tree exactly when e
+    lies on the tree path of f, so each non-tree edge f = (x, y) walks its
+    path up to the lowest common ancestor and scores each tree edge on it in
+    O(1). For the edge from c up to its parent, with x in c's subtree,
+    s = size[c], o = n - s, j = depth[x] - depth[c], k the tree distance
+    from x to y and P the per-node distance sums, the routing-cost change is
+
+        2 * [o*(P[x] - o*(j+1)) + s*(P[y] - s*(k-j)) - n*(P[parent c] - s)]
+
+    and the edges on y's side of the ancestor swap x and y. As a quadratic
+    in s this is 2 * [s*(c1 - s*(k+1)) + r[c] - t], where c1 and t depend
+    only on f and the side, and r[c] = n*((n - 2s)*depth[c] + s - P[parent c])
+    only on c. A pass costs the total tree-path length of the non-tree edges.
+
+    ``best`` takes the largest change and ``first`` the smallest (e, f) with
+    a positive one; ties go to the smallest (e, f). Host edges are sorted, so
+    f arrives in increasing order and only e needs comparing.
     """
-    tree = scaffold.tree
-    host = tree.host
-    active = tree.active
-    host_edges = host.edges
-    best = None
-    for e in sorted(active):
-        s, below, a, b, len_a, len_b = _component_sums(scaffold, e)
-        s_a_a = s[a]
-        s_b_b = s[b]
-        for f in host_edges:
-            if f in active:
-                continue
-            x, y = f
-            xb = (below >> x) & 1
-            if xb == (below >> y) & 1:
-                continue
-            u, v = (y, x) if xb else (x, y)
-            delta = 2 * (len_b * (s[u] - s_a_a) + len_a * (s[v] - s_b_b))
-            if delta > 0:
-                if pivot == FIRST_SWAP:
-                    return e, f
-                cand = (delta, e, f)
-                if best is None or delta > best[0] or (
-                    delta == best[0] and (e, f) < (best[1], best[2])
-                ):
-                    best = cand
-    if best is None:
+    host = scaffold.tree.host
+    n = host.n
+    parent = scaffold.parent
+    depth = scaffold.depth
+    size = scaffold.subtree_size
+    pns = scaffold.per_node_sum
+    edge_index = host.edge_index
+    up = [-1] + [edge_index[edge(c, parent[c])] for c in range(1, n)]
+    r = [n * ((n - 2 * size[c]) * depth[c] + size[c] - pns[parent[c]]) for c in range(n)]
+    first = pivot == FIRST_SWAP
+    tree_mask = scaffold.tree.mask
+    best_delta = 0
+    best_e = best_f = None
+    for i, f in enumerate(host.edges):
+        if (tree_mask >> i) & 1:
+            continue
+        x, y = f
+        a, b = x, y
+        while depth[a] > depth[b]:
+            a = parent[a]
+        while depth[b] > depth[a]:
+            b = parent[b]
+        while a != b:
+            a = parent[a]
+            b = parent[b]
+        k1 = depth[x] + depth[y] - 2 * depth[a] + 1
+        for near, far in ((x, y), (y, x)):
+            j1 = depth[near] + 1
+            t = n * (n * j1 - pns[near])
+            c1 = pns[far] - pns[near] + 2 * n * j1
+            c = near
+            while c != a:
+                s = size[c]
+                delta = s * (c1 - s * k1) + r[c]
+                if delta > t:
+                    delta = 1 if first else delta - t
+                    if delta > best_delta or (delta == best_delta and up[c] < best_e):
+                        best_delta = delta
+                        best_e = up[c]
+                        best_f = f
+                c = parent[c]
+    if best_e is None:
         return None
-    return best[1], best[2]
+    return host.edges[best_e], best_f
 
 
 def smrcst(host: HostGraph, pivot: str = BEST_SWAP) -> SmrcstResult:
@@ -314,8 +311,8 @@ def smrcst(host: HostGraph, pivot: str = BEST_SWAP) -> SmrcstResult:
         if swap is None:
             break
         e, f = swap
-        nxt = GameState(host, (scaffold.tree.active - {e}) | {f})
-        scaffold = TreeScaffold(nxt)
+        flip = (1 << host.edge_index[e]) | (1 << host.edge_index[f])
+        scaffold = TreeScaffold(GameState._from_mask(host, scaffold.tree.mask ^ flip))
         iterations += 1
     return SmrcstResult(scaffold, len(seed) - 1, iterations, scaffold.total)
 

@@ -124,6 +124,34 @@ def random_spanning_tree(n, edges, rng):
     return chosen
 
 
+def reference_find_swap(scaffold, pivot):
+    """The swap ``spanning._find_swap`` must pick, by recomputing every swap.
+
+    Scans each (tree edge out, host edge in) pair in (sorted tree edge, host
+    edge) order, keeps those that leave a spanning tree, and scores each by
+    the BFS distance sums of the new tree. "best" keeps the first pair of
+    the largest positive gain, "first" returns the first positive one.
+    """
+    host = scaffold.tree.host
+    n = host.n
+    tree = set(scaffold.tree.active)
+    base = distance_sums(n, tree)[1]
+    best_gain, best = 0, None
+    for e in sorted(tree):
+        for f in host.edges:
+            if f in tree:
+                continue
+            new = (tree - {e}) | {f}
+            if not is_connected(n, new):
+                continue
+            gain = distance_sums(n, new)[1] - base
+            if gain > best_gain:
+                if pivot == "first":
+                    return e, f
+                best_gain, best = gain, (e, f)
+    return best
+
+
 def spanning_trees_brute(n, edges):
     """All labeled spanning trees via size-(n-1) subsets + connectivity."""
     out = []

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from sdncg import (
     TreeScaffold,
     clique,
     cycle,
+    dump_text,
     enumerate_spanning_trees,
     extend_to_spanning_tree,
     greedy_long_path,
@@ -28,7 +30,8 @@ from sdncg import (
     ParameterError,
 )
 from sdncg import graphs, spanning
-from sdncg.spanning import SmrcstResult, _component_sums, _find_swap, _spanning_tree_count
+from sdncg.cli import main
+from sdncg.spanning import SmrcstResult, _find_swap, _spanning_tree_count
 
 
 def crossing_swaps(scaffold):
@@ -82,6 +85,39 @@ class TestGreedyLongPath:
             assert len(set(p)) == len(p)
             for a, b in zip(p, p[1:]):
                 assert h.has_edge(a, b)
+
+
+def pendant_clique(k):
+    """K_k with one pendant leaf on each clique node: 2k nodes, k(k-1)/2 + k edges."""
+    clique_edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return HostGraph(2 * k, clique_edges + [(v, k + v) for v in range(k)])
+
+
+class TestLongPathGuarantee:
+    # the greedy path misses m/n here, and n > 20 leaves the DFS fallback alone
+    def test_pendant_clique_library(self):
+        for k in (12, 13, 16):
+            h = pendant_clique(k)
+            r = smrcst(h)
+            assert r.seed_path_length * h.n >= h.m
+            assert smrcst_certificates(r, h)["distance_bound_ok"]
+
+    def test_pendant_clique_cli(self, capsys, tmp_path):
+        f = tmp_path / "pendant.txt"
+        f.write_text(dump_text(pendant_clique(12)))
+        assert main(["smrcst", "--input", str(f), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed_path_length"] * 24 >= 78
+
+    def test_broken_fallback_raises(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(spanning, "_deepest_dfs_path", lambda host: [0])
+        h = pendant_clique(12)
+        with pytest.raises(CertificateError):
+            greedy_long_path(h)
+        f = tmp_path / "pendant.txt"
+        f.write_text(dump_text(h))
+        assert main(["smrcst", "--input", str(f)]) == 1
+        assert "long-path guarantee" in capsys.readouterr().err
 
 
 class TestExtendToSpanningTree:
@@ -159,7 +195,7 @@ class TestSmrcst:
 
 class TestFindSwapAgainstDelta:
     def test_batched_scores_match_single_swap(self):
-        # the inner loop precomputes component sums; cross-check via the public op
+        # the path walk's scores, cross-checked via the public op
         rng = random.Random(23)
         for _ in range(10):
             h = random_connected_host(rng.randint(5, 10), rng.uniform(0.4, 0.9), rng)
@@ -180,21 +216,53 @@ class TestFindSwapAgainstDelta:
                             continue
                         assert tree_swap_delta(sc, e2, f2) <= best
 
-    def test_delta_matches_component_sums(self):
-        # the certificate's evaluator against the swap search's batched sums
+    def test_both_pivots_match_reference_search(self):
+        # every swap rescored by BFS on the new tree, in (tree edge, host edge) order
         rng = random.Random(37)
+        picked = {"best": 0, "first": 0}
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
+            sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
+            for pivot in ("best", "first"):
+                want = oracles.reference_find_swap(sc, pivot)
+                assert _find_swap(sc, pivot) == want
+                picked[pivot] += want is not None
+        assert min(picked.values()) >= 100
+
+    def test_both_pivots_match_delta_scan_on_large_trees(self):
+        # the certificate's evaluator over every crossing pair, at n up to 70
+        rng = random.Random(41)
         for _ in range(20):
             n = rng.randint(5, 70)
             h = host_with_m_edges(n, min(3 * n, n * (n - 1) // 2), rng)
             sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
-            sums = {}
+            best_delta, best, first = 0, None, None
             for e, f in crossing_swaps(sc):
-                if e not in sums:
-                    sums[e] = _component_sums(sc, e)
-                s, below, a, b, len_a, len_b = sums[e]
-                u, v = (f[1], f[0]) if (below >> f[0]) & 1 else f
-                want = 2 * (len_b * (s[u] - s[a]) + len_a * (s[v] - s[b]))
-                assert tree_swap_delta(sc, e, f) == want
+                delta = tree_swap_delta(sc, e, f)
+                if delta > 0 and first is None:
+                    first = e, f
+                if delta > best_delta:
+                    best_delta, best = delta, (e, f)
+            assert _find_swap(sc, "best") == best
+            assert _find_swap(sc, "first") == first
+
+    def test_smrcst_with_reference_search(self, monkeypatch):
+        # sparse and two-sided hosts, where the greedy seed is often not swap-maximal
+        rng = random.Random(43)
+        hosts = [host_with_m_edges(n, n + 1, rng) for n in rng.choices(range(6, 11), k=15)]
+        for _ in range(15):
+            a, b = rng.randint(2, 3), rng.randint(3, 7)
+            hosts.append(HostGraph(a + b, [
+                (u, a + v) for u in range(a) for v in range(b) if 0 in (u, v) or rng.random() < 0.7
+            ]))
+        runs = [(h, pivot) for h in hosts for pivot in ("best", "first")]
+        got = [smrcst(h, pivot) for h, pivot in runs]
+        monkeypatch.setattr(spanning, "_find_swap", oracles.reference_find_swap)
+        for (h, pivot), r in zip(runs, got):
+            want = smrcst(h, pivot)
+            assert (r.tree.tree.mask, r.iterations) == (want.tree.tree.mask, want.iterations)
+        assert sum(r.iterations for r in got) >= 20
 
 
 class TestEnumeration:
