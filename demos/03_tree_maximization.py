@@ -10,11 +10,11 @@ from fractions import Fraction
 
 from sdncg import (
     HostGraph,
+    approximation_report,
     is_pairwise_stable,
     mrcst_exact,
     random_connected_host,
     smrcst,
-    smrcst_certificates,
 )
 
 host = random_connected_host(10, 0.15, random.Random(4))
@@ -35,9 +35,9 @@ alpha = Fraction(host.n, 3)
 print(f"\nswap-maximal tree stable at alpha = n/3 = {alpha}: "
       f"{is_pairwise_stable(result.tree.tree, alpha).stable}")
 
-report = smrcst_certificates(result, host, alpha=1, subset_budget=1 << 18)
-print(f"welfare ratio vs optimum at alpha=1: {report['welfare_ratio_mrcst']} "
-      f"(bound m/(n-1)+1 = {report['welfare_ratio_bound']})")
+report = approximation_report(host, 1, subset_budget=1 << 18)
+print(f"welfare ratio vs optimum at alpha=1: {report['ratio_mrcst']} "
+      f"(bound m/(n-1)+1 = {report['ratio_bound']})")
 
 # a host where the greedy seed is not yet swap-maximal
 k26 = HostGraph(8, [(a, b) for a in (0, 1) for b in range(2, 8)])

@@ -47,7 +47,6 @@ from .game import (
     SEEDED_RANDOM,
     DynamicsOutcome,
     _in_interval,
-    addition_decreases,
     apply_move,
     as_alpha,
     improving_moves,
@@ -55,9 +54,10 @@ from .game import (
     removal_increases,
     run_dynamics,
     social_welfare,
+    stability_interval,
     stable_in_interval,
 )
-from .graphs import GameState, HostGraph, _bfs_distance_sum, canonical_key, edge, full_state
+from .graphs import GameState, HostGraph, _bfs, _mask_adjacency, canonical_key, edge, full_state
 from .spanning import find_hamilton_path, mrcst_exact, smrcst, smrcst_certificates
 
 SWEEP_COLUMNS = (
@@ -154,18 +154,11 @@ def _census_records(host: HostGraph) -> tuple:
     for mask in range(1 << host.m):
         if mask.bit_count() < need:
             continue
-        nbr = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            u, v = edges[low.bit_length() - 1]
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-            mm ^= low
-        s0, seen = _bfs_distance_sum(nbr, 0)
+        nbr = _mask_adjacency(n, edges, mask)
+        s0, seen = _bfs(nbr, 1)
         if seen != full:
             continue
-        ps[mask] = (s0, *[_bfs_distance_sum(nbr, src)[0] for src in range(1, n)])
+        ps[mask] = (s0, *[_bfs(nbr, 1 << src)[0] for src in range(1, n)])
     # pass 2: a removal with no entry is a bridge; an addition always has
     # one, since a superset of a connected spanning subset is connected
     bits = [(1 << i, u, v) for i, (u, v) in enumerate(edges)]
@@ -719,21 +712,16 @@ def _suite_smrcst_stability(
     unstable = ""
     weak_edge = ""
     for h in hosts:
-        a = Fraction(h.n, 3)
         for pivot in ("best", "first"):
-            res = smrcst(h, pivot)
-            st = res.tree.tree
-            if not is_pairwise_stable(st, a).stable:
+            # hi is the smallest larger-endpoint drop over the non-tree edges
+            lo, hi = stability_interval(smrcst(h, pivot).tree.tree)
+            if not _in_interval(lo, hi, h.n, 3):
                 unstable = unstable or f"n={h.n} m={h.m} pivot={pivot}"
-            for u, v in h.edges:
-                if (u, v) in st.active:
-                    continue
-                dec_u, dec_v = addition_decreases(st, u, v)
-                if 3 * max(dec_u, dec_v) < h.n:
-                    weak_edge = weak_edge or (
-                        f"n={h.n} pivot={pivot} edge ({u},{v}): "
-                        f"drops ({dec_u},{dec_v}) both below n/3"
-                    )
+            if hi is not None and 3 * hi < h.n:
+                weak_edge = weak_edge or (
+                    f"n={h.n} pivot={pivot}: a non-tree edge drops both "
+                    f"endpoint sums by at most {hi}, below n/3"
+                )
     return [
         _claim(
             "smrcst-stable-at-n-third",
@@ -941,16 +929,13 @@ def _suite_smrcst_certificates(
     opt_hosts = host_corpus(opt_count, opt_n_range, opt_p_range, seed, max_edges=opt_max_edges)
     bad = ""
     for h in opt_hosts:
-        res = smrcst(h)
-        mr = mrcst_exact(h, tree_budget)
         for a in (Fraction(1, 2), Fraction(1)):
-            opt_w = optimum_exact(h, a, subset_budget).welfare
-            ratio = opt_w / social_welfare(mr.tree, a)
-            bound = Fraction(h.m, h.n - 1) + 1
-            if ratio > bound:
-                bad = bad or f"n={h.n} m={h.m} alpha={a}: ratio {ratio} > bound {bound}"
+            try:
+                approximation_report(h, a, subset_budget, tree_budget)
+            except CertificateError as exc:
+                bad = bad or f"n={h.n} m={h.m} alpha={a}: {exc}"
         try:
-            smrcst_certificates(res, h, alpha=1, subset_budget=subset_budget, tree_budget=tree_budget)
+            smrcst_certificates(smrcst(h), h)
         except CertificateError as exc:
             bad = bad or f"n={h.n} m={h.m}: {exc}"
     claims.append(

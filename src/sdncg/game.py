@@ -21,12 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError, StructureError
-from .graphs import (
-    GameState,
-    _bfs_distance_sum,
-    edge,
-    is_bridge,
-)
+from .graphs import GameState, _bfs, edge, is_bridge
 
 Alpha = Fraction
 
@@ -107,12 +102,14 @@ def remove_move(u: int, v: int) -> Move:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """A full stability verdict; ``witnesses`` lists every improving move
+    and ``moves_examined`` counts every host edge, bridges included."""
+
     stable: bool
     stable_against_addition: bool
     stable_against_removal: bool
     witnesses: tuple
     moves_examined: int
-    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def utility(state: GameState, v: int, alpha) -> Fraction:
 def social_welfare(state: GameState, alpha) -> Fraction:
     """Sum of utilities, which is 2*alpha*|E| + d(V, V)."""
     a = as_alpha(alpha)
-    return 2 * a * len(state.active) + state.table.total
+    return 2 * a * state.m + state.table.total
 
 
 def addition_decreases(state: GameState, u: int, v: int) -> tuple[int, int]:
@@ -178,87 +175,65 @@ def removal_increases(state: GameState, u: int, v: int):
     nbr[u] ^= 1 << v
     nbr[v] ^= 1 << u
     full = (1 << n) - 1
-    sum_u, seen = _bfs_distance_sum(nbr, u)
+    sum_u, seen = _bfs(nbr, 1 << u)
     if seen != full:
         return None
-    sum_v, _ = _bfs_distance_sum(nbr, v)
+    sum_v, _ = _bfs(nbr, 1 << v)
     ps = state.table.per_node_sum
     return sum_u - ps[u], sum_v - ps[v]
+
+
+def _move_gains(state: GameState):
+    """Every legal move of a state with its threshold, in (kind, u, v) order.
+
+    Yields ``(kind, u, v, gain)``. For an addition ``gain`` is the larger of
+    the two endpoint decreases: the addition improves at alpha iff
+    ``gain < alpha``, since both endpoints must gain strictly. For a removal
+    it is the larger of the two endpoint increases: the removal improves iff
+    ``gain > alpha``. Bridges are skipped, since removing one is illegal.
+    This is the one move scan; every stability query filters it.
+    """
+    mask = state.mask
+    edges = state.host.edges
+    for i, (u, v) in enumerate(edges):
+        if not (mask >> i) & 1:
+            dec_u, dec_v = addition_decreases(state, u, v)
+            yield ADD, u, v, dec_u if dec_u >= dec_v else dec_v
+    for i, (u, v) in enumerate(edges):
+        if (mask >> i) & 1:
+            inc = removal_increases(state, u, v)
+            if inc is not None:
+                yield REMOVE, u, v, inc[0] if inc[0] >= inc[1] else inc[1]
 
 
 def improving_moves(state: GameState, alpha, limit: Optional[int] = None) -> list:
     """All improving moves in deterministic lexicographic (kind, u, v) order.
 
     Additions need a strict gain for both endpoints, removals for at least
-    one; ``limit`` truncates the list without changing the order.
+    one; ``limit`` truncates the list without changing the order. With
+    alpha = p/q every test is on integers.
     """
     a = as_alpha(alpha)
+    p, q = a.numerator, a.denominator
     out = []
-    active = state.active
-    for u, v in state.host.edges:
-        if (u, v) in active:
-            continue
-        dec_u, dec_v = addition_decreases(state, u, v)
-        if dec_u < a and dec_v < a:
-            out.append(Move(ADD, u, v))
-            if limit is not None and len(out) >= limit:
-                return out
-    for u, v in sorted(active):
-        inc = removal_increases(state, u, v)
-        if inc is None:
-            continue
-        if inc[0] > a or inc[1] > a:
-            out.append(Move(REMOVE, u, v))
+    for kind, u, v, gain in _move_gains(state):
+        if (q * gain < p) if kind == ADD else (q * gain > p):
+            out.append(Move(kind, u, v))
             if limit is not None and len(out) >= limit:
                 return out
     return out
 
 
-def is_pairwise_stable(state: GameState, alpha, witness_limit: Optional[int] = None) -> StabilityReport:
-    """Full stability verdict: every host-legal addition and every non-bridge
-    removal is examined (unless the witness list fills up first)."""
-    a = as_alpha(alpha)
-    witnesses = []
-    examined = 0
-    truncated = False
-
-    def room():
-        return witness_limit is None or len(witnesses) < witness_limit
-
-    stable_add = True
-    active = state.active
-    for u, v in state.host.edges:
-        if (u, v) in active:
-            continue
-        if not stable_add and not room():
-            truncated = True
-            break
-        examined += 1
-        dec_u, dec_v = addition_decreases(state, u, v)
-        if dec_u < a and dec_v < a:
-            stable_add = False
-            if room():
-                witnesses.append(Move(ADD, u, v))
-    stable_rem = True
-    for u, v in sorted(active):
-        if not stable_rem and not room():
-            truncated = True
-            break
-        examined += 1
-        inc = removal_increases(state, u, v)
-        if inc is None:
-            continue
-        if inc[0] > a or inc[1] > a:
-            stable_rem = False
-            if room():
-                witnesses.append(Move(REMOVE, u, v))
+def is_pairwise_stable(state: GameState, alpha) -> StabilityReport:
+    """Full stability verdict: every host addition and every removal is
+    examined, and every improving move is reported as a witness."""
+    witnesses = tuple(improving_moves(state, alpha))
     return StabilityReport(
-        stable=stable_add and stable_rem,
-        stable_against_addition=stable_add,
-        stable_against_removal=stable_rem,
-        witnesses=tuple(witnesses),
-        moves_examined=examined,
-        truncated=truncated,
+        stable=not witnesses,
+        stable_against_addition=all(mv.kind != ADD for mv in witnesses),
+        stable_against_removal=all(mv.kind != REMOVE for mv in witnesses),
+        witnesses=witnesses,
+        moves_examined=state.host.m,
     )
 
 
@@ -274,23 +249,13 @@ def stability_interval(state: GameState) -> tuple[Optional[int], Optional[int]]:
     ``analysis.host_census`` reads the same bounds off neighbouring states
     without a scan; this function is its per-state oracle.
     """
-    active = state.active
-    hi = None
-    for u, v in state.host.edges:
-        if (u, v) in active:
-            continue
-        dec_u, dec_v = addition_decreases(state, u, v)
-        block = dec_u if dec_u >= dec_v else dec_v
-        if hi is None or block < hi:
-            hi = block
-    lo = None
-    for u, v in active:
-        inc = removal_increases(state, u, v)
-        if inc is None:
-            continue
-        worst = inc[0] if inc[0] >= inc[1] else inc[1]
-        if lo is None or worst > lo:
-            lo = worst
+    lo = hi = None
+    for kind, _, _, gain in _move_gains(state):
+        if kind == ADD:
+            if hi is None or gain < hi:
+                hi = gain
+        elif lo is None or gain > lo:
+            lo = gain
     return lo, hi
 
 
@@ -309,20 +274,20 @@ def apply_move(state: GameState, move: Move) -> GameState:
     """New state with the move applied; raises on any illegal move."""
     e = edge(move.u, move.v)
     host = state.host
+    i = host.edge_index.get(e)
+    active = i is not None and (state.mask >> i) & 1
     if move.kind == ADD:
-        if e not in host.edge_index:
+        if i is None:
             raise StructureError(f"cannot add {e}: not a host edge")
-        if e in state.active:
+        if active:
             raise StructureError(f"cannot add {e}: already active")
-        bit = 1 << host.edge_index[e]
-        return GameState._unchecked(host, state.active | {e}, state.mask | bit)
+        return GameState._from_mask(host, state.mask | 1 << i)
     if move.kind == REMOVE:
-        if e not in state.active:
+        if not active:
             raise StructureError(f"cannot remove {e}: not active")
         if is_bridge(state, e):
             raise StructureError(f"cannot remove {e}: removal disconnects the state")
-        bit = 1 << host.edge_index[e]
-        return GameState._unchecked(host, state.active - {e}, state.mask ^ bit)
+        return GameState._from_mask(host, state.mask ^ 1 << i)
     raise StructureError(f"unknown move kind {move.kind!r}")
 
 

@@ -8,7 +8,10 @@ workers.
 
 Adjacency is kept both as neighbor sets and as per-node bitmasks. Python
 integers are unbounded, so the bitmask path is exact at every size and is
-the one used by the hot loops (BFS, connectivity, subtree bookkeeping).
+the one used by the hot loops; ``_bfs`` is the one traversal kernel behind
+connectivity, bridges, distance rows and distance sums. A ``GameState``
+stores its edge set once, as a bitmask over the host's sorted edge list;
+everything else about a state is derived from that mask.
 """
 
 from __future__ import annotations
@@ -29,34 +32,30 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _neighbor_masks(n: int, edges: Iterable[Edge]) -> list[int]:
+def _mask_adjacency(n: int, edges, mask: int) -> list[int]:
+    """Per-node neighbor bitmasks of the edges whose bits are set in ``mask``."""
     nbr = [0] * n
-    for u, v in edges:
+    while mask:
+        low = mask & -mask
+        u, v = edges[low.bit_length() - 1]
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
+        mask ^= low
     return nbr
 
 
-def _bfs_reach(nbr, start: int) -> int:
-    """Bitmask of all nodes reachable from ``start``."""
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= nbr[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
+def _bfs(nbr, sources: int, allowed: int = -1, row=None):
+    """Level-by-level BFS over bitmask adjacency; the one traversal kernel.
 
-
-def _bfs_distance_sum(nbr, src: int):
-    """Return ``(sum of hop distances from src, bitmask of reached nodes)``."""
-    seen = 1 << src
-    frontier = seen
+    Starts from the node mask ``sources`` (a subset of ``allowed``) at
+    distance 0 and never enters a node outside ``allowed``. Returns ``(sum
+    of the hop distances of the reached nodes, mask of the reached nodes)``.
+    If ``row`` is a list, each node reached beyond the sources gets its
+    distance written into it.
+    """
+    # nodes outside `allowed` start out seen, so no level masks them again
+    seen = sources | ~allowed
+    frontier = sources
     total = 0
     d = 0
     while frontier:
@@ -69,33 +68,15 @@ def _bfs_distance_sum(nbr, src: int):
             f ^= low
         frontier = nxt & ~seen
         if frontier:
-            total += d * frontier.bit_count()
             seen |= frontier
-    return total, seen
-
-
-def _bfs_row(nbr, src: int, n: int):
-    """One row of the distance matrix plus the reached-node mask."""
-    row = [0] * n
-    seen = 1 << src
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= nbr[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        f = frontier
-        while f:
-            low = f & -f
-            row[low.bit_length() - 1] = d
-            f ^= low
-    return row, seen
+            total += d * frontier.bit_count()
+            if row is not None:
+                f = frontier
+                while f:
+                    low = f & -f
+                    row[low.bit_length() - 1] = d
+                    f ^= low
+    return total, seen & allowed
 
 
 class HostGraph:
@@ -127,9 +108,9 @@ class HostGraph:
             adj[u].add(v)
             adj[v].add(u)
         self.adj = tuple(frozenset(s) for s in adj)
-        self.adj_mask = tuple(_neighbor_masks(n, norm))
+        self.adj_mask = tuple(_mask_adjacency(n, self.edges, (1 << len(norm)) - 1))
         self.edge_index = {e: i for i, e in enumerate(norm)}
-        if _bfs_reach(self.adj_mask, 0) != (1 << n) - 1:
+        if _bfs(self.adj_mask, 1)[1] != (1 << n) - 1:
             raise StructureError("host graph must be connected")
         self._hash = hash((n, self.edges))
 
@@ -171,52 +152,47 @@ class DistanceTable:
 
 
 class GameState:
-    """A connected spanning subnetwork of a host, stored as an edge subset.
+    """A connected spanning subnetwork of a host, stored as an edge bitmask.
 
-    The distance table and adjacency bitmasks are computed lazily and cached
-    on the instance; states themselves are treated as immutable values.
+    ``mask`` has bit i set iff ``host.edges[i]`` is active; it is the one
+    stored representation of the edge set. ``active`` (the same set as
+    normalized edge pairs), the adjacency bitmasks and the distance table
+    are derived from it on first use and cached on the instance; states
+    themselves are treated as immutable values.
     """
 
     def __init__(self, host: HostGraph, active: Iterable) -> None:
-        self.host = host
-        acts = frozenset(edge(u, v) for u, v in active)
         idx = host.edge_index
         mask = 0
-        for e in acts:
+        for u, v in active:
+            e = edge(u, v)
             i = idx.get(e)
             if i is None:
                 raise StructureError(f"edge {e} not in host")
             mask |= 1 << i
-        self.active = acts
-        self.mask = mask
-        nbr = _neighbor_masks(host.n, acts)
-        if _bfs_reach(nbr, 0) != (1 << host.n) - 1:
+        nbr = _mask_adjacency(host.n, host.edges, mask)
+        if _bfs(nbr, 1)[1] != (1 << host.n) - 1:
             raise StructureError("state must be connected and span all nodes")
+        self.host = host
+        self.mask = mask
         self.__dict__["adjacency_masks"] = tuple(nbr)
 
     @classmethod
-    def _unchecked(cls, host: HostGraph, active: frozenset, mask: int) -> "GameState":
-        # fast path for callers that already guarantee validity
+    def _from_mask(cls, host: HostGraph, mask: int) -> "GameState":
+        # fast path for callers that already guarantee a connected spanning mask
         st = cls.__new__(cls)
         st.host = host
-        st.active = active
         st.mask = mask
         return st
 
-    @classmethod
-    def _from_mask(cls, host: HostGraph, mask: int) -> "GameState":
-        edges = host.edges
-        active = []
-        mm = mask
-        while mm:
-            low = mm & -mm
-            active.append(edges[low.bit_length() - 1])
-            mm ^= low
-        return cls._unchecked(host, frozenset(active), mask)
+    @cached_property
+    def active(self) -> frozenset:
+        mask = self.mask
+        return frozenset(e for i, e in enumerate(self.host.edges) if (mask >> i) & 1)
 
     @cached_property
     def adjacency_masks(self):
-        return tuple(_neighbor_masks(self.host.n, self.active))
+        return tuple(_mask_adjacency(self.host.n, self.host.edges, self.mask))
 
     @cached_property
     def table(self) -> DistanceTable:
@@ -224,17 +200,18 @@ class GameState:
 
     @property
     def m(self) -> int:
-        return len(self.active)
+        return self.mask.bit_count()
 
     @property
     def is_tree(self) -> bool:
-        return len(self.active) == self.host.n - 1
+        return self.mask.bit_count() == self.host.n - 1
 
     def degree(self, v: int) -> int:
         return self.adjacency_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.active
+        i = self.host.edge_index.get(edge(u, v))
+        return i is not None and (self.mask >> i) & 1 == 1
 
     def __eq__(self, other):
         return (
@@ -247,12 +224,12 @@ class GameState:
         return hash((self.host, self.mask))
 
     def __repr__(self):
-        return f"GameState(n={self.host.n}, active={len(self.active)})"
+        return f"GameState(n={self.host.n}, active={self.m})"
 
 
 def full_state(host: HostGraph) -> GameState:
     """The state that activates every host edge."""
-    return GameState._unchecked(host, frozenset(host.edges), (1 << host.m) - 1)
+    return GameState._from_mask(host, (1 << host.m) - 1)
 
 
 def bfs_all_pairs(state: GameState) -> DistanceTable:
@@ -267,11 +244,12 @@ def bfs_all_pairs(state: GameState) -> DistanceTable:
     rows = []
     sums = []
     for src in range(n):
-        row, seen = _bfs_row(nbr, src, n)
+        row = [0] * n
+        s, seen = _bfs(nbr, 1 << src, row=row)
         if seen != full:
             raise StructureError("state is disconnected")
         rows.append(tuple(row))
-        sums.append(sum(row))
+        sums.append(s)
     return DistanceTable(tuple(rows), tuple(sums), sum(sums))
 
 
@@ -285,7 +263,7 @@ def routing_cost(state: GameState) -> int:
     full = (1 << n) - 1
     total = 0
     for src in range(n):
-        s, seen = _bfs_distance_sum(nbr, src)
+        s, seen = _bfs(nbr, 1 << src)
         if seen != full:
             raise StructureError("state is disconnected")
         total += s
@@ -295,12 +273,12 @@ def routing_cost(state: GameState) -> int:
 def is_bridge(state: GameState, e) -> bool:
     """True iff removing ``e`` disconnects the state."""
     u, v = edge(*e)
-    if (u, v) not in state.active:
+    if not state.has_edge(u, v):
         raise StructureError(f"edge ({u}, {v}) not active")
     nbr = list(state.adjacency_masks)
     nbr[u] ^= 1 << v
     nbr[v] ^= 1 << u
-    return _bfs_reach(nbr, u) != (1 << state.host.n) - 1
+    return _bfs(nbr, 1 << u)[1] != (1 << state.host.n) - 1
 
 
 def canonical_key(state: GameState):
@@ -324,10 +302,8 @@ class TreeScaffold:
 
     __slots__ = (
         "tree",
-        "root",
         "parent",
         "depth",
-        "order",
         "subtree_size",
         "down",
         "per_node_sum",
@@ -338,10 +314,8 @@ class TreeScaffold:
     def __init__(self, tree: GameState) -> None:
         host = tree.host
         n = host.n
-        if len(tree.active) != n - 1:
-            raise StructureError(
-                f"not a spanning tree: {len(tree.active)} edges on {n} nodes"
-            )
+        if tree.m != n - 1:
+            raise StructureError(f"not a spanning tree: {tree.m} edges on {n} nodes")
         nbr = tree.adjacency_masks
         parent = [0] * n
         depth = [0] * n
@@ -381,10 +355,8 @@ class TreeScaffold:
                 pns[v] = pns[parent[v]] + n - 2 * size[v]
                 below[edge(v, parent[v])] = smask[v]
         self.tree = tree
-        self.root = 0
         self.parent = tuple(parent)
         self.depth = tuple(depth)
-        self.order = tuple(order)
         self.subtree_size = tuple(size)
         self.down = tuple(down)
         self.per_node_sum = tuple(pns)
@@ -408,14 +380,18 @@ def tree_swap_delta(scaffold: TreeScaffold, remove, add) -> int:
     rem = edge(*remove)
     tree = scaffold.tree
     host = tree.host
-    if rem not in tree.active:
+    index = host.edge_index
+    mask = tree.mask
+    i = index.get(rem)
+    if i is None or not (mask >> i) & 1:
         raise StructureError(f"edge {rem} not in tree")
     new = edge(*add)
     if new == rem:
         return 0
-    if new not in host.edge_index:
+    j = index.get(new)
+    if j is None:
         raise StructureError(f"edge {new} not in host")
-    if new in tree.active:
+    if (mask >> j) & 1:
         raise StructureError(f"edge {new} already in tree")
     below = scaffold.below_mask[rem]
     x, y = new

@@ -9,18 +9,10 @@ maximum at bounded size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, CertificateError, ParameterError, StructureError
-from .game import as_alpha, social_welfare
-from .graphs import (
-    GameState,
-    HostGraph,
-    TreeScaffold,
-    edge,
-    tree_swap_delta,
-)
+from .graphs import GameState, HostGraph, TreeScaffold, _bfs, edge, tree_swap_delta
 
 BEST_SWAP = "best"
 FIRST_SWAP = "first"
@@ -86,22 +78,6 @@ def _exact_longest_path(host: HostGraph, seed: list[int]) -> list[int]:
     adj_mask = host.adj_mask
     best = list(seed)
     best_len = len(best)
-    full = (1 << n) - 1
-
-    def reach_size(start_mask: int, allowed: int) -> int:
-        seen = start_mask & allowed
-        frontier = seen
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj_mask[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & allowed & ~seen
-            seen |= frontier
-        return seen.bit_count()
-
     stack_path: list[int] = []
 
     def rec(v: int, visited: int) -> None:
@@ -114,8 +90,8 @@ def _exact_longest_path(host: HostGraph, seed: list[int]) -> list[int]:
             best_len = len(best)
         if not ext:
             return
-        allowed = full & ~visited
-        if len(stack_path) + reach_size(ext, allowed) <= best_len:
+        # the unvisited nodes still reachable from v bound any extension
+        if len(stack_path) + _bfs(adj_mask, ext, ~visited)[1].bit_count() <= best_len:
             return
         f = ext
         while f:
@@ -299,7 +275,9 @@ def smrcst(host: HostGraph, pivot: str = BEST_SWAP) -> SmrcstResult:
     Every candidate (tree edge out, crossing host edge in) is examined at
     termination, so the result admits no strictly improving swap. Each
     applied swap raises the routing cost by at least 1, which bounds the
-    iteration count by the path cost (n-1)n(n+1)/3.
+    iteration count by the path cost (n-1)n(n+1)/3. A swap that does not
+    raise it is refused with CertificateError, since the loop could
+    otherwise run forever.
     """
     if pivot not in PIVOTS:
         raise ParameterError(f"unknown pivot {pivot!r}; pick one of {PIVOTS}")
@@ -312,7 +290,13 @@ def smrcst(host: HostGraph, pivot: str = BEST_SWAP) -> SmrcstResult:
             break
         e, f = swap
         flip = (1 << host.edge_index[e]) | (1 << host.edge_index[f])
-        scaffold = TreeScaffold(GameState._from_mask(host, scaffold.tree.mask ^ flip))
+        nxt = TreeScaffold(GameState._from_mask(host, scaffold.tree.mask ^ flip))
+        if nxt.total <= scaffold.total:
+            raise CertificateError(
+                f"swap ({e}, {f}) does not raise the routing cost: "
+                f"{scaffold.total} -> {nxt.total}"
+            )
+        scaffold = nxt
         iterations += 1
     return SmrcstResult(scaffold, len(seed) - 1, iterations, scaffold.total)
 
@@ -427,21 +411,13 @@ def find_hamilton_path(host: HostGraph) -> Optional[list[int]]:
     return None
 
 
-def smrcst_certificates(
-    result: SmrcstResult,
-    host: HostGraph,
-    alpha=None,
-    subset_budget: int = 1 << 22,
-    tree_budget: int = 10**6,
-) -> dict:
+def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     """Re-verify every guarantee attached to a swap-maximal tree.
 
-    Always checked: the seeded distance lower bound 9*routing_cost >= n*l^2,
-    the iteration bound (n-1)n(n+1)/3, and swap-maximality by a full rescan.
-    With ``alpha`` <= 1 given, additionally checks the welfare ratio
-    SW(OPT)/SW(MRCST) <= m/(n-1) + 1 by exact enumeration and records the
-    ratio against this result's tree. Raises CertificateError naming the
-    violated inequality.
+    Checks the seeded distance lower bound 9*routing_cost >= n*l^2, the
+    iteration bound (n-1)n(n+1)/3, and swap-maximality by a full rescan.
+    Raises CertificateError naming the violated inequality. The welfare
+    ratio against the optimum is ``analysis.approximation_report``'s check.
     """
     n, m = host.n, host.m
     l = result.seed_path_length
@@ -457,19 +433,19 @@ def smrcst_certificates(
         )
     # rescan through the single-swap evaluator, independent of the search loop
     scaffold = result.tree
-    active = scaffold.tree.active
-    for e in sorted(active):
+    mask = scaffold.tree.mask
+    tree_edges = [e for i, e in enumerate(host.edges) if (mask >> i) & 1]
+    non_tree = [f for i, f in enumerate(host.edges) if not (mask >> i) & 1]
+    for e in tree_edges:
         below = scaffold.below_mask[e]
-        for f in host.edges:
-            if f in active:
-                continue
+        for f in non_tree:
             if ((below >> f[0]) & 1) == (below >> f[1]) & 1:
                 continue
             if tree_swap_delta(scaffold, e, f) > 0:
                 raise CertificateError(
                     f"swap-maximality violated: improving swap ({e}, {f})"
                 )
-    report = {
+    return {
         "n": n,
         "m": m,
         "seed_path_length": l,
@@ -478,27 +454,4 @@ def smrcst_certificates(
         "iteration_bound": iteration_bound,
         "distance_bound_ok": True,
         "swap_maximal": True,
-        "welfare_ratio_bound": Fraction(m, n - 1) + 1,
-        "welfare_ratio_mrcst": None,
-        "welfare_ratio_result": None,
     }
-    if alpha is not None:
-        a = as_alpha(alpha)
-        if a <= 1:
-            from .analysis import optimum_exact
-
-            opt_w = optimum_exact(host, a, subset_budget).welfare
-            mr = mrcst_exact(host, tree_budget)
-            sw_mr = social_welfare(mr.tree, a)
-            ratio = opt_w / sw_mr
-            bound = report["welfare_ratio_bound"]
-            if ratio > bound:
-                raise CertificateError(
-                    f"approximation bound violated: SW(OPT)/SW(MRCST) = {ratio} "
-                    f"> m/(n-1) + 1 = {bound}"
-                )
-            report["welfare_ratio_mrcst"] = ratio
-            report["welfare_ratio_result"] = opt_w / social_welfare(
-                result.tree.tree, a
-            )
-    return report

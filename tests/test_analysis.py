@@ -202,28 +202,29 @@ class TestCensusBuilder:
         # connected; one BFS decides connectivity, and a connected state
         # needs the 4 other sources; no move scan and no distance row
         calls = []
-        count = graphs._bfs_distance_sum
+        kernel = graphs._bfs
 
-        def counted(nbr, src):
-            calls.append(src)
-            return count(nbr, src)
+        def counted(nbr, sources, allowed=-1, row=None):
+            assert row is None, "the census built a distance row"
+            calls.append(sources)
+            return kernel(nbr, sources, allowed)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the census ran a move scan or built a distance row")
 
-        monkeypatch.setattr(analysis, "_bfs_distance_sum", counted)
+        monkeypatch.setattr(analysis, "_bfs", counted)
         for mod, name in (
             (game, "removal_increases"),
             (game, "addition_decreases"),
             (game, "stability_interval"),
             (analysis, "removal_increases"),
-            (analysis, "addition_decreases"),
-            (graphs, "_bfs_row"),
+            (analysis, "stability_interval"),
+            (graphs, "bfs_all_pairs"),
         ):
             monkeypatch.setattr(mod, name, refuse)
         recs = analysis._census_records(clique(5))
         assert len(recs) == 728
-        assert calls.count(0) == 848
+        assert calls.count(1) == 848  # sources mask of node 0
         assert len(calls) == 848 + 4 * 728 == 3760
 
     def test_unconfirmed_interval_raises(self, monkeypatch):
@@ -408,12 +409,14 @@ class TestApproximationReport:
         assert rep["ratio_mrcst"] <= rep["ratio_bound"] == 3
 
     def test_tree_host(self):
-        rep = approximation_report(star(5), 1, subset_budget=1 << 6)
-        assert rep["ratio_mrcst"] == rep["ratio_smrcst"] == 1
+        for h in (star(5), star(6)):
+            rep = approximation_report(h, 1, subset_budget=1 << 6)
+            assert rep["ratio_mrcst"] == rep["ratio_smrcst"] == 1
+            assert rep["ratio_bound"] == 2
 
     def test_k6(self):
         rep = approximation_report(clique(6), 1, subset_budget=1 << 16)
-        assert rep["ratio_mrcst"] <= 4
+        assert rep["ratio_mrcst"] <= rep["ratio_bound"] == Fraction(15, 5) + 1
 
 
 class TestMrcstOptimality:

@@ -181,11 +181,6 @@ class TestStability:
         assert (not rep.stable) == bool(rep.witnesses)
         assert rep.moves_examined == 6  # no additions possible, six removals
 
-    def test_witness_limit(self):
-        rep = is_pairwise_stable(full_state(clique(5)), Fraction(1, 2), witness_limit=1)
-        assert len(rep.witnesses) == 1
-        assert not rep.stable and rep.truncated
-
     def test_every_tree_stable_at_most_one(self):
         host = clique(5)
         for sc in enumerate_spanning_trees(host):
@@ -198,6 +193,35 @@ class TestStability:
             st_ = full_state(clique(n))
             assert is_pairwise_stable(st_, 1).stable
             assert not is_pairwise_stable(st_, Fraction(9, 10)).stable
+
+
+class TestScanAgainstBruteForce:
+    """The one move scan, read by is_pairwise_stable and stability_interval,
+    against the oracle that recomputes both endpoint utilities by BFS."""
+
+    @given(st.integers(0, 10**6), st.integers(3, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_report_and_interval(self, seed, n):
+        rng = random.Random(seed)
+        host = random_connected_host(n, rng.uniform(0.3, 0.9), rng)
+        st_ = random_state(host, rng)
+        lo, hi = stability_interval(st_)
+        half = Fraction(1, 2)
+        probes = {Fraction(1, 3)}
+        for b in (lo, hi):
+            if b is not None:
+                probes |= {b - half, Fraction(b), b + half}
+        for a in sorted(x for x in probes if x > 0):
+            want = oracles.improving_moves(n, host.edges, st_.active, a)
+            rep = is_pairwise_stable(st_, a)
+            assert [(m.kind, m.u, m.v) for m in rep.witnesses] == want
+            assert rep.stable == (not want)
+            assert rep.stable_against_addition == all(k != ADD for k, _, _ in want)
+            assert rep.stable_against_removal == all(k != REMOVE for k, _, _ in want)
+            assert rep.moves_examined == host.m
+            assert stable_in_interval((lo, hi), a) == (not want)
+            for k in (1, 2):
+                assert improving_moves(st_, a, limit=k) == list(rep.witnesses[:k])
 
 
 class TestStabilityInterval:

@@ -104,6 +104,28 @@ class TestGameState:
         with pytest.raises(StructureError):
             GameState(h, [(0, 1), (1, 2)])  # does not span node 3
 
+    def test_mask_is_the_one_edge_set(self):
+        rng = random.Random(11)
+        for h in (clique(5), cycle(6), random_connected_host(7, 0.6, rng)):
+            n = h.n
+            for _ in range(8):
+                chosen = oracles.random_spanning_tree(n, h.edges, rng)
+                chosen |= {e for e in h.edges if rng.random() < 0.4}
+                given_pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen]
+                st_ = GameState(h, given_pairs)
+                assert st_.active == frozenset(chosen)
+                again = GameState._from_mask(h, st_.mask)
+                assert again.active == st_.active
+                assert again.m == st_.m == len(chosen)
+                assert again.is_tree == st_.is_tree == (len(chosen) == n - 1)
+                for u in range(n):
+                    for v in range(n):
+                        if u != v:
+                            assert again.has_edge(u, v) == st_.has_edge(u, v) == (edge(u, v) in chosen)
+                adj = oracles.adjacency(n, chosen)
+                want = tuple(sum(1 << w for w in adj[v]) for v in range(n))
+                assert again.adjacency_masks == st_.adjacency_masks == want
+
     def test_mask_round_trip(self):
         h = clique(4)
         st_ = GameState(h, [(0, 1), (1, 2), (2, 3)])
@@ -155,7 +177,8 @@ class TestDistances:
 
     def test_disconnected_defensive(self):
         h = clique(4)
-        bogus = GameState._unchecked(h, frozenset([(0, 1), (2, 3)]), 0)
+        mask = (1 << h.edge_index[(0, 1)]) | (1 << h.edge_index[(2, 3)])
+        bogus = GameState._from_mask(h, mask)
         with pytest.raises(StructureError):
             bfs_all_pairs(bogus)
 

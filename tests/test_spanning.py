@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -337,24 +338,43 @@ class TestMrcst:
             mrcst_exact(clique(9), budget=10)
 
 
+class TestSwapLoopGuard:
+    def test_non_improving_swap_raises(self, monkeypatch):
+        # K_5's seed is a Hamilton path, already swap-maximal; a search that
+        # keeps returning one of its crossing swaps would flip between two
+        # trees forever unless the loop checks the cost rises
+        h = clique(5)
+        seed = extend_to_spanning_tree(h, greedy_long_path(h))
+        e, f = next(crossing_swaps(seed))
+        assert tree_swap_delta(seed, e, f) <= 0
+        monkeypatch.setattr(spanning, "_find_swap", lambda scaffold, pivot: (e, f))
+        with pytest.raises(CertificateError, match=re.escape(f"swap ({e}, {f})")):
+            smrcst(h)
+
+
 class TestCertificates:
+    # the welfare ratio SW(OPT)/SW(MRCST) is approximation_report's check;
+    # see TestApproximationReport in test_analysis.py
+
     def test_k4_report(self):
         h = clique(4)
         r = smrcst(h)
-        rep = smrcst_certificates(r, h, alpha=1, subset_budget=1 << 10)
-        assert rep["welfare_ratio_mrcst"] == 1
-        assert rep["welfare_ratio_mrcst"] <= rep["welfare_ratio_bound"]
+        rep = smrcst_certificates(r, h)
         assert rep["distance_bound_ok"] and rep["swap_maximal"]
+        assert rep["iteration_bound"] == 3 * 4 * 5 // 3
 
     def test_tree_host_trivial(self):
         h = star(6)
-        rep = smrcst_certificates(smrcst(h), h, alpha=1, subset_budget=1 << 10)
-        assert rep["welfare_ratio_mrcst"] == 1
+        rep = smrcst_certificates(smrcst(h), h)
+        assert rep["iterations"] == 0 and rep["swap_maximal"]
+        assert rep["routing_cost"] == 2 * 5**2
 
     def test_k6_bound(self):
         h = clique(6)
-        rep = smrcst_certificates(smrcst(h), h, alpha=1, subset_budget=1 << 16)
-        assert rep["welfare_ratio_mrcst"] <= Fraction(15, 5) + 1
+        rep = smrcst_certificates(smrcst(h), h)
+        # a Hamilton path seed: l = n - 1, the path cost, no swap
+        assert rep["seed_path_length"] == 5 and rep["iterations"] == 0
+        assert 9 * rep["routing_cost"] >= 6 * 5 * 5
 
     def test_tampered_result_fails(self):
         h = clique(4)
@@ -391,8 +411,13 @@ class TestCertificates:
         h = host_with_m_edges(50, 150, random.Random(43))
         res = smrcst(h)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("masked BFS in the certificate rescan")
+        kernel = graphs._bfs
+
+        def rows_only(nbr, sources, allowed=-1, row=None):
+            # the one distance table builds rows; any other BFS is a rescan BFS
+            if row is None:
+                raise AssertionError("masked BFS in the certificate rescan")
+            return kernel(nbr, sources, allowed, row)
 
         tables = []
         build = graphs.bfs_all_pairs
@@ -401,7 +426,7 @@ class TestCertificates:
             tables.append(state.mask)
             return build(state)
 
-        monkeypatch.setattr(graphs, "_bfs_distance_sum", refuse)
+        monkeypatch.setattr(graphs, "_bfs", rows_only)
         monkeypatch.setattr(graphs, "bfs_all_pairs", counted)
         rep = smrcst_certificates(res, h)
         assert rep["swap_maximal"]
