@@ -190,7 +190,8 @@ def _move_gains(state: GameState):
     the two endpoint decreases: the addition improves at alpha iff
     ``gain < alpha``, since both endpoints must gain strictly. For a removal
     it is the larger of the two endpoint increases: the removal improves iff
-    ``gain > alpha``. Bridges are skipped, since removing one is illegal.
+    ``gain > alpha``. Bridges are skipped, since removing one is illegal; a
+    spanning tree (n-1 edges) is all bridges, so its removal scan is skipped.
     This is the one move scan; every stability query filters it.
     """
     mask = state.mask
@@ -199,6 +200,8 @@ def _move_gains(state: GameState):
         if not (mask >> i) & 1:
             dec_u, dec_v = addition_decreases(state, u, v)
             yield ADD, u, v, dec_u if dec_u >= dec_v else dec_v
+    if mask.bit_count() < state.host.n:
+        return
     for i, (u, v) in enumerate(edges):
         if (mask >> i) & 1:
             inc = removal_increases(state, u, v)

@@ -370,12 +370,8 @@ class TreeScaffold:
 def tree_swap_delta(scaffold: TreeScaffold, remove, add) -> int:
     """Exact routing-cost change of ``tree - remove + add`` in O(1).
 
-    Distances inside each of the two components of ``tree - remove`` are
-    unchanged by the swap, so only the cross terms move; those reduce to two
-    within-component distance sums. In a tree every path from the far side
-    enters a component through the cut edge, so each sum is the node's whole
-    distance sum minus its cross-cut part, read off the scaffold and the
-    tree's distance table (built once per tree, on first use).
+    Validates the swap and reads its delta from ``_cut_swap_deltas``, the
+    one place the formula lives.
     """
     rem = edge(*remove)
     tree = scaffold.tree
@@ -395,19 +391,55 @@ def tree_swap_delta(scaffold: TreeScaffold, remove, add) -> int:
         raise StructureError(f"edge {new} already in tree")
     below = scaffold.below_mask[rem]
     x, y = new
-    xb = (below >> x) & 1
-    if xb == (below >> y) & 1:
+    if (below >> x) & 1 == (below >> y) & 1:
         raise StructureError("swap disconnects: replacement edge does not cross the cut")
-    u, v = (y, x) if xb else (x, y)  # u on the root side, v in the child component
     a, b = rem
-    if (below >> a) & 1:
-        a, b = b, a  # a on the root side, b in the child component
+    child = a if (below >> a) & 1 else b
+    return next(_cut_swap_deltas(scaffold, child, 1 << j))[1]
+
+
+def _cut_swap_deltas(scaffold: TreeScaffold, b: int, crossing: int):
+    """Routing-cost change of every swap at one cut of the tree.
+
+    The cut removes the tree edge from child ``b`` up to its parent a;
+    ``crossing`` is the bitmask of the host edges (by index) with exactly
+    one endpoint in b's subtree. Yields ``(j, delta)`` for each of them in
+    ascending j, with no validation.
+
+    Distances inside each of the two components of the cut tree are
+    unchanged by a swap, so only the cross terms move; those reduce to two
+    within-component distance sums. In a tree every path from the far side
+    enters a component through the cut edge, so for the new edge (u, v),
+    u on a's side and v on b's, with L the component sizes and S the
+    within-component sums,
+
+        S(a, u) = P[u] - L_b*(d(u, a) + 1) - S(b, b)
+        S(b, v) = P[v] - L_a*(d(v, b) + 1) - S(a, a)
+        delta   = 2 * [L_b*(S(a, u) - S(a, a)) + L_a*(S(b, v) - S(b, b))]
+
+    where P is the per-node distance sum and d the tree's distance table
+    (built once per tree, on first use). Everything but P[u], P[v] and the
+    two distances is a term of the cut, read once. A node x lies on b's side
+    iff d(x, b) < d(x, a).
+    """
+    tree = scaffold.tree
+    n = tree.host.n
+    edges = tree.host.edges
+    a = scaffold.parent[b]
     len_b = scaffold.subtree_size[b]
-    len_a = host.n - len_b
+    len_a = n - len_b
     pns = scaffold.per_node_sum
     s_b_b = scaffold.down[b]
     s_a_a = pns[a] - len_b - s_b_b
     dist = tree.table.dist
-    s_b_v = pns[v] - len_a * (dist[v][b] + 1) - s_a_a
-    s_a_u = pns[u] - len_b * (dist[u][a] + 1) - s_b_b
-    return 2 * (len_b * (s_a_u - s_a_a) + len_a * (s_b_v - s_b_b))
+    da, db = dist[a], dist[b]
+    # delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b)) - base
+    base = len_b * len_b + len_a * len_a + n * (s_a_a + s_b_b)
+    while crossing:
+        low = crossing & -crossing
+        j = low.bit_length() - 1
+        crossing ^= low
+        u, v = edges[j]
+        if db[u] < da[u]:
+            u, v = v, u
+        yield j, 2 * (len_b * (pns[u] - len_b * da[u]) + len_a * (pns[v] - len_a * db[v]) - base)

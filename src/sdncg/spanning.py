@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, CertificateError, ParameterError, StructureError
-from .graphs import GameState, HostGraph, TreeScaffold, _bfs, edge, tree_swap_delta
+from .graphs import GameState, HostGraph, TreeScaffold, _bfs, _cut_swap_deltas, edge
 
 BEST_SWAP = "best"
 FIRST_SWAP = "first"
@@ -411,17 +411,55 @@ def find_hamilton_path(host: HostGraph) -> Optional[list[int]]:
     return None
 
 
+def _crossing_sets(scaffold: TreeScaffold) -> list[int]:
+    """Per node c, the bitmask of non-tree host edges (by index) with exactly
+    one endpoint in c's subtree: the crossing set of the cut above c.
+
+    Each node starts with its non-tree incidence mask, and children fold
+    into parents by XOR, deepest first. The fold is the XOR over c's
+    subtree, in which an edge with both endpoints inside cancels.
+    """
+    host = scaffold.tree.host
+    mask = scaffold.tree.mask
+    parent = scaffold.parent
+    cross = [0] * host.n
+    for i, (x, y) in enumerate(host.edges):
+        if not (mask >> i) & 1:
+            bit = 1 << i
+            cross[x] ^= bit
+            cross[y] ^= bit
+    for c in sorted(range(1, host.n), key=scaffold.depth.__getitem__, reverse=True):
+        cross[parent[c]] ^= cross[c]
+    return cross
+
+
 def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     """Re-verify every guarantee attached to a swap-maximal tree.
 
-    Checks the seeded distance lower bound 9*routing_cost >= n*l^2, the
-    iteration bound (n-1)n(n+1)/3, and swap-maximality by a full rescan.
-    Raises CertificateError naming the violated inequality. The welfare
-    ratio against the optimum is ``analysis.approximation_report``'s check.
+    Checks that the claimed routing cost is the tree's, the seeded distance
+    lower bound 9*routing_cost >= n*l^2, the iteration bound (n-1)n(n+1)/3,
+    and swap-maximality by a full rescan. Raises CertificateError naming the
+    violated inequality, and ParameterError when the result's tree spans
+    another host. The welfare ratio against the optimum is
+    ``analysis.approximation_report``'s check.
+
+    The rescan visits only the crossing pairs: ``_crossing_sets`` gives
+    every cut's crossing edges in one bottom-up XOR pass, and
+    ``graphs._cut_swap_deltas`` scores them from terms read once per cut
+    and the tree's distance table, independently of the search loop. Tree
+    edges, then crossing edges, go in ascending index order, and the first
+    improving pair is named.
     """
+    scaffold = result.tree
+    if scaffold.tree.host != host:
+        raise ParameterError(f"result tree spans another host than {host!r}")
     n, m = host.n, host.m
     l = result.seed_path_length
     rc = result.routing_cost
+    if rc != scaffold.total:
+        raise CertificateError(
+            f"routing cost mismatch: result claims {rc}, tree has {scaffold.total}"
+        )
     if 9 * rc < n * l * l:
         raise CertificateError(
             f"distance bound violated: 9*routing_cost = {9 * rc} < n*l^2 = {n * l * l}"
@@ -431,19 +469,18 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
         raise CertificateError(
             f"iteration bound violated: {result.iterations} > (n-1)n(n+1)/3 = {iteration_bound}"
         )
-    # rescan through the single-swap evaluator, independent of the search loop
-    scaffold = result.tree
+    edges = host.edges
     mask = scaffold.tree.mask
-    tree_edges = [e for i, e in enumerate(host.edges) if (mask >> i) & 1]
-    non_tree = [f for i, f in enumerate(host.edges) if not (mask >> i) & 1]
-    for e in tree_edges:
-        below = scaffold.below_mask[e]
-        for f in non_tree:
-            if ((below >> f[0]) & 1) == (below >> f[1]) & 1:
-                continue
-            if tree_swap_delta(scaffold, e, f) > 0:
+    depth = scaffold.depth
+    cross = _crossing_sets(scaffold)
+    for i, (u, v) in enumerate(edges):
+        if not (mask >> i) & 1:
+            continue
+        child = u if depth[u] > depth[v] else v
+        for j, delta in _cut_swap_deltas(scaffold, child, cross[child]):
+            if delta > 0:
                 raise CertificateError(
-                    f"swap-maximality violated: improving swap ({e}, {f})"
+                    f"swap-maximality violated: improving swap ({edges[i]}, {edges[j]})"
                 )
     return {
         "n": n,

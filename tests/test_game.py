@@ -27,6 +27,7 @@ from sdncg import (
     random_connected_host,
     remove_move,
     run_dynamics,
+    smrcst,
     social_welfare,
     stability_interval,
     stable_in_interval,
@@ -222,6 +223,36 @@ class TestScanAgainstBruteForce:
             assert stable_in_interval((lo, hi), a) == (not want)
             for k in (1, 2):
                 assert improving_moves(st_, a, limit=k) == list(rep.witnesses[:k])
+
+
+class TestTreeScan:
+    def test_trees_need_no_bridge_bfs(self, monkeypatch):
+        # every edge of a spanning tree is a bridge, so the scan never asks
+        rng = random.Random(59)
+        trees = []
+        for _ in range(20):
+            n = rng.randint(3, 9)
+            host = random_connected_host(n, rng.uniform(0.3, 0.9), rng)
+            trees.append(GameState(host, oracles.random_spanning_tree(n, host.edges, rng)))
+            trees.append(smrcst(host).tree.tree)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("removal BFS on a spanning tree")
+
+        monkeypatch.setattr(game, "removal_increases", refuse)
+        for st_ in trees:
+            n = st_.host.n
+            lo, hi = stability_interval(st_)
+            assert lo is None
+            probes = {Fraction(1, 2), Fraction(1), Fraction(n, 3), Fraction(n)}
+            if hi is not None:
+                probes |= {hi - Fraction(1, 2), Fraction(hi), hi + Fraction(1, 2)}
+            for a in sorted(probes):
+                want = oracles.improving_moves(n, st_.host.edges, st_.active, a)
+                rep = is_pairwise_stable(st_, a)
+                assert [(m.kind, m.u, m.v) for m in rep.witnesses] == want
+                assert rep.stable == (not want)
+                assert stable_in_interval((lo, hi), a) == (not want)
 
 
 class TestStabilityInterval:

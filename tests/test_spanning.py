@@ -266,6 +266,26 @@ class TestFindSwapAgainstDelta:
         assert sum(r.iterations for r in got) >= 20
 
 
+class TestCrossingSets:
+    def test_parity_matches_below_mask(self):
+        # cross[c] holds exactly the non-tree edges with one endpoint below c
+        rng = random.Random(47)
+        for _ in range(30):
+            n = rng.randint(2, 70)
+            h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
+            sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
+            cross = spanning._crossing_sets(sc)
+            assert cross[0] == 0
+            mask = sc.tree.mask
+            for (a, b), below in sc.below_mask.items():
+                child = a if (below >> a) & 1 else b
+                want = 0
+                for j, (x, y) in enumerate(h.edges):
+                    if not (mask >> j) & 1 and ((below >> x) & 1) != ((below >> y) & 1):
+                        want |= 1 << j
+                assert cross[child] == want
+
+
 class TestEnumeration:
     def test_cycle_counts(self):
         for n in (3, 5, 8):
@@ -383,6 +403,46 @@ class TestCertificates:
         fake = SmrcstResult(star_tree, r.seed_path_length, r.iterations, star_tree.total)
         with pytest.raises(CertificateError, match="swap-maximality|distance bound"):
             smrcst_certificates(fake, h)
+
+    def test_host_mismatch_refused(self):
+        # a tree of another host: a foreign edge, or a host missing a tree edge
+        with pytest.raises(ParameterError, match="another host"):
+            smrcst_certificates(smrcst(star(6)), clique(6))
+        with pytest.raises(ParameterError, match="another host"):
+            smrcst_certificates(smrcst(clique(6)), path(6))
+
+    def test_claimed_cost_must_be_the_trees(self):
+        # a swap-maximal tree whose result claims more than the tree's cost
+        h = clique(6)
+        r = smrcst(h)
+        fake = SmrcstResult(r.tree, r.seed_path_length, r.iterations, r.routing_cost + 2)
+        with pytest.raises(CertificateError, match="routing cost mismatch"):
+            smrcst_certificates(fake, h)
+
+    def test_names_the_smallest_improving_swap(self):
+        # trees one random crossing swap away from an SMRCST result: the
+        # certificate names the first improving pair in (tree edge, host edge)
+        # index order, and passes iff there is none
+        rng = random.Random(53)
+        raised = 0
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            h = host_with_m_edges(n, rng.randint(n, min(3 * n, n * (n - 1) // 2)), rng)
+            res = smrcst(h)
+            e, f = rng.choice(list(crossing_swaps(res.tree)))
+            sc = TreeScaffold(GameState(h, (res.tree.tree.active - {e}) | {f}))
+            improving = [(e2, f2) for e2, f2 in crossing_swaps(sc) if tree_swap_delta(sc, e2, f2) > 0]
+            fake = SmrcstResult(sc, 1, 0, sc.total)
+            if not improving:
+                assert smrcst_certificates(fake, h)["swap_maximal"]
+                continue
+            e2, f2 = improving[0]
+            with pytest.raises(CertificateError) as err:
+                smrcst_certificates(fake, h)
+            assert str(err.value) == f"swap-maximality violated: improving swap ({e2}, {f2})"
+            assert oracles.distance_sums(n, (sc.tree.active - {e2}) | {f2})[1] > sc.total
+            raised += 1
+        assert 100 <= raised < 200
 
     def test_names_the_improving_swap(self):
         # a tree one worsening swap away from an SMRCST result, whose only
