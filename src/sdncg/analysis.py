@@ -21,9 +21,14 @@ are the endpoints' increases (no entry means e is a bridge), and adding e
 gives ``S | bit(e)``, which is always connected. No move is scanned and no
 distance row is built. The sums of every connected state are held until
 pass 2 ends, which about doubles the build's transient memory (tracemalloc:
-6.4 MiB peak for K_6's 26,704 states, 2.9 MiB retained). The last 8 hosts'
-censuses are cached; a retained state costs about 120 bytes, and
-``sweep_host`` builds its census outside the cache.
+6.4 MiB peak for K_6's 26,704 states, 2.9 MiB retained).
+
+``host_census`` keeps nothing between calls: a caller that asks one host
+several questions builds its census once and reads it as often as it needs
+(``sweep_host``, ``approximation_report``, the campaign suites). The one
+process-wide store is the per-n memo of the complete hosts' censuses
+(``_complete_census``), which three suites read and which the CLI runs as
+separate ``campaign`` calls; K_6's census alone takes about 0.6 s to build.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Optional
 
 from .constructions import clique, closed_form_sw, cycle, hypercube_clique_network, path, path_of_cliques, star, star_of_cliques, wheel_clique_network, embed_in_clique
@@ -138,13 +143,24 @@ def threshold_table(n: int) -> ThresholdTable:
     )
 
 
-def _check_budget(host: HostGraph, budget: int) -> None:
+def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
+    """Alpha-free census of a host, in ascending mask order: one record
+    ``(mask, |E|, rc, lo, hi)`` per connected spanning edge subset.
+
+    ``rc`` is the routing cost d(V, V) and ``[lo, hi]`` the state's
+    ``stability_interval`` (None is unbounded). The welfare at alpha is
+    ``2*alpha*|E| + rc``, and the state is pairwise stable at alpha iff
+    ``lo <= alpha <= hi``, so one census answers every alpha. The budget
+    caps the 2^m subsets and is checked before anything is built.
+
+    Every call builds the census anew; nothing is cached. Every
+    ``inc``/``dec`` is the difference of two neighbouring states' per-node
+    distance sums (see the module docstring), so the build holds one tuple
+    of n ints per connected state until it ends: about twice the retained
+    memory at its peak.
+    """
     if (1 << host.m) > budget:
         raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
-
-
-def _census_records(host: HostGraph) -> tuple:
-    """Build a host's census, uncached; see ``host_census``."""
     n = host.n
     edges = host.edges
     need = n - 1
@@ -186,54 +202,33 @@ def _census_records(host: HostGraph) -> tuple:
     return tuple(recs)
 
 
-@lru_cache(maxsize=8)
-def _cached_census(host: HostGraph) -> tuple:
-    return _census_records(host)
-
-
-def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
-    """Alpha-free census of a host, in ascending mask order: one record
-    ``(mask, |E|, rc, lo, hi)`` per connected spanning edge subset.
-
-    ``rc`` is the routing cost d(V, V) and ``[lo, hi]`` the state's
-    ``stability_interval`` (None is unbounded). The welfare at alpha is
-    ``2*alpha*|E| + rc``, and the state is pairwise stable at alpha iff
-    ``lo <= alpha <= hi``, so one census answers every alpha. The budget
-    caps the 2^m subsets; it is checked before the cache is consulted.
-
-    Every ``inc``/``dec`` is the difference of two neighbouring states'
-    per-node distance sums (see the module docstring), so the build holds
-    one tuple of n ints per connected state until it ends: about twice the
-    retained memory at its peak.
-    """
-    _check_budget(host, budget)
-    return _cached_census(host)
+def _optima(recs, a: Fraction):
+    """The optimum welfare at alpha and the census records that reach it,
+    in mask order."""
+    p, q = a.numerator, a.denominator
+    keys = [2 * p * cnt + q * rc for _, cnt, rc, _, _ in recs]  # welfare * q, exact
+    best = max(keys)
+    return Fraction(best, q), [rec for rec, key in zip(recs, keys) if key == best]
 
 
 def _read_census(recs, a: Fraction):
     """The census at one alpha: the optimum welfare and the welfares of
     the stable states, in mask order."""
     p, q = a.numerator, a.denominator
-    opt = max(2 * p * cnt + q * rc for _, cnt, rc, _, _ in recs)
     stable = [
         Fraction(2 * p * cnt + q * rc, q)
         for _, cnt, rc, lo, hi in recs
         if _in_interval(lo, hi, p, q)
     ]
-    return Fraction(opt, q), stable
+    return _optima(recs, a)[0], stable
 
 
 def optimum_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> OptimumResult:
     """Exhaustive social optimum over all connected spanning subnetworks."""
-    a = as_alpha(alpha)
     recs = host_census(host, budget)
-    p, q = a.numerator, a.denominator
-    keys = [2 * p * cnt + q * rc for _, cnt, rc, _, _ in recs]  # welfare * q, exact
-    best = max(keys)
-    states = tuple(
-        GameState._from_mask(host, rec[0]) for rec, key in zip(recs, keys) if key == best
-    )
-    return OptimumResult(states, Fraction(best, q), len(recs))
+    welfare, best = _optima(recs, as_alpha(alpha))
+    states = tuple(GameState._from_mask(host, rec[0]) for rec in best)
+    return OptimumResult(states, welfare, len(recs))
 
 
 def enumerate_stable_states(host: HostGraph, alpha, budget: int = 1 << 22) -> EquilibriumAtlas:
@@ -370,50 +365,52 @@ def replay_validates_cycle(outcome: DynamicsOutcome, alpha) -> bool:
 
 def approximation_report(
     host: HostGraph,
-    alpha,
+    alphas,
     subset_budget: int = 1 << 22,
     tree_budget: int = 10**6,
-    pivot: str = "best",
-) -> dict:
-    """Exact approximation ratios of the maximization pipeline on one host.
+) -> list[dict]:
+    """Exact approximation ratios of the maximization pipeline on one host,
+    one report per alpha, in the order of ``alphas``.
 
-    Asserts the certified inequalities (ratio against the exact maximum
-    tree at most m/(n-1) + 1; seeded distance bound 9*rc >= n*l^2) and
-    reports the measured ratios as exact rationals.
+    Builds one SMRCST, one exact MRCST and one census for all the alphas.
+    The SMRCST must pass ``smrcst_certificates`` (seeded distance bound
+    9*rc >= n*l^2, swap-maximality), and at every alpha the ratio against
+    the exact maximum tree must be at most m/(n-1) + 1; either failure
+    raises CertificateError. The measured ratios are exact rationals.
     """
-    a = as_alpha(alpha)
-    res = smrcst(host, pivot)
+    res = smrcst(host)
+    smrcst_certificates(res, host)
     mr = mrcst_exact(host, tree_budget)
-    opt = optimum_exact(host, a, subset_budget)
-    sw_mr = social_welfare(mr.tree, a)
-    sw_sm = social_welfare(res.tree.tree, a)
-    ratio_mr = opt.welfare / sw_mr
-    ratio_sm = opt.welfare / sw_sm
+    recs = host_census(host, subset_budget)
     bound = Fraction(host.m, host.n - 1) + 1
-    if ratio_mr > bound:
-        raise CertificateError(
-            f"approximation bound violated: SW(OPT)/SW(MRCST) = {ratio_mr} "
-            f"> m/(n-1) + 1 = {bound}"
+    reports = []
+    for alpha in alphas:
+        a = as_alpha(alpha)
+        sw_opt = _optima(recs, a)[0]
+        sw_mr = social_welfare(mr.tree, a)
+        sw_sm = social_welfare(res.tree.tree, a)
+        ratio_mr = sw_opt / sw_mr
+        if ratio_mr > bound:
+            raise CertificateError(
+                f"approximation bound violated at alpha={a}: SW(OPT)/SW(MRCST) = "
+                f"{ratio_mr} > m/(n-1) + 1 = {bound}"
+            )
+        reports.append(
+            {
+                "n": host.n,
+                "m": host.m,
+                "alpha": a,
+                "sw_opt": sw_opt,
+                "sw_mrcst": sw_mr,
+                "sw_smrcst": sw_sm,
+                "ratio_mrcst": ratio_mr,
+                "ratio_smrcst": sw_opt / sw_sm,
+                "ratio_bound": bound,
+                "seed_path_length": res.seed_path_length,
+                "iterations": res.iterations,
+            }
         )
-    l = res.seed_path_length
-    if 9 * res.routing_cost < host.n * l * l:
-        raise CertificateError(
-            f"distance bound violated: 9*routing_cost = {9 * res.routing_cost} "
-            f"< n*l^2 = {host.n * l * l}"
-        )
-    return {
-        "n": host.n,
-        "m": host.m,
-        "alpha": a,
-        "sw_opt": opt.welfare,
-        "sw_mrcst": sw_mr,
-        "sw_smrcst": sw_sm,
-        "ratio_mrcst": ratio_mr,
-        "ratio_smrcst": ratio_sm,
-        "ratio_bound": bound,
-        "seed_path_length": l,
-        "iterations": res.iterations,
-    }
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +476,8 @@ def sweep_cell(host: HostGraph, alpha, budget: int = 1 << 22) -> dict:
 
 
 def sweep_host(host: HostGraph, alphas, budget: int = 1 << 22) -> list[dict]:
-    """The rows of one host, in the order of ``alphas``, from a single
-    census built outside the cache, so that a sweep over many hosts holds
-    one host's records at a time."""
-    _check_budget(host, budget)
-    recs = _census_records(host)
+    """The rows of one host, in the order of ``alphas``, from one census."""
+    recs = host_census(host, budget)
     return [_sweep_row(host, as_alpha(a), recs) for a in alphas]
 
 
@@ -525,7 +519,11 @@ def _claim(cid: str, ok: bool, detail: str = "") -> dict:
     return {"id": cid, "pass": bool(ok), "detail": detail}
 
 
+@cache
 def _complete_census(n: int):
+    """K_n and its census, memoized per n for the life of the process:
+    complete-optimum, complete-stability and poa-pos all read it, and the
+    CLI runs them as separate ``campaign`` calls."""
     host = clique(n)
     return host, host_census(host, 1 << host.m)
 
@@ -582,10 +580,8 @@ def _suite_complete_optimum(seed: int = 0, sizes=(4, 5, 6)) -> list[dict]:
         n_paths = math.factorial(n) // 2
         for da, tag in ((Fraction(-1, 2), "below"), (Fraction(0), "tie"), (Fraction(1, 2), "above")):
             a = Fraction(n, 3) + da
-            p, q = a.numerator, a.denominator
-            best_key = max(2 * p * cnt + q * rc for _, cnt, rc, _, _ in recs)
-            best = [(mask, cnt) for mask, cnt, rc, _, _ in recs if 2 * p * cnt + q * rc == best_key]
-            welfare = Fraction(best_key, q)
+            welfare, optima = _optima(recs, a)
+            best = [(mask, cnt) for mask, cnt, _, _, _ in optima]
             expect = optimum_complete_closed_form(n, a)
             ok = welfare == expect.welfare
             detail = f"n={n} alpha={a}: welfare {welfare}"
@@ -749,8 +745,9 @@ def _suite_mrcst_optimality(
     bad = ""
     for h in hosts:
         mr = mrcst_exact(h, tree_budget)
+        recs = host_census(h, subset_budget)
         for a in (Fraction(1, 2), Fraction(1)):
-            opt_w = optimum_exact(h, a, subset_budget).welfare
+            opt_w = _optima(recs, a)[0]
             sw = social_welfare(mr.tree, a)
             if sw != opt_w:
                 bad = bad or f"n={h.n} m={h.m} alpha={a}: SW(MRCST)={sw} != SW(OPT)={opt_w}"
@@ -855,7 +852,8 @@ def _suite_poa_pos(
     budget: int = 1 << 16,
 ) -> list[dict]:
     claims = []
-    got = poa_exact(clique(6), 1, budget)
+    opt, stable = _read_census(_complete_census(6)[1], Fraction(1))
+    got = opt / min(stable)
     claims.append(
         _claim("poa-k6-alpha-1", got == Fraction(4, 3), f"PoA(K_6, 1) = {got}, expected 4/3")
     )
@@ -929,13 +927,8 @@ def _suite_smrcst_certificates(
     opt_hosts = host_corpus(opt_count, opt_n_range, opt_p_range, seed, max_edges=opt_max_edges)
     bad = ""
     for h in opt_hosts:
-        for a in (Fraction(1, 2), Fraction(1)):
-            try:
-                approximation_report(h, a, subset_budget, tree_budget)
-            except CertificateError as exc:
-                bad = bad or f"n={h.n} m={h.m} alpha={a}: {exc}"
         try:
-            smrcst_certificates(smrcst(h), h)
+            approximation_report(h, (Fraction(1, 2), Fraction(1)), subset_budget, tree_budget)
         except CertificateError as exc:
             bad = bad or f"n={h.n} m={h.m}: {exc}"
     claims.append(

@@ -141,8 +141,7 @@ def _emit_tree(args, scaffold, extra):
 
 def _cmd_smrcst(args):
     host = _load_host(args)
-    pivot = {"best": "best", "first": "first"}[args.policy or "best"]
-    result = spanning.smrcst(host, pivot)
+    result = spanning.smrcst(host, args.policy)
     _emit_tree(
         args,
         result.tree,

@@ -255,19 +255,7 @@ def bfs_all_pairs(state: GameState) -> DistanceTable:
 
 def routing_cost(state: GameState) -> int:
     """Total ordered distances d(V, V) of a state (the Wiener index, doubled)."""
-    t = state.__dict__.get("table")
-    if t is not None:
-        return t.total
-    n = state.host.n
-    nbr = state.adjacency_masks
-    full = (1 << n) - 1
-    total = 0
-    for src in range(n):
-        s, seen = _bfs(nbr, 1 << src)
-        if seen != full:
-            raise StructureError("state is disconnected")
-        total += s
-    return total
+    return state.table.total
 
 
 def is_bridge(state: GameState, e) -> bool:
@@ -293,11 +281,9 @@ def canonical_key(state: GameState):
 class TreeScaffold:
     """Rooted spanning tree with the cached data that makes swap evaluation fast.
 
-    ``below_mask`` maps each tree edge to the node mask of the component on
-    the child side of that edge; ``subtree_size``, ``down`` (distance sums
-    within each subtree) and ``per_node_sum``, together with the tree's
-    cached distance table, let a single-swap routing-cost delta be computed
-    in O(1).
+    Rooted at node 0. ``subtree_size``, ``down`` (distance sums within each
+    subtree) and ``per_node_sum``, together with the tree's cached distance
+    table, let a single-swap routing-cost delta be computed in O(1).
     """
 
     __slots__ = (
@@ -308,7 +294,6 @@ class TreeScaffold:
         "down",
         "per_node_sum",
         "total",
-        "below_mask",
     )
 
     def __init__(self, tree: GameState) -> None:
@@ -337,23 +322,19 @@ class TreeScaffold:
         if len(order) != n:
             raise StructureError("not a spanning tree: disconnected")
         size = [1] * n
-        smask = [1 << v for v in range(n)]
         down = [0] * n
         for v in reversed(order):
             if v:
                 p = parent[v]
                 size[p] += size[v]
-                smask[p] |= smask[v]
                 down[p] += down[v] + size[v]
         total = 0
         pns = [0] * n
         pns[0] = sum(depth)
-        below = {}
         for v in order:
             if v:
                 total += size[v] * (n - size[v])
                 pns[v] = pns[parent[v]] + n - 2 * size[v]
-                below[edge(v, parent[v])] = smask[v]
         self.tree = tree
         self.parent = tuple(parent)
         self.depth = tuple(depth)
@@ -361,7 +342,6 @@ class TreeScaffold:
         self.down = tuple(down)
         self.per_node_sum = tuple(pns)
         self.total = 2 * total
-        self.below_mask = below
 
     def __repr__(self):
         return f"TreeScaffold(n={self.tree.host.n}, cost={self.total})"
@@ -389,12 +369,13 @@ def tree_swap_delta(scaffold: TreeScaffold, remove, add) -> int:
         raise StructureError(f"edge {new} not in host")
     if (mask >> j) & 1:
         raise StructureError(f"edge {new} already in tree")
-    below = scaffold.below_mask[rem]
-    x, y = new
-    if (below >> x) & 1 == (below >> y) & 1:
-        raise StructureError("swap disconnects: replacement edge does not cross the cut")
     a, b = rem
-    child = a if (below >> a) & 1 else b
+    child, par = (a, b) if scaffold.depth[a] > scaffold.depth[b] else (b, a)
+    dist = tree.table.dist
+    x, y = new
+    # a node lies on the child's side of the cut iff it is nearer the child
+    if (dist[x][child] < dist[x][par]) == (dist[y][child] < dist[y][par]):
+        raise StructureError("swap disconnects: replacement edge does not cross the cut")
     return next(_cut_swap_deltas(scaffold, child, 1 << j))[1]
 
 

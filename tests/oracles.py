@@ -124,6 +124,13 @@ def random_spanning_tree(n, edges, rng):
     return chosen
 
 
+def child_side(n, tree_edges, removed):
+    """The nodes that ``removed`` cuts off from node 0 in the tree: the
+    child side of that edge when the tree is rooted at 0."""
+    row = bfs_row(n, [e for e in tree_edges if e != removed], 0)
+    return {v for v in range(n) if row[v] is None}
+
+
 def reference_find_swap(scaffold, pivot):
     """The swap ``spanning._find_swap`` must pick, by recomputing every swap.
 

@@ -16,8 +16,10 @@ from sdncg import (
     clique,
     cycle,
     enumerate_stable_states,
+    extend_to_spanning_tree,
     find_improving_cycle,
     full_state,
+    greedy_long_path,
     host_census,
     host_corpus,
     is_pairwise_stable,
@@ -31,6 +33,7 @@ from sdncg import (
     random_connected_host,
     replay_validates_cycle,
     routing_cost,
+    smrcst,
     social_welfare,
     star,
     sweep_cell,
@@ -41,6 +44,7 @@ from sdncg import (
 )
 from sdncg import analysis, game, graphs
 from sdncg.analysis import SWEEP_COLUMNS, format_exact
+from sdncg.spanning import SmrcstResult
 
 
 class TestOptimumExact:
@@ -154,23 +158,68 @@ class TestHostCensus:
             rows.append(row)
         assert sweep_host(host, alphas, budget) == rows
 
-    def test_budget_checked_before_cache(self, monkeypatch):
-        host_census(clique(6), 1 << 15)
-        monkeypatch.setattr(analysis, "_census_records", _refuse)
+    def test_budget_checked_before_build(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_mask_adjacency", _refuse)
+        with pytest.raises(BudgetExceededError):
+            host_census(clique(7), 1 << 20)
         with pytest.raises(BudgetExceededError):
             optimum_exact(clique(6), 1, 1 << 4)
         with pytest.raises(BudgetExceededError):
             sweep_host(clique(6), [1], 1 << 4)
 
-    def test_budget_checked_before_build(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_census_records", _refuse)
-        with pytest.raises(BudgetExceededError):
-            host_census(clique(7), 1 << 20)
+    def test_census_keeps_no_state(self, monkeypatch):
+        # a second call builds the same census again, BFS for BFS
+        calls = []
+        kernel = graphs._bfs
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_bfs", counted)
+        first = host_census(clique(4), 1 << 6)
+        once = len(calls)
+        assert host_census(clique(4), 1 << 6) == first
+        assert once > 0 and len(calls) == 2 * once
 
     def test_campaign_census_reused(self, monkeypatch):
+        # the K_n censuses outlive the suite that built them
         assert theorem_campaign("complete-optimum", seed=0)["passed"]
-        monkeypatch.setattr(analysis, "_census_records", _refuse)
-        assert poa_exact(clique(6), 1, 1 << 16) == Fraction(4, 3)
+        monkeypatch.setattr(analysis, "host_census", _refuse)
+        opt, stable = analysis._read_census(analysis._complete_census(6)[1], Fraction(1))
+        assert opt / min(stable) == Fraction(4, 3)
+
+    def test_campaign_builds_each_host_once(self, monkeypatch):
+        # suites in campaign order: the K_n censuses are built once for all
+        # of them, and each suite builds one census, SMRCST and MRCST per host
+        analysis._complete_census.cache_clear()
+        calls = {"host_census": [], "smrcst": [], "mrcst_exact": []}
+        for name, hosts in calls.items():
+
+            def counted(host, *args, _fn=getattr(analysis, name), _hosts=hosts, **kwargs):
+                _hosts.append(host)
+                return _fn(host, *args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counted)
+        per_suite = {}
+        for suite in (
+            "complete-optimum",
+            "complete-stability",
+            "mrcst-optimality",
+            "host-uniqueness",
+            "poa-pos",
+            "smrcst-certificates",
+        ):
+            before = {name: len(hosts) for name, hosts in calls.items()}
+            assert theorem_campaign(suite, seed=0)["passed"]
+            per_suite[suite] = {name: len(hosts) - before[name] for name, hosts in calls.items()}
+        assert [calls["host_census"].count(clique(n)) for n in (4, 5, 6)] == [1, 1, 1]
+        assert per_suite["poa-pos"] == {"host_census": 20, "smrcst": 0, "mrcst_exact": 0}
+        assert per_suite["smrcst-certificates"] == {
+            "host_census": 50,
+            "smrcst": 250,
+            "mrcst_exact": 50,
+        }
 
 
 # a branching tree host, where every removal is a bridge (lo is None), and a
@@ -222,7 +271,7 @@ class TestCensusBuilder:
             (graphs, "bfs_all_pairs"),
         ):
             monkeypatch.setattr(mod, name, refuse)
-        recs = analysis._census_records(clique(5))
+        recs = host_census(clique(5), 1 << 10)
         assert len(recs) == 728
         assert calls.count(1) == 848  # sources mask of node 0
         assert len(calls) == 848 + 4 * 728 == 3760
@@ -404,19 +453,42 @@ class TestImprovingCycle:
 
 class TestApproximationReport:
     def test_k4(self):
-        rep = approximation_report(clique(4), 1, subset_budget=1 << 8)
+        (rep,) = approximation_report(clique(4), [1], subset_budget=1 << 8)
         assert rep["ratio_mrcst"] == 1
         assert rep["ratio_mrcst"] <= rep["ratio_bound"] == 3
 
     def test_tree_host(self):
         for h in (star(5), star(6)):
-            rep = approximation_report(h, 1, subset_budget=1 << 6)
+            (rep,) = approximation_report(h, [1], subset_budget=1 << 6)
             assert rep["ratio_mrcst"] == rep["ratio_smrcst"] == 1
             assert rep["ratio_bound"] == 2
 
     def test_k6(self):
-        rep = approximation_report(clique(6), 1, subset_budget=1 << 16)
+        (rep,) = approximation_report(clique(6), [1], subset_budget=1 << 16)
         assert rep["ratio_mrcst"] <= rep["ratio_bound"] == Fraction(15, 5) + 1
+
+    def test_alphas_match_separate_ratios(self, k26):
+        alphas = (Fraction(1, 2), 3)
+        reports = approximation_report(k26, alphas, subset_budget=1 << 12)
+        mr = mrcst_exact(k26).tree
+        sm = smrcst(k26).tree.tree
+        assert [rep["alpha"] for rep in reports] == [Fraction(1, 2), Fraction(3)]
+        for a, rep in zip(alphas, reports):
+            opt = optimum_exact(k26, a, 1 << 12).welfare
+            assert rep["sw_opt"] == opt
+            assert rep["ratio_mrcst"] == opt / social_welfare(mr, a)
+            assert rep["ratio_smrcst"] == opt / social_welfare(sm, a)
+            assert rep["ratio_bound"] == Fraction(12, 7) + 1
+
+    def test_unswapped_seed_tree_refused(self, monkeypatch, k26):
+        # on K_2,6 the greedy seed's tree still has an improving swap
+        seed = greedy_long_path(k26)
+        tree = extend_to_spanning_tree(k26, seed)
+        assert smrcst(k26).iterations > 0
+        unswapped = SmrcstResult(tree, len(seed) - 1, 0, tree.total)
+        monkeypatch.setattr(analysis, "smrcst", lambda *a, **k: unswapped)
+        with pytest.raises(CertificateError, match="swap-maximality"):
+            approximation_report(k26, [1], subset_budget=1 << 12)
 
 
 class TestMrcstOptimality:

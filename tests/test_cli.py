@@ -264,13 +264,13 @@ class TestSweep:
 
     def test_one_census_per_host(self, capsys, monkeypatch, k4):
         built = []
-        build = analysis._census_records
+        build = analysis.host_census
 
-        def counted(host):
+        def counted(host, budget):
             built.append(host)
-            return build(host)
+            return build(host, budget)
 
-        monkeypatch.setattr(analysis, "_census_records", counted)
+        monkeypatch.setattr(analysis, "host_census", counted)
         code, out, _ = run(capsys, "sweep", "--alpha", "1/2,1,2", "--input", k4, "--workers", "1")
         assert code == 0 and len(out.splitlines()) == 4
         assert built == [clique(4)]

@@ -243,9 +243,9 @@ class TestSwapDelta:
                 tree_edges = sc.tree.active
                 _, before = oracles.distance_sums(n, tree_edges)
                 for rem in sorted(tree_edges):
-                    below = sc.below_mask[rem]
+                    side = oracles.child_side(n, tree_edges, rem)
                     for add in host.edges:
-                        if add in tree_edges or ((below >> add[0]) & 1) == ((below >> add[1]) & 1):
+                        if add in tree_edges or (add[0] in side) == (add[1] in side):
                             continue
                         _, after = oracles.distance_sums(n, (tree_edges - {rem}) | {add})
                         assert tree_swap_delta(sc, rem, add) == after - before
@@ -259,11 +259,9 @@ class TestSwapDelta:
             tree_edges = oracles.random_spanning_tree(n, host.edges, rng)
             sc = TreeScaffold(GameState(host, tree_edges))
             rem = rng.choice(sorted(tree_edges))
-            below = sc.below_mask[rem]
+            side = oracles.child_side(n, tree_edges, rem)
             crossing = [
-                f
-                for f in host.edges
-                if f not in tree_edges and ((below >> f[0]) & 1) != ((below >> f[1]) & 1)
+                f for f in host.edges if f not in tree_edges and (f[0] in side) != (f[1] in side)
             ]
             if not crossing:
                 continue

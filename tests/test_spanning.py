@@ -40,11 +40,11 @@ def crossing_swaps(scaffold):
     host = scaffold.tree.host
     active = scaffold.tree.active
     for e in sorted(active):
-        below = scaffold.below_mask[e]
+        side = oracles.child_side(host.n, active, e)
         for f in host.edges:
             if f in active:
                 continue
-            if ((below >> f[0]) & 1) == ((below >> f[1]) & 1):
+            if (f[0] in side) == (f[1] in side):
                 continue
             yield e, f
 
@@ -208,14 +208,8 @@ class TestFindSwapAgainstDelta:
                 e, f = found
                 best = tree_swap_delta(sc, e, f)
                 assert best > 0
-                for e2 in sorted(sc.tree.active):
-                    below = sc.below_mask[e2]
-                    for f2 in h.edges:
-                        if f2 in sc.tree.active:
-                            continue
-                        if ((below >> f2[0]) & 1) == ((below >> f2[1]) & 1):
-                            continue
-                        assert tree_swap_delta(sc, e2, f2) <= best
+                for e2, f2 in crossing_swaps(sc):
+                    assert tree_swap_delta(sc, e2, f2) <= best
 
     def test_both_pivots_match_reference_search(self):
         # every swap rescored by BFS on the new tree, in (tree edge, host edge) order
@@ -267,21 +261,22 @@ class TestFindSwapAgainstDelta:
 
 
 class TestCrossingSets:
-    def test_parity_matches_below_mask(self):
+    def test_parity_matches_child_side(self):
         # cross[c] holds exactly the non-tree edges with one endpoint below c
         rng = random.Random(47)
         for _ in range(30):
             n = rng.randint(2, 70)
             h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
-            sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
+            tree_edges = oracles.random_spanning_tree(n, h.edges, rng)
+            sc = TreeScaffold(GameState(h, tree_edges))
             cross = spanning._crossing_sets(sc)
             assert cross[0] == 0
-            mask = sc.tree.mask
-            for (a, b), below in sc.below_mask.items():
-                child = a if (below >> a) & 1 else b
+            for a, b in tree_edges:
+                side = oracles.child_side(n, tree_edges, (a, b))
+                child = a if a in side else b
                 want = 0
                 for j, (x, y) in enumerate(h.edges):
-                    if not (mask >> j) & 1 and ((below >> x) & 1) != ((below >> y) & 1):
+                    if (x, y) not in tree_edges and (x in side) != (y in side):
                         want |= 1 << j
                 assert cross[child] == want
 
