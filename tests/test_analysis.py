@@ -158,14 +158,19 @@ class TestHostCensus:
             rows.append(row)
         assert sweep_host(host, alphas, budget) == rows
 
-    def test_budget_checked_before_build(self, monkeypatch):
+    def test_budget_checked_before_cache(self, monkeypatch):
+        # a census built once under a large budget lets no later small one pass
+        host_census(clique(6), 1 << 15)
         monkeypatch.setattr(analysis, "_mask_adjacency", _refuse)
-        with pytest.raises(BudgetExceededError):
-            host_census(clique(7), 1 << 20)
         with pytest.raises(BudgetExceededError):
             optimum_exact(clique(6), 1, 1 << 4)
         with pytest.raises(BudgetExceededError):
             sweep_host(clique(6), [1], 1 << 4)
+
+    def test_budget_checked_before_build(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_mask_adjacency", _refuse)
+        with pytest.raises(BudgetExceededError):
+            host_census(clique(7), 1 << 20)
 
     def test_census_keeps_no_state(self, monkeypatch):
         # a second call builds the same census again, BFS for BFS
