@@ -13,22 +13,25 @@ the integer interval ``[lo, hi]``, so the optimum, the stable set, PoA and
 PoS at every alpha are read off the same records.
 
 The census is built in two passes over the lattice of edge subsets. Pass 1
-walks the masks in ascending order and keeps the per-node distance sums of
-every connected one: one BFS from node 0 decides connectivity, n - 1 more
-give the other sums. Pass 2 reads every move of a state from the state it
-leads to: removing edge e from S leaves ``S ^ bit(e)``, whose sums minus S's
-are the endpoints' increases (no entry means e is a bridge), and adding e
-gives ``S | bit(e)``, which is always connected. No move is scanned and no
-distance row is built. The sums of every connected state are held until
-pass 2 ends, which about doubles the build's transient memory (tracemalloc:
-6.4 MiB peak for K_6's 26,704 states, 2.9 MiB retained).
+(``_census_sums``) walks the subset tree depth first, edges from the highest
+index down and each left out before put in, so leaves come in ascending mask
+order. A subset's distance matrix (``n*n`` where unreachable) is its prefix's
+plus one edge, which rewrites only the rows the edge shortens (Ausiello et
+al., J. Algorithms 1991). Branches that cannot reach n - 1 edges or that
+isolate a node are skipped; a leaf is connected iff node 0's sum is at most
+n(n-1)/2. Pass 2 reads each pair (S - e, S) of connected states once:
+removing e from S raises each endpoint's sum by what adding e to S - e lowers
+it, so one difference bounds S's ``lo`` and S - e's ``hi``. No S - e means e
+is a bridge of S. No move is scanned and no BFS runs. The sums of every
+connected state are held until pass 2 ends (tracemalloc: 8.0 MiB peak for
+K_6's 26,704 states, 3.2 MiB retained).
 
 ``host_census`` keeps nothing between calls: a caller that asks one host
 several questions builds its census once and reads it as often as it needs
 (``sweep_host``, ``approximation_report``, the campaign suites). The one
 process-wide store is the per-n memo of the complete hosts' censuses
 (``_complete_census``), which three suites read and which the CLI runs as
-separate ``campaign`` calls; K_6's census alone takes about 0.6 s to build.
+separate ``campaign`` calls; K_6's census alone takes 0.15 to 0.4 s to build.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .game import (
     stability_interval,
     stable_in_interval,
 )
-from .graphs import GameState, HostGraph, _bfs, _mask_adjacency, canonical_key, edge, full_state
+from .graphs import GameState, HostGraph, canonical_key, edge, full_state
 from .spanning import find_hamilton_path, mrcst_exact, smrcst, smrcst_certificates
 
 SWEEP_COLUMNS = (
@@ -143,6 +146,51 @@ def threshold_table(n: int) -> ThresholdTable:
     )
 
 
+def _add_edge(rows, u, v):
+    """Distance rows after adding edge (u, v); a row changes only if its
+    distances to u and v differ by more than 1, and unchanged rows are shared."""
+    new = list(rows)
+    for x, r in enumerate(rows):
+        du = r[u]
+        dv = r[v]
+        if du > dv + 1:
+            base, far = dv + 1, rows[u]
+        elif dv > du + 1:
+            base, far = du + 1, rows[v]
+        else:
+            continue
+        new[x] = [a if a <= base + b else base + b for a, b in zip(r, far)]
+    return new
+
+
+def _census_sums(host: HostGraph) -> dict:
+    """Census pass 1: ``{mask: per-node distance sums}`` of every connected
+    spanning edge subset, in ascending mask order (see the module docstring).
+    The stack is explicit, since a self-recursive closure is a reference
+    cycle that would hold the result until the collector runs."""
+    n = host.n
+    need = n - 1
+    last = [0] * host.m  # per edge, the nodes whose last-decided edge it is
+    for w in range(n):
+        last[host.edge_index[edge(w, min(host.adj[w]))]] |= 1 << w
+    rows = [[0 if x == y else n * n for y in range(n)] for x in range(n)]
+    sums = {}
+    stack = [(host.m, 0, 0, rows)]  # (undecided edges, mask, nodes it covers, rows)
+    while stack:
+        i, mask, covered, rows = stack.pop()
+        if i == 0:
+            if sum(rows[0]) <= n * need // 2:
+                sums[mask] = tuple(map(sum, rows))
+            continue
+        i -= 1
+        u, v = host.edges[i]
+        stack.append((i, mask | 1 << i, covered | 1 << u | 1 << v, _add_edge(rows, u, v)))
+        # leave edge i out only if n - 1 edges stay reachable and no node is isolated
+        if mask.bit_count() + i >= need and not last[i] & ~covered:
+            stack.append((i, mask, covered, rows))
+    return sums
+
+
 def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
     """Alpha-free census of a host, in ascending mask order: one record
     ``(mask, |E|, rc, lo, hi)`` per connected spanning edge subset.
@@ -155,51 +203,36 @@ def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
 
     Every call builds the census anew; nothing is cached. Every
     ``inc``/``dec`` is the difference of two neighbouring states' per-node
-    distance sums (see the module docstring), so the build holds one tuple
-    of n ints per connected state until it ends: about twice the retained
+    distance sums (see the module docstring), so the build holds n sums and
+    a ``hi`` per connected state until it ends: about 2.5 times the retained
     memory at its peak.
     """
     if (1 << host.m) > budget:
         raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
-    n = host.n
-    edges = host.edges
-    need = n - 1
-    full = (1 << n) - 1
-    # pass 1: the per-node distance sums of every connected state
-    ps = {}
-    for mask in range(1 << host.m):
-        if mask.bit_count() < need:
-            continue
-        nbr = _mask_adjacency(n, edges, mask)
-        s0, seen = _bfs(nbr, 1)
-        if seen != full:
-            continue
-        ps[mask] = (s0, *[_bfs(nbr, 1 << src)[0] for src in range(1, n)])
-    # pass 2: a removal with no entry is a bridge; an addition always has
-    # one, since a superset of a connected spanning subset is connected
-    bits = [(1 << i, u, v) for i, (u, v) in enumerate(edges)]
-    recs = []
-    for mask, sums in ps.items():  # insertion order is ascending mask order
-        lo = hi = None
+    ps = _census_sums(host)
+    bits = [(1 << i, u, v) for i, (u, v) in enumerate(host.edges)]
+    lo = []
+    hi = dict.fromkeys(ps)
+    for mask, sums in ps.items():
+        top = None
         for bit, u, v in bits:
             if mask & bit:
-                nxt = ps.get(mask ^ bit)
-                if nxt is None:
+                prev = mask ^ bit
+                before = ps.get(prev)
+                if before is None:  # e is a bridge of S
                     continue
-                inc_u = nxt[u] - sums[u]
-                inc_v = nxt[v] - sums[v]
-                worst = inc_u if inc_u >= inc_v else inc_v
-                if lo is None or worst > lo:
-                    lo = worst
-            else:
-                nxt = ps[mask | bit]
-                dec_u = sums[u] - nxt[u]
-                dec_v = sums[v] - nxt[v]
-                block = dec_u if dec_u >= dec_v else dec_v
-                if hi is None or block < hi:
-                    hi = block
-        recs.append((mask, mask.bit_count(), sum(sums), lo, hi))
-    return tuple(recs)
+                rise_u = before[u] - sums[u]
+                rise_v = before[v] - sums[v]
+                rise = rise_u if rise_u >= rise_v else rise_v
+                if top is None or rise > top:
+                    top = rise
+                low = hi[prev]
+                if low is None or rise < low:
+                    hi[prev] = rise
+        lo.append(top)
+    return tuple(
+        (mask, mask.bit_count(), sum(sums), top, hi[mask]) for (mask, sums), top in zip(ps.items(), lo)
+    )
 
 
 def _optima(recs, a: Fraction):

@@ -1,9 +1,12 @@
+import gc
 import io
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sdncg import (
@@ -103,6 +106,20 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a census was built")
 
 
+@pytest.fixture
+def updates(monkeypatch):
+    """The (u, v) of every one-edge update the census builds make."""
+    calls = []
+    update = analysis._add_edge
+
+    def counted(rows, u, v):
+        calls.append((u, v))
+        return update(rows, u, v)
+
+    monkeypatch.setattr(analysis, "_add_edge", counted)
+    return calls
+
+
 class TestHostCensus:
     @pytest.mark.parametrize(
         "host", CENSUS_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(CENSUS_HOSTS)]
@@ -161,31 +178,23 @@ class TestHostCensus:
     def test_budget_checked_before_cache(self, monkeypatch):
         # a census built once under a large budget lets no later small one pass
         host_census(clique(6), 1 << 15)
-        monkeypatch.setattr(analysis, "_mask_adjacency", _refuse)
+        monkeypatch.setattr(analysis, "_census_sums", _refuse)
         with pytest.raises(BudgetExceededError):
             optimum_exact(clique(6), 1, 1 << 4)
         with pytest.raises(BudgetExceededError):
             sweep_host(clique(6), [1], 1 << 4)
 
     def test_budget_checked_before_build(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_mask_adjacency", _refuse)
+        monkeypatch.setattr(analysis, "_census_sums", _refuse)
         with pytest.raises(BudgetExceededError):
             host_census(clique(7), 1 << 20)
 
-    def test_census_keeps_no_state(self, monkeypatch):
-        # a second call builds the same census again, BFS for BFS
-        calls = []
-        kernel = graphs._bfs
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "_bfs", counted)
+    def test_census_keeps_no_state(self, updates):
+        # a second call builds the same census again, edge update for update
         first = host_census(clique(4), 1 << 6)
-        once = len(calls)
+        once = len(updates)
         assert host_census(clique(4), 1 << 6) == first
-        assert once > 0 and len(calls) == 2 * once
+        assert once > 0 and updates == 2 * updates[:once]
 
     def test_campaign_census_reused(self, monkeypatch):
         # the K_n censuses outlive the suite that built them
@@ -227,11 +236,19 @@ class TestHostCensus:
         }
 
 
-# a branching tree host, where every removal is a bridge (lo is None), and a
-# cycle host, whose other states are paths
+TREE_HOST = HostGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
+
+# a branching tree host, where every removal is a bridge (lo is None); a
+# cycle host, whose other states are paths; the smallest host; and two hosts
+# whose lowest-index edges are node 0's, so that the prefixes of the high
+# edges stay disconnected until the last decisions: a hub with a few edges
+# among its leaves, and a pendant node 0 on a dense rest
 BUILDER_HOSTS = CENSUS_HOSTS + [
-    HostGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)]),
+    TREE_HOST,
     cycle(6),
+    HostGraph(2, [(0, 1)]),
+    HostGraph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (2, 3), (4, 5), (5, 6)]),
+    HostGraph(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (2, 5)]),
 ]
 
 
@@ -251,35 +268,69 @@ class TestCensusBuilder:
     def test_matches_per_state_oracle(self, host):
         assert host_census(host, 1 << host.m) == _oracle_census(host)
 
-    def test_k5_lattice_work(self, monkeypatch):
-        # K_5: 848 masks with at least 4 of the 10 edges, 728 of them
-        # connected; one BFS decides connectivity, and a connected state
-        # needs the 4 other sources; no move scan and no distance row
-        calls = []
-        kernel = graphs._bfs
-
-        def counted(nbr, sources, allowed=-1, row=None):
-            assert row is None, "the census built a distance row"
-            calls.append(sources)
-            return kernel(nbr, sources, allowed)
+    def test_k5_lattice_work(self, monkeypatch, updates):
+        # K_5: one edge update per node of the subset tree that puts an edge
+        # in. Of the 2^10 - 1 such prefixes, 133 are never built, since they
+        # lie under a branch that leaves out an edge which either cannot
+        # leave 4 edges or is the last one that could touch a node still
+        # without edges. So 890 updates stand where 2^10 subsets would each
+        # need a BFS per node; no move scan, no BFS and no distance row
+        host = clique(5)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the census ran a move scan or built a distance row")
+            raise AssertionError("the census ran a move scan, a BFS or built a distance row")
 
-        monkeypatch.setattr(analysis, "_bfs", counted)
         for mod, name in (
             (game, "removal_increases"),
             (game, "addition_decreases"),
             (game, "stability_interval"),
+            (game, "_bfs"),
             (analysis, "removal_increases"),
             (analysis, "stability_interval"),
             (graphs, "bfs_all_pairs"),
+            (graphs, "_bfs"),
         ):
             monkeypatch.setattr(mod, name, refuse)
-        recs = host_census(clique(5), 1 << 10)
+        recs = host_census(host, 1 << 10)
         assert len(recs) == 728
-        assert calls.count(1) == 848  # sources mask of node 0
-        assert len(calls) == 848 + 4 * 728 == 3760
+        assert len(updates) == (1 << 10) - 1 - 133 == 890
+
+    @pytest.mark.parametrize("host", [TREE_HOST, path(20)], ids=["tree-n7", "path-n20"])
+    def test_tree_host_is_linear(self, updates, host):
+        # a tree host has one state: every subtree that leaves an edge out is
+        # skipped at once, so the walk makes one update per edge, not 2^m
+        full = full_state(host)
+        lo, hi = game.stability_interval(full)
+        assert host_census(host) == ((full.mask, host.m, routing_cost(full), lo, hi),)
+        assert updates == list(reversed(host.edges))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_path_sum_at_connectivity_bound(self, n):
+        # node 0 ends the path, so its distance sum is exactly n(n-1)/2 and
+        # the one state is kept
+        sums = analysis._census_sums(path(n))
+        assert list(sums) == [(1 << (n - 1)) - 1]
+        assert sums[(1 << (n - 1)) - 1][0] == n * (n - 1) // 2
+
+    @given(st.integers(0, 10**6), st.integers(2, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_random_hosts_match_oracle(self, seed, n):
+        rng = random.Random(seed)
+        host = random_connected_host(n, rng.uniform(0.1, 0.6), rng)
+        assert host_census(host, 1 << host.m) == _oracle_census(host)
+
+    def test_build_leaves_no_cyclic_garbage(self):
+        # the walk holds no reference cycle: with the collector off, the
+        # build and its result are freed by reference counting alone
+        host = clique(5)
+        gc.collect()
+        gc.disable()
+        try:
+            recs = host_census(host, 1 << 10)
+            del recs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unconfirmed_interval_raises(self, monkeypatch):
         # a census that claims K_4's host state is stable everywhere; at
