@@ -52,15 +52,14 @@ from .errors import (
 )
 from .game import (
     CYCLE,
-    SEEDED_RANDOM,
     DynamicsOutcome,
+    _improving_arcs,
     _in_interval,
     apply_move,
     as_alpha,
     improving_moves,
     is_pairwise_stable,
     removal_increases,
-    run_dynamics,
     social_welfare,
     stability_interval,
     stable_in_interval,
@@ -326,54 +325,68 @@ def optimum_complete_closed_form(n: int, alpha) -> CompleteOptimum:
     return CompleteOptimum("both", sw_path, sw_path, sw_clique)
 
 
-def _random_state(host: HostGraph, rng: random.Random) -> GameState:
-    # random spanning tree plus a fair coin per remaining host edge
-    n = host.n
-    order = list(range(n))
-    rng.shuffle(order)
-    index = host.edge_index
-    mask = 0
-    for i in range(1, n):
-        mask |= 1 << index[edge(order[i], order[rng.randrange(i)])]
-    for i in range(host.m):
-        if not mask >> i & 1 and rng.random() < 0.5:
-            mask |= 1 << i
-    # connected by construction: it contains a spanning tree
-    return GameState._from_mask(host, mask)
-
-
 def find_improving_cycle(
     n: int, alpha, search_budget: int = 10**6, seed: int = 0
 ) -> Optional[DynamicsOutcome]:
     """Seeded random-restart search on the complete host for a trajectory of
     improving moves that revisits a state. Not-found within budget is a
-    legitimate result (None).
+    legitimate result (None); a negative budget raises ParameterError.
 
-    Each restart draws a random connected start state and runs seeded-random
-    dynamics from it, all on one generator; ``search_budget`` caps the moves
-    summed over restarts. The restarts share one memo of the improving-move
-    graph, from a state's edge mask to its ``(move, next mask)`` arcs, so each
-    distinct state is scanned once per search and later visits read its arcs.
-    The arcs keep ``improving_moves`` order, so every draw, and therefore the
-    outcome for every seed, is the same as with a fresh scan at every step.
-    The memo lives for one call and holds one small entry per distinct state
+    Each restart draws a random connected start state (a random spanning
+    tree over a shuffled node order plus a fair coin per other edge) and
+    walks seeded-random improving moves from it, all on one generator. A
+    walk ends when it reaches a stable state, revisits a state or runs out
+    of budget; ``search_budget`` caps the moves summed over restarts, a walk
+    of s moves costing max(1, s). The outcome is the same as that of
+    ``run_dynamics`` under the seeded-random policy from each start state.
+
+    The restarts run on edge masks and share one memo of the improving-move
+    graph, from a state's mask to its ``(move, next mask)`` arcs in
+    ``improving_moves`` order, so each distinct state is scanned once per
+    search and a restart builds no state of its own: a ``GameState`` is
+    built only to scan a new mask and for the returned cycle's final state.
+    The memo lives for one call and holds one entry per distinct state
     scanned: at most the number of connected spanning subgraphs of K_n (728
-    on K_5), and at most ``2 * search_budget``, since a walk of s moves scans
-    at most s + 1 states and is charged max(1, s).
+    on K_5), and at most ``2 * search_budget``.
     """
     a = as_alpha(alpha)
+    if search_budget < 0:
+        raise ParameterError(f"search budget must be nonnegative, got {search_budget}")
     host = clique(n)
+    p, q = a.numerator, a.denominator
+    bits = [1 << i for i in range(host.m)]
+    bit = [[0] * n for _ in range(n)]
+    for (u, v), i in host.edge_index.items():
+        bit[u][v] = bit[v][u] = bits[i]
     rng = random.Random(seed)
-    arcs = {}
+    shuffle, randrange, coin, choice = rng.shuffle, rng.randrange, rng.random, rng.choice
+    arcs_of = {}
     used = 0
     while used < search_budget:
-        start = _random_state(host, rng)
-        out = run_dynamics(
-            start, a, policy=SEEDED_RANDOM, budget=search_budget - used, rng=rng, _arcs=arcs
-        )
-        used += max(1, out.steps)
-        if out.terminal == CYCLE:
-            return out
+        order = list(range(n))
+        shuffle(order)
+        mask = 0
+        for i in range(1, n):
+            mask |= bit[order[i]][order[randrange(i)]]
+        for b in bits:
+            if not mask & b and coin() < 0.5:
+                mask |= b
+        seen = {mask: 0}
+        trajectory = []
+        for _ in range(search_budget - used):
+            arcs = arcs_of.get(mask)
+            if arcs is None:
+                arcs = arcs_of[mask] = _improving_arcs(GameState._from_mask(host, mask), p, q)
+            if not arcs:
+                break
+            mv, nxt = choice(arcs)
+            trajectory.append(((host, mask), mv))
+            if nxt in seen:
+                final = GameState._from_mask(host, nxt)
+                return DynamicsOutcome(tuple(trajectory), CYCLE, final, cycle_start=seen[nxt])
+            seen[nxt] = len(trajectory)
+            mask = nxt
+        used += max(1, len(trajectory))
     return None
 
 

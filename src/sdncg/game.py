@@ -209,6 +209,21 @@ def _move_gains(state: GameState):
                 yield REMOVE, u, v, inc[0] if inc[0] >= inc[1] else inc[1]
 
 
+def _improving_arcs(state: GameState, p: int, q: int, limit: Optional[int] = None) -> tuple:
+    """The improving moves at alpha = p/q as ``(move, next mask)`` arcs, in
+    ``improving_moves`` order. The scan yields only host edges and
+    non-bridge removals, so each move toggles exactly its own edge bit."""
+    index = state.host.edge_index
+    mask = state.mask
+    out = []
+    for kind, u, v, gain in _move_gains(state):
+        if (q * gain < p) if kind == ADD else (q * gain > p):
+            out.append((Move(kind, u, v), mask ^ 1 << index[u, v]))
+            if limit is not None and len(out) >= limit:
+                break
+    return tuple(out)
+
+
 def improving_moves(state: GameState, alpha, limit: Optional[int] = None) -> list:
     """All improving moves in deterministic lexicographic (kind, u, v) order.
 
@@ -217,14 +232,7 @@ def improving_moves(state: GameState, alpha, limit: Optional[int] = None) -> lis
     alpha = p/q every test is on integers.
     """
     a = as_alpha(alpha)
-    p, q = a.numerator, a.denominator
-    out = []
-    for kind, u, v, gain in _move_gains(state):
-        if (q * gain < p) if kind == ADD else (q * gain > p):
-            out.append(Move(kind, u, v))
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
+    return [mv for mv, _ in _improving_arcs(state, a.numerator, a.denominator, limit)]
 
 
 def is_pairwise_stable(state: GameState, alpha) -> StabilityReport:
@@ -313,7 +321,6 @@ def run_dynamics(
     budget: int = 10_000,
     seed: Optional[int] = None,
     rng: Optional[random.Random] = None,
-    _arcs: Optional[dict] = None,
 ) -> DynamicsOutcome:
     """Iterate policy-selected improving moves until stable, revisit, or budget.
 
@@ -321,11 +328,9 @@ def run_dynamics(
     an exact state recurrence. Deterministic given (start, alpha, policy,
     seed); ``rng`` may be passed instead of ``seed`` to share a generator.
 
-    The walk runs on edge masks. Each state's improving arcs, ``(move, next
-    mask)`` in ``improving_moves`` order, are scanned once and kept in
-    ``_arcs``. That private memo lets repeated walks on one host share
-    their scans; every walk that shares it must use the same alpha and
-    policy.
+    The walk runs on edge masks and scans each state it stands on once: it
+    stops at its first revisit, so nothing is kept between steps. A move's
+    next state toggles the move's edge bit; no move is applied.
     """
     a = as_alpha(alpha)
     if policy not in POLICIES:
@@ -337,32 +342,15 @@ def run_dynamics(
     if budget < 0:
         raise ParameterError("budget must be nonnegative")
     host = start.host
-    index = host.edge_index
+    p, q = a.numerator, a.denominator
     limit = 1 if policy == FIRST_IMPROVING else None
-    memo = {} if _arcs is None else _arcs
-
-    def state_of(mask):
-        return start if mask == start.mask else GameState._from_mask(host, mask)
-
-    def arcs_of(mask):
-        arcs = memo.get(mask)
-        if arcs is None:
-            st = state_of(mask)
-            # improving_moves yields only host edges and non-bridge removals,
-            # so each move toggles exactly its own edge bit
-            arcs = memo[mask] = tuple(
-                (mv, mask ^ (1 << index[(mv.u, mv.v)]))
-                for mv in improving_moves(st, a, limit=limit)
-            )
-        return arcs
-
-    mask = start.mask
-    seen = {mask: 0}
+    st = start
+    seen = {st.mask: 0}
     trajectory = []
     for _ in range(budget):
-        arcs = arcs_of(mask)
+        arcs = _improving_arcs(st, p, q, limit)
         if not arcs:
-            return DynamicsOutcome(tuple(trajectory), STABLE, state_of(mask))
+            return DynamicsOutcome(tuple(trajectory), STABLE, st)
         if policy == FIRST_IMPROVING:
             mv, nxt = arcs[0]
         elif policy == SEEDED_RANDOM:
@@ -370,12 +358,11 @@ def run_dynamics(
         else:
             mv, nxt = _best_arc(host, a, arcs)
         # (host, mask) is the state's canonical key
-        trajectory.append(((host, mask), mv))
+        trajectory.append(((host, st.mask), mv))
+        st = GameState._from_mask(host, nxt)
         if nxt in seen:
-            return DynamicsOutcome(tuple(trajectory), CYCLE, state_of(nxt), cycle_start=seen[nxt])
+            return DynamicsOutcome(tuple(trajectory), CYCLE, st, cycle_start=seen[nxt])
         seen[nxt] = len(trajectory)
-        mask = nxt
     # one last look: the budget may have run out exactly at a stable state
-    if not arcs_of(mask):
-        return DynamicsOutcome(tuple(trajectory), STABLE, state_of(mask))
-    return DynamicsOutcome(tuple(trajectory), BUDGET_EXHAUSTED, state_of(mask))
+    terminal = BUDGET_EXHAUSTED if _improving_arcs(st, p, q, 1) else STABLE
+    return DynamicsOutcome(tuple(trajectory), terminal, st)

@@ -15,6 +15,7 @@ from sdncg import (
     GameState,
     HostGraph,
     NoEquilibriumError,
+    ParameterError,
     approximation_report,
     clique,
     cycle,
@@ -473,38 +474,94 @@ class TestImprovingCycle:
 
     @staticmethod
     def _check_against_reference(monkeypatch, n, alpha, budget, seed):
-        # record every restart's walk, not only the returned one
-        walks = []
-        walk = analysis.run_dynamics
+        # record every scan the search makes, across all restarts
+        scanned = []
+        scan = analysis._improving_arcs
 
-        def recorded(*args, **kwargs):
-            out = walk(*args, **kwargs)
-            steps = [(mask, (mv.kind, mv.u, mv.v)) for (_, mask), mv in out.trajectory]
-            walks.append((out.terminal, out.cycle_start, steps, out.final_state.mask))
-            return out
+        def recorded(state, *args):
+            scanned.append(state.mask)
+            return scan(state, *args)
 
-        monkeypatch.setattr(analysis, "run_dynamics", recorded)
+        monkeypatch.setattr(analysis, "_improving_arcs", recorded)
         out = find_improving_cycle(n, alpha, search_budget=budget, seed=seed)
-        found, want = oracles.reference_improving_cycle(n, alpha, budget, seed)
+        found, walks = oracles.reference_improving_cycle(n, alpha, budget, seed)
+        # each state a walk stands on with budget left to move from is
+        # scanned once per search, in the order walks first reach it
+        want = {}
+        used = 0
+        for _, _, steps, final in walks:
+            states = [mask for mask, _ in steps]
+            if len(steps) < budget - used:
+                states.append(final)
+            for mask in states:
+                want.setdefault(mask)
+            used += max(1, len(steps))
+        assert scanned == list(want)
         assert (out is not None) == found
-        assert walks == want
         if found:
-            assert walks[-1][0] == out.terminal == "cycle"
+            terminal, cycle_start, steps, final = walks[-1]
+            assert terminal == out.terminal == "cycle"
+            assert [(mask, (mv.kind, mv.u, mv.v)) for (_, mask), mv in out.trajectory] == steps
+            assert {h for (h, _), _ in out.trajectory} == {clique(n)}
+            assert out.cycle_start == cycle_start
+            assert out.final_state.mask == final
 
     def test_each_state_scanned_once(self, monkeypatch):
         scanned = Counter()
-        scan = game.improving_moves
+        scan = analysis._improving_arcs
 
-        def counted(state, *args, **kwargs):
+        def counted(state, *args):
             scanned[state.mask] += 1
-            return scan(state, *args, **kwargs)
+            return scan(state, *args)
 
-        monkeypatch.setattr(game, "improving_moves", counted)
+        monkeypatch.setattr(analysis, "_improving_arcs", counted)
         out = find_improving_cycle(5, Fraction(5, 2), search_budget=10**6, seed=3)
         assert out is not None and out.terminal == "cycle"
         assert set(scanned.values()) == {1}
         # K_5 has 728 connected spanning subgraphs
         assert sum(scanned.values()) <= 728
+
+    def test_restarts_build_no_state(self, monkeypatch):
+        # seed 0 makes 56,718 restarts; a state is built only to scan a new
+        # mask and for the cycle's final state, and alpha is parsed once
+        built, scanned, parsed = [], [], []
+        build = GameState._from_mask.__func__
+        scan = analysis._improving_arcs
+        parse = game.as_alpha
+
+        def counted_build(cls, host, mask):
+            built.append(mask)
+            return build(cls, host, mask)
+
+        def counted_scan(state, *args):
+            scanned.append(state.mask)
+            return scan(state, *args)
+
+        def counted_parse(value):
+            parsed.append(value)
+            return parse(value)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_dynamics called by the search")
+
+        monkeypatch.setattr(GameState, "_from_mask", classmethod(counted_build))
+        monkeypatch.setattr(analysis, "_improving_arcs", counted_scan)
+        monkeypatch.setattr(analysis, "as_alpha", counted_parse)
+        monkeypatch.setattr(game, "as_alpha", counted_parse)
+        monkeypatch.setattr(game, "run_dynamics", refuse)
+        out = find_improving_cycle(5, Fraction(5, 2), seed=0)
+        assert out is not None and out.terminal == "cycle"
+        assert len(scanned) == len(set(scanned)) == 728
+        assert len(built) <= len(scanned) + 1
+        assert len(parsed) == 1
+
+    def test_negative_budget_refused(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("host built before the budget check")
+
+        monkeypatch.setattr(analysis, "clique", refuse)
+        with pytest.raises(ParameterError, match="budget"):
+            find_improving_cycle(5, Fraction(5, 2), search_budget=-5, seed=0)
 
 
 class TestApproximationReport:

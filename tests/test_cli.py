@@ -221,6 +221,16 @@ class TestCycle:
         code, _, err = run(capsys, "cycle", "--n", "5", "--alpha", "5/2")
         assert code == 2 and "seed" in err
 
+    def test_negative_budget_refused(self, capsys):
+        code, out, err = run(
+            capsys, "cycle", "--n", "5", "--alpha", "5/2", "--seed", "0", "--budget", "-5"
+        )
+        assert code == 2 and out == "" and "budget" in err
+
+    def test_zero_budget_not_found(self, capsys):
+        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--seed", "0", "--budget", "0")
+        assert code == 0 and out == "# seed: 0\ncycle: not-found\n"
+
 
 class TestSweep:
     def test_hosts_csv(self, capsys, k4, tmp_path):

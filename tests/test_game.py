@@ -329,6 +329,16 @@ class TestDynamics:
         assert out.steps == 1
 
     @pytest.mark.parametrize("policy", ["first", "best", "random"])
+    def test_budget_ending_at_stable_state(self, policy):
+        # the last look after the final move finds no improving move
+        st_ = full_state(clique(4))
+        out = run_dynamics(st_, Fraction(1, 2), policy=policy, budget=100, seed=2)
+        assert out.terminal == "stable" and out.steps == 3
+        short = run_dynamics(st_, Fraction(1, 2), policy=policy, budget=3, seed=2)
+        assert short == out
+        assert run_dynamics(st_, Fraction(1, 2), policy=policy, budget=2, seed=2).terminal == "budget-exhausted"
+
+    @pytest.mark.parametrize("policy", ["first", "best", "random"])
     def test_walk_applies_no_move(self, monkeypatch, policy):
         def refuse(*args, **kwargs):
             raise AssertionError("apply_move called during a walk")
