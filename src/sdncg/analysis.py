@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -485,7 +486,13 @@ def host_corpus(
     max_edges: Optional[int] = None,
 ) -> list[HostGraph]:
     """Deterministic corpus of random connected hosts; hosts denser than
-    ``max_edges`` are resampled so downstream exact sweeps stay in budget."""
+    ``max_edges`` are resampled so downstream exact sweeps stay in budget.
+    A corpus that no host can fill raises ParameterError before any is drawn."""
+    n_min, n_max = n_range
+    if n_min > n_max:
+        raise ParameterError(f"empty node range: n_min {n_min} > n_max {n_max}")
+    if max_edges is not None and max_edges < n_min - 1:
+        raise ParameterError(f"no connected host on {n_min}+ nodes has at most {max_edges} edges")
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -588,7 +595,28 @@ def _mask_is_path(host: HostGraph, mask: int, cnt: int) -> bool:
     return max(deg) <= 2
 
 
-def _suite_closed_forms(seed: int = 0, n_max: int = 50) -> list[dict]:
+# The campaigns' inputs, fixed here: a suite's only input is its seed, from
+# which its random hosts are drawn. The 13-edge cap keeps every census at or
+# under 2^13 subsets, well inside the library's default budgets.
+_COMPLETE_SIZES = (4, 5, 6)  # complete-optimum, complete-stability, poa-pos
+
+
+def _smrcst_hosts(seed: int) -> list[HostGraph]:
+    """The corpus of smrcst-stability and smrcst-certificates."""
+    return host_corpus(100, (8, 16), (0.15, 0.55), seed)
+
+
+def _optimum_hosts(seed: int) -> list[HostGraph]:
+    """The corpus of mrcst-optimality and of smrcst-certificates' ratio bound."""
+    return host_corpus(50, (4, 8), (0.05, 0.3), seed, max_edges=13)
+
+
+def _small_hosts(count: int, seed: int) -> list[HostGraph]:
+    """One corpus: its first 50 hosts in host-uniqueness, its first 20 in poa-pos."""
+    return host_corpus(count, (3, 7), (0.1, 0.45), seed, max_edges=13)
+
+
+def _suite_closed_forms(seed: int) -> list[dict]:
     claims = []
     for family, gen in (
         ("path", path),
@@ -597,7 +625,7 @@ def _suite_closed_forms(seed: int = 0, n_max: int = 50) -> list[dict]:
         ("star", star),
     ):
         bad = None
-        for n in range(3, n_max + 1):
+        for n in range(3, 51):
             st = full_state(gen(n))
             key = family if family != "cycle" else ("cycle_odd" if n % 2 else "cycle_even")
             for a in (Fraction(1, 2), Fraction(1), Fraction(n, 3), Fraction(n)):
@@ -612,15 +640,15 @@ def _suite_closed_forms(seed: int = 0, n_max: int = 50) -> list[dict]:
             _claim(
                 f"closed-form-{family}",
                 bad is None,
-                bad or f"exact equality for 3 <= n <= {n_max}, alpha in {{1/2, 1, n/3, n}}",
+                bad or "exact equality for 3 <= n <= 50, alpha in {1/2, 1, n/3, n}",
             )
         )
     return claims
 
 
-def _suite_complete_optimum(seed: int = 0, sizes=(4, 5, 6)) -> list[dict]:
+def _suite_complete_optimum(seed: int) -> list[dict]:
     claims = []
-    for n in sizes:
+    for n in _COMPLETE_SIZES:
         host, recs = _complete_census(n)
         full_mask = (1 << host.m) - 1
         n_paths = math.factorial(n) // 2
@@ -651,9 +679,9 @@ def _suite_complete_optimum(seed: int = 0, sizes=(4, 5, 6)) -> list[dict]:
     return claims
 
 
-def _suite_complete_stability(seed: int = 0, sizes=(4, 5, 6), samples: int = 40) -> list[dict]:
+def _suite_complete_stability(seed: int) -> list[dict]:
     claims = []
-    for n in sizes:
+    for n in _COMPLETE_SIZES:
         host, recs = _complete_census(n)
         full_mask = (1 << host.m) - 1
         trees = {mask for mask, cnt, _, _, _ in recs if cnt == n - 1}
@@ -700,8 +728,8 @@ def _suite_complete_stability(seed: int = 0, sizes=(4, 5, 6), samples: int = 40)
         path_mask = 0
         for i in range(n - 1):
             path_mask |= 1 << host.edge_index[(i, i + 1)]
-        rec = {mask: (lo, hi) for mask, _, _, lo, hi in recs}
-        lo, hi = rec[path_mask]
+        # the records ascend by mask, and (mask,) sorts just before mask's record
+        _, _, _, lo, hi = recs[bisect_left(recs, (path_mask,))]
         ok = stable_in_interval((lo, hi), a_path)
         ok = ok and is_pairwise_stable(GameState._from_mask(host, path_mask), a_path).stable
         claims.append(
@@ -724,7 +752,7 @@ def _suite_complete_stability(seed: int = 0, sizes=(4, 5, 6), samples: int = 40)
 
         # independent cross-check of the interval machinery on a sample
         rng = random.Random(seed * 1009 + n)
-        sample = rng.sample(recs, min(samples, len(recs)))
+        sample = rng.sample(recs, min(40, len(recs)))
         mismatch = ""
         for mask, _, _, lo, hi in sample:
             st = GameState._from_mask(host, mask)
@@ -744,13 +772,8 @@ def _suite_complete_stability(seed: int = 0, sizes=(4, 5, 6), samples: int = 40)
     return claims
 
 
-def _suite_smrcst_stability(
-    seed: int = 0,
-    count: int = 100,
-    n_range=(8, 16),
-    p_range=(0.15, 0.55),
-) -> list[dict]:
-    hosts = host_corpus(count, n_range, p_range, seed)
+def _suite_smrcst_stability(seed: int) -> list[dict]:
+    hosts = _smrcst_hosts(seed)
     unstable = ""
     weak_edge = ""
     for h in hosts:
@@ -768,7 +791,7 @@ def _suite_smrcst_stability(
         _claim(
             "smrcst-stable-at-n-third",
             not unstable,
-            unstable or f"{count} hosts, both pivots, stable at alpha=n/3",
+            unstable or f"{len(hosts)} hosts, both pivots, stable at alpha=n/3",
         ),
         _claim(
             "smrcst-per-edge-distance-drop",
@@ -778,20 +801,12 @@ def _suite_smrcst_stability(
     ]
 
 
-def _suite_mrcst_optimality(
-    seed: int = 0,
-    count: int = 50,
-    n_range=(4, 8),
-    p_range=(0.05, 0.3),
-    max_edges: int = 13,
-    subset_budget: int = 1 << 14,
-    tree_budget: int = 10**6,
-) -> list[dict]:
-    hosts = host_corpus(count, n_range, p_range, seed, max_edges=max_edges)
+def _suite_mrcst_optimality(seed: int) -> list[dict]:
+    hosts = _optimum_hosts(seed)
     bad = ""
     for h in hosts:
-        mr = mrcst_exact(h, tree_budget)
-        recs = host_census(h, subset_budget)
+        mr = mrcst_exact(h)
+        recs = host_census(h)
         for a in (Fraction(1, 2), Fraction(1)):
             opt_w = _optima(recs, a)[0]
             sw = social_welfare(mr.tree, a)
@@ -801,24 +816,17 @@ def _suite_mrcst_optimality(
         _claim(
             "mrcst-socially-optimal",
             not bad,
-            bad or f"{count} hosts, alpha in {{1/2, 1}}: exact welfare equality",
+            bad or f"{len(hosts)} hosts, alpha in {{1/2, 1}}: exact welfare equality",
         )
     ]
 
 
-def _suite_host_uniqueness(
-    seed: int = 0,
-    count: int = 50,
-    n_range=(3, 7),
-    p_range=(0.1, 0.45),
-    max_edges: int = 13,
-    budget: int = 1 << 14,
-) -> list[dict]:
-    hosts = host_corpus(count, n_range, p_range, seed, max_edges=max_edges)
+def _suite_host_uniqueness(seed: int) -> list[dict]:
+    hosts = _small_hosts(50, seed)
     bad = ""
     for h in hosts:
         a = Fraction((h.n - 1) ** 2, 4) + 1
-        atlas = enumerate_stable_states(h, a, budget)
+        atlas = enumerate_stable_states(h, a)
         want = (1 << h.m) - 1
         got = sorted(st.mask for st in atlas.stable_states)
         if got != [want]:
@@ -827,15 +835,14 @@ def _suite_host_uniqueness(
         _claim(
             "host-unique-above-threshold",
             not bad,
-            bad or f"{count} hosts at alpha=(n-1)^2/4 + 1: stable set is exactly the host",
+            bad or f"{len(hosts)} hosts at alpha=(n-1)^2/4 + 1: stable set is exactly the host",
         )
     ]
 
 
-def _suite_improving_cycle(
-    seed: int = 0, n: int = 5, alpha=Fraction(5, 2), budget: int = 10**6
-) -> list[dict]:
-    out = find_improving_cycle(n, alpha, search_budget=budget, seed=seed)
+def _suite_improving_cycle(seed: int) -> list[dict]:
+    alpha, budget = Fraction(5, 2), 10**6
+    out = find_improving_cycle(5, alpha, search_budget=budget, seed=seed)
     if out is None:
         return [_claim("improving-cycle-found", False, f"no cycle within {budget} steps")]
     ok = replay_validates_cycle(out, alpha)
@@ -849,7 +856,7 @@ def _suite_improving_cycle(
     ]
 
 
-def _suite_construction_stability(seed: int = 0) -> list[dict]:
+def _suite_construction_stability(seed: int) -> list[dict]:
     claims = []
     checks = [
         ("star-of-cliques-14", embed_in_clique(star_of_cliques(14, 2)), Fraction(2)),
@@ -888,22 +895,14 @@ def _suite_construction_stability(seed: int = 0) -> list[dict]:
     return claims
 
 
-def _suite_poa_pos(
-    seed: int = 0,
-    sizes=(4, 5, 6),
-    random_count: int = 20,
-    n_range=(3, 7),
-    p_range=(0.1, 0.45),
-    max_edges: int = 13,
-    budget: int = 1 << 16,
-) -> list[dict]:
+def _suite_poa_pos(seed: int) -> list[dict]:
     claims = []
     opt, stable = _read_census(_complete_census(6)[1], Fraction(1))
     got = opt / min(stable)
     claims.append(
         _claim("poa-k6-alpha-1", got == Fraction(4, 3), f"PoA(K_6, 1) = {got}, expected 4/3")
     )
-    for n in sizes:
+    for n in _COMPLETE_SIZES:
         host, recs = _complete_census(n)
         grid = (
             Fraction(1, 2),
@@ -924,36 +923,25 @@ def _suite_poa_pos(
                 bad or f"PoS(K_{n}) = 1 across alpha grid {[str(a) for a in grid]}",
             )
         )
-    hosts = host_corpus(random_count, n_range, p_range, seed, max_edges=max_edges)
+    hosts = _small_hosts(20, seed)
     bad = ""
     for h in hosts:
         a = Fraction((h.n - 2) * h.n * (h.n + 2), 24) + 1
-        val = poa_exact(h, a, budget)
+        val = poa_exact(h, a)
         if val != 1:
             bad = bad or f"n={h.n} m={h.m} alpha={a}: PoA = {val}"
     claims.append(
         _claim(
             "poa-one-above-host-optimal",
             not bad,
-            bad or f"{random_count} hosts at alpha = (n-2)n(n+2)/24 + 1: PoA = 1",
+            bad or f"{len(hosts)} hosts at alpha = (n-2)n(n+2)/24 + 1: PoA = 1",
         )
     )
     return claims
 
 
-def _suite_smrcst_certificates(
-    seed: int = 0,
-    count: int = 100,
-    n_range=(8, 16),
-    p_range=(0.15, 0.55),
-    opt_count: int = 50,
-    opt_n_range=(4, 8),
-    opt_p_range=(0.05, 0.3),
-    opt_max_edges: int = 13,
-    subset_budget: int = 1 << 14,
-    tree_budget: int = 10**6,
-) -> list[dict]:
-    hosts = host_corpus(count, n_range, p_range, seed)
+def _suite_smrcst_certificates(seed: int) -> list[dict]:
+    hosts = _smrcst_hosts(seed)
     bad = ""
     for h in hosts:
         for pivot in ("best", "first"):
@@ -967,21 +955,21 @@ def _suite_smrcst_certificates(
             "smrcst-certificates-corpus",
             not bad,
             bad
-            or f"{count} hosts, both pivots: iteration bound, 9*rc >= n*l^2, swap-maximal rescan",
+            or f"{len(hosts)} hosts, both pivots: iteration bound, 9*rc >= n*l^2, swap-maximal rescan",
         )
     ]
-    opt_hosts = host_corpus(opt_count, opt_n_range, opt_p_range, seed, max_edges=opt_max_edges)
+    opt_hosts = _optimum_hosts(seed)
     bad = ""
     for h in opt_hosts:
         try:
-            approximation_report(h, (Fraction(1, 2), Fraction(1)), subset_budget, tree_budget)
+            approximation_report(h, (Fraction(1, 2), Fraction(1)))
         except CertificateError as exc:
             bad = bad or f"n={h.n} m={h.m}: {exc}"
     claims.append(
         _claim(
             "mrcst-approximation-bound",
             not bad,
-            bad or f"{opt_count} hosts: SW(OPT)/SW(MRCST) <= m/(n-1) + 1 at alpha in {{1/2, 1}}",
+            bad or f"{len(opt_hosts)} hosts: SW(OPT)/SW(MRCST) <= m/(n-1) + 1 at alpha in {{1/2, 1}}",
         )
     )
     return claims
@@ -1005,8 +993,12 @@ def list_suites() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def theorem_campaign(suite: str, seed: int = 0, **overrides) -> dict:
+def theorem_campaign(suite: str, seed: int = 0) -> dict:
     """Run one named verification suite; deterministic given the seed.
+
+    The seed is a suite's only input: it draws the suite's random hosts and
+    its search. Every corpus, size and alpha is fixed in this module, so
+    ``sdncg campaign`` and this call run the same configuration.
 
     Returns a machine-readable report: per-claim pass/fail with details, and
     counterexample descriptions on failure.
@@ -1017,7 +1009,7 @@ def theorem_campaign(suite: str, seed: int = 0, **overrides) -> dict:
         raise ParameterError(
             f"unknown suite {suite!r}; available: {', '.join(sorted(_SUITES))}"
         ) from None
-    claims = fn(seed=seed, **overrides)
+    claims = fn(seed)
     return {
         "suite": suite,
         "seed": seed,

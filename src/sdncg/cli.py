@@ -52,6 +52,13 @@ def _fmt(x):
     return analysis.format_exact(x)
 
 
+def _sizes(text):
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ParameterError(f"--sizes must be comma-separated integers, got {text!r}") from None
+
+
 def _cmd_gen(args):
     spec = constructions.ConstructionSpec(
         family=args.family,
@@ -61,7 +68,7 @@ def _cmd_gen(args):
         c=args.c,
         alpha=game.parse_alpha(args.alpha) if args.alpha else None,
         base=graphio.load_graph(args.input) if args.input else None,
-        sizes=tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None,
+        sizes=_sizes(args.sizes) if args.sizes else None,
     )
     g = constructions.build_construction(spec)
     text = graphio.dump_json(g) if args.format == "json" else graphio.dump_text(g)

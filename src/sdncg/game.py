@@ -320,13 +320,11 @@ def run_dynamics(
     policy: str = FIRST_IMPROVING,
     budget: int = 10_000,
     seed: Optional[int] = None,
-    rng: Optional[random.Random] = None,
 ) -> DynamicsOutcome:
     """Iterate policy-selected improving moves until stable, revisit, or budget.
 
     Revisits are detected on labeled canonical keys, so a cycle outcome means
-    an exact state recurrence. Deterministic given (start, alpha, policy,
-    seed); ``rng`` may be passed instead of ``seed`` to share a generator.
+    an exact state recurrence. Deterministic given (start, alpha, policy, seed).
 
     The walk runs on edge masks and scans each state it stands on once: it
     stops at its first revisit, so nothing is kept between steps. A move's
@@ -335,7 +333,7 @@ def run_dynamics(
     a = as_alpha(alpha)
     if policy not in POLICIES:
         raise ParameterError(f"unknown policy {policy!r}; pick one of {POLICIES}")
-    if policy == SEEDED_RANDOM and rng is None:
+    if policy == SEEDED_RANDOM:
         if seed is None:
             raise ParameterError("the seeded-random policy requires a seed")
         rng = random.Random(seed)

@@ -6,15 +6,16 @@ command exercises the same code paths.
 """
 
 import time
+from fractions import Fraction
 
-from sdncg import theorem_campaign
+from sdncg import clique, pos_exact, theorem_campaign
 
 SEED = 0
 
 
-def _run(number, title, suite, time_limit=None, **overrides):
+def _run(number, title, suite, time_limit=None):
     t0 = time.monotonic()
-    report = theorem_campaign(suite, seed=SEED, **overrides)
+    report = theorem_campaign(suite, seed=SEED)
     elapsed = time.monotonic() - t0
     failures = [c for c in report["claims"] if not c["pass"]]
     status = "PASS" if report["passed"] and (time_limit is None or elapsed <= time_limit) else "FAIL"
@@ -60,7 +61,12 @@ def test_criterion_08_construction_stability():
 
 
 def test_criterion_09_poa_pos_spot_values():
-    _run(9, "PoA/PoS spot values", "poa-pos", sizes=(3, 4, 5, 6))
+    _run(9, "PoA/PoS spot values", "poa-pos")
+    # the suite's complete hosts start at K_4; PoS(K_3) = 1 on the same grid
+    n = 3
+    grid = (Fraction(1, 2), 1, Fraction(n, 3), Fraction(n - 1, 2), Fraction(n, 2) + Fraction(1, 4))
+    for a in grid:
+        assert pos_exact(clique(n), a) == 1, a
 
 
 def test_criterion_10_algorithm_certificates():

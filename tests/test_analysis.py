@@ -634,6 +634,23 @@ class TestCorpus:
         for h in host_corpus(20, (4, 8), (0.2, 0.5), seed=1, max_edges=12):
             assert 4 <= h.n <= 8 and h.m <= 12
 
+    def test_trees_fit_the_tightest_cap(self):
+        hosts = host_corpus(5, (4, 5), (0.1, 0.45), seed=0, max_edges=3)
+        assert [(h.n, h.m) for h in hosts] == [(4, 3)] * 5
+
+    @pytest.mark.parametrize(
+        "n_range, max_edges",
+        [((4, 7), 2), ((6, 4), None), ((6, 4), 13)],
+        ids=["no-host-fits-the-cap", "empty-range", "empty-range-capped"],
+    )
+    def test_impossible_corpus_refused_before_drawing(self, monkeypatch, n_range, max_edges):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a host was drawn")
+
+        monkeypatch.setattr(analysis, "random_connected_host", refuse)
+        with pytest.raises(ParameterError):
+            host_corpus(3, n_range, (0.1, 0.45), seed=1, max_edges=max_edges)
+
 
 class TestSweep:
     def test_cell_and_csv(self):
@@ -666,7 +683,7 @@ class TestCampaignPlumbing:
             theorem_campaign("nope")
 
     def test_report_shape(self):
-        rep = theorem_campaign("closed-forms", seed=0, n_max=12)
+        rep = theorem_campaign("closed-forms", seed=0)
         assert rep["suite"] == "closed-forms"
         assert rep["passed"] is True
         assert all({"id", "pass", "detail"} <= set(c) for c in rep["claims"])

@@ -2,11 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sdncg import analysis, cli, clique, cycle, dump_text, parse_text, path
 from sdncg.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -92,6 +98,15 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--family", "hypercube", "--d", "40")
         assert code == 2 and out == ""
         assert "d <= 16" in err
+
+    def test_non_integer_sizes_exit_2(self, capsys, tmp_path):
+        base = tmp_path / "p3.txt"
+        base.write_text(dump_text(path(3)))
+        code, out, err = run(
+            capsys, "gen", "--family", "clique-network", "--input", str(base), "--sizes", "a,b,c"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--sizes" in err
 
     def test_infeasible_params_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "star-of-cliques", "--n", "5", "--alpha", "9")
@@ -298,6 +313,28 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "--workers" in err
 
+    def test_edge_cap_below_every_host_exit_2(self):
+        # every host on 4 or more nodes has at least 3 edges: resampling
+        # could never end, so this runs in a child under a timeout
+        entry = "import sys; from sdncg.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["sweep", "--alpha", "1", "--seed", "1", "--n-min", "4", "--max-edges", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-c", entry, *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "at most 2 edges" in proc.stderr
+
+    def test_empty_node_range_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--alpha", "1", "--seed", "1", "--n-min", "6", "--n-max", "4"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "node range" in err
+
     def test_random_mode_requires_seed(self, capsys):
         code, _, err = run(capsys, "sweep", "--alpha", "1")
         assert code == 2 and "seed" in err
@@ -314,6 +351,16 @@ class TestCampaign:
         payload = json.loads(report.read_text())
         assert payload["suite"] == "construction-stability"
         assert payload["passed"] is True
+
+    def test_seed_zero_matches_golden(self, capsys, tmp_path):
+        # the exactness contract: a change to any claim shows here
+        report = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "campaign", "--suite", "all", "--seed", "0", "--output", str(report)
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / "campaign-seed0.txt").read_bytes()
+        assert report.read_bytes() == (GOLDEN / "campaign-seed0.json").read_bytes()
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, err = run(capsys, "campaign", "--suite", "bogus")
