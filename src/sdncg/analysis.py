@@ -15,23 +15,43 @@ PoS at every alpha are read off the same records.
 The census is built in two passes over the lattice of edge subsets. Pass 1
 (``_census_sums``) walks the subset tree depth first, edges from the highest
 index down and each left out before put in, so leaves come in ascending mask
-order. A subset's distance matrix (``n*n`` where unreachable) is its prefix's
-plus one edge, which rewrites only the rows the edge shortens (Ausiello et
-al., J. Algorithms 1991). Branches that cannot reach n - 1 edges or that
-isolate a node are skipped; a leaf is connected iff node 0's sum is at most
-n(n-1)/2. Pass 2 reads each pair (S - e, S) of connected states once:
+order. A subset's distance matrix is its prefix's plus one edge (Ausiello et
+al., J. Algorithms 1991), and it is held as one integer of W-bit lanes
+(Lamport, CACM 1975): pair (x, y) owns the lane at bit W*(x*n + y), the top
+bit of each lane is a guard bit, and an unreachable pair holds the sentinel
+n. ``_add_edge`` inserts edge (u, v) in a fixed 28 big-int operations, with
+no loop over rows: column u is masked out and copied along every row by one
+multiplication, row v masked out and copied down every row by another, and
+their sum is set against the same with u and v swapped; the smaller, plus
+one, is set against the old lane. Each lane-wise minimum subtracts one
+operand from the other with every guard bit set and keeps the lanes whose
+guard bit survives. W is the least width that meets two bounds:
+
+- every candidate, at most 2n + 1, stays below the guard bit, so no
+  subtraction borrows across lanes;
+- every lane of the row-sum product at a connected leaf, a sum of n lanes
+  each at most n - 1, stays below 2^W, so no lane carries into the next.
+
+Branches that cannot reach n - 1 edges or that isolate a node are skipped. A
+leaf is connected iff no lane of row 0 holds n, which the guard bits show
+after 2^(W-1) - n is added to each of those lanes. One multiplication then
+sums each row into its top lane, and the per-node sums stay packed, node x's
+in lane (x, 0). Pass 2 reads each pair (S - e, S) of connected states once:
 removing e from S raises each endpoint's sum by what adding e to S - e lowers
-it, so one difference bounds S's ``lo`` and S - e's ``hi``. No S - e means e
-is a bridge of S. No move is scanned and no BFS runs. The sums of every
-connected state are held until pass 2 ends (tracemalloc: 8.0 MiB peak for
-K_6's 26,704 states, 3.2 MiB retained).
+it, so one difference bounds S's ``lo`` and S - e's ``hi``. One lane-wise
+subtraction gives the rises of both endpoints; it cannot borrow, since
+removing an edge lowers no distance sum. ``rc`` is one more multiplication,
+which adds the n sums. No S - e means e is a bridge of S. No move is scanned
+and no BFS runs. The packed sums of every connected state are held until
+pass 2 ends (tracemalloc: 7.0 MiB peak for K_6's 26,704 states, 3.1 MiB
+retained).
 
 ``host_census`` keeps nothing between calls: a caller that asks one host
 several questions builds its census once and reads it as often as it needs
 (``sweep_host``, ``approximation_report``, the campaign suites). The one
 process-wide store is the per-n memo of the complete hosts' censuses
 (``_complete_census``), which three suites read and which the CLI runs as
-separate ``campaign`` calls; K_6's census alone takes 0.15 to 0.4 s to build.
+separate ``campaign`` calls; K_6's census alone takes 0.16 to 0.25 s to build.
 """
 
 from __future__ import annotations
@@ -146,48 +166,67 @@ def threshold_table(n: int) -> ThresholdTable:
     )
 
 
-def _add_edge(rows, u, v):
-    """Distance rows after adding edge (u, v); a row changes only if its
-    distances to u and v differ by more than 1, and unchanged rows are shared."""
-    new = list(rows)
-    for x, r in enumerate(rows):
-        du = r[u]
-        dv = r[v]
-        if du > dv + 1:
-            base, far = dv + 1, rows[u]
-        elif dv > du + 1:
-            base, far = du + 1, rows[v]
-        else:
-            continue
-        new[x] = [a if a <= base + b else base + b for a, b in zip(r, far)]
-    return new
+def _lanes(n: int) -> tuple:
+    """The constants of the packed distance matrix on n nodes (see the module
+    docstring): the lane width W, the row stride W*n, the guard shift W - 1,
+    the masks of column 0 and of row 0, the multipliers that copy lane (x, 0)
+    along row x and row 0 down every row, the guard bit of every lane, and
+    2^(W-1) - 1 in every lane. W is the least width with 2n + 1 below the
+    guard bit and n(n - 1) below 2^W."""
+    w = max((2 * n + 1).bit_length() + 1, (n * (n - 1)).bit_length())
+    wn = w * n
+    lane = (1 << w) - 1
+    across = sum(1 << w * y for y in range(n))
+    down = sum(1 << wn * x for x in range(n))
+    ones = across * down
+    guard = ones << (w - 1)
+    return w, wn, w - 1, lane * down, lane * across, across, down, guard, guard - ones
+
+
+def _add_edge(d: int, u: int, v: int, lanes: tuple) -> int:
+    """The packed distance matrix after adding edge (u, v): lane by lane,
+    D[x][y] = min(D[x][y], D[x][u] + 1 + D[v][y], D[x][v] + 1 + D[u][y])."""
+    w, wn, top, col0, row0, across, down, guard, below = lanes
+    c = ((d >> w * u) & col0) * across + ((d >> wn * v) & row0) * down
+    t = (c | guard) - ((d >> w * v) & col0) * across - ((d >> wn * u) & row0) * down
+    g = t & guard  # guard bit set where D[x][u] + D[v][y] >= D[x][v] + D[u][y]
+    c -= t & (g - (g >> top))
+    t = d + below - c  # guard bit set where D[x][y] >= c + 1
+    g = t & guard
+    return d - (t & (g - (g >> top)))
 
 
 def _census_sums(host: HostGraph) -> dict:
-    """Census pass 1: ``{mask: per-node distance sums}`` of every connected
-    spanning edge subset, in ascending mask order (see the module docstring).
-    The stack is explicit, since a self-recursive closure is a reference
-    cycle that would hold the result until the collector runs."""
+    """Census pass 1: ``{mask: packed per-node distance sums}`` of every
+    connected spanning edge subset, in ascending mask order, with node x's sum
+    in lane (x, 0) (see the module docstring). The stack is explicit, since a
+    self-recursive closure is a reference cycle that would hold the result
+    until the collector runs."""
     n = host.n
     need = n - 1
+    lanes = _lanes(n)
+    w, wn, _, col0, row0, across, down, guard, _ = lanes
     last = [0] * host.m  # per edge, the nodes whose last-decided edge it is
-    for w in range(n):
-        last[host.edge_index[edge(w, min(host.adj[w]))]] |= 1 << w
-    rows = [[0 if x == y else n * n for y in range(n)] for x in range(n)]
+    for x in range(n):
+        last[host.edge_index[edge(x, min(host.adj[x]))]] |= 1 << x
+    d = n * (across * down - sum(1 << (wn + w) * x for x in range(n)))  # n off the diagonal
+    guard0 = guard & row0
+    reach = guard0 - n * across  # 2^(W-1) - n in each lane of row 0
+    shift = w * (n - 1)
     sums = {}
-    stack = [(host.m, 0, 0, rows)]  # (undecided edges, mask, nodes it covers, rows)
+    stack = [(host.m, 0, 0, d)]  # (undecided edges, mask, nodes it covers, matrix)
     while stack:
-        i, mask, covered, rows = stack.pop()
+        i, mask, covered, d = stack.pop()
         if i == 0:
-            if sum(rows[0]) <= n * need // 2:
-                sums[mask] = tuple(map(sum, rows))
+            if not (d + reach) & guard0:  # no lane of row 0 holds n
+                sums[mask] = (d * across >> shift) & col0
             continue
         i -= 1
         u, v = host.edges[i]
-        stack.append((i, mask | 1 << i, covered | 1 << u | 1 << v, _add_edge(rows, u, v)))
+        stack.append((i, mask | 1 << i, covered | 1 << u | 1 << v, _add_edge(d, u, v, lanes)))
         # leave edge i out only if n - 1 edges stay reachable and no node is isolated
         if mask.bit_count() + i >= need and not last[i] & ~covered:
-            stack.append((i, mask, covered, rows))
+            stack.append((i, mask, covered, d))
     return sums
 
 
@@ -203,26 +242,29 @@ def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
 
     Every call builds the census anew; nothing is cached. Every
     ``inc``/``dec`` is the difference of two neighbouring states' per-node
-    distance sums (see the module docstring), so the build holds n sums and
-    a ``hi`` per connected state until it ends: about 2.5 times the retained
-    memory at its peak.
+    distance sums (see the module docstring), so the build holds one packed
+    int of sums and a ``hi`` per connected state until it ends: about 2.3
+    times the retained memory at its peak.
     """
     if (1 << host.m) > budget:
         raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
     ps = _census_sums(host)
-    bits = [(1 << i, u, v) for i, (u, v) in enumerate(host.edges)]
+    w, wn, _, _, row0, _, down, _, _ = _lanes(host.n)
+    lane = (1 << w) - 1
+    bits = [(1 << i, wn * u, wn * v) for i, (u, v) in enumerate(host.edges)]
     lo = []
     hi = dict.fromkeys(ps)
     for mask, sums in ps.items():
         top = None
-        for bit, u, v in bits:
+        for bit, su, sv in bits:
             if mask & bit:
                 prev = mask ^ bit
                 before = ps.get(prev)
                 if before is None:  # e is a bridge of S
                     continue
-                rise_u = before[u] - sums[u]
-                rise_v = before[v] - sums[v]
+                rises = before - sums  # no lane borrows: no sum falls
+                rise_u = (rises >> su) & lane
+                rise_v = (rises >> sv) & lane
                 rise = rise_u if rise_u >= rise_v else rise_v
                 if top is None or rise > top:
                     top = rise
@@ -230,8 +272,10 @@ def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
                 if low is None or rise < low:
                     hi[prev] = rise
         lo.append(top)
+    shift = wn * (host.n - 1)  # the row of n - 1 in sums * down holds all n sums
     return tuple(
-        (mask, mask.bit_count(), sum(sums), top, hi[mask]) for (mask, sums), top in zip(ps.items(), lo)
+        (mask, mask.bit_count(), (sums * down >> shift) & row0, top, hi[mask])
+        for (mask, sums), top in zip(ps.items(), lo)
     )
 
 
@@ -478,6 +522,11 @@ def random_connected_host(n: int, p: float, rng: random.Random) -> HostGraph:
     return HostGraph(n, chosen)
 
 
+# consecutive draws over the edge cap after which host_corpus gives up: a cap
+# that only trees meet on many nodes would otherwise resample for ages
+_MAX_REJECTS = 1000
+
+
 def host_corpus(
     count: int,
     n_range: tuple[int, int],
@@ -487,7 +536,8 @@ def host_corpus(
 ) -> list[HostGraph]:
     """Deterministic corpus of random connected hosts; hosts denser than
     ``max_edges`` are resampled so downstream exact sweeps stay in budget.
-    A corpus that no host can fill raises ParameterError before any is drawn."""
+    A corpus that no host can fill raises ParameterError before any is drawn,
+    and one whose cap rejects ``_MAX_REJECTS`` draws in a row raises it then."""
     n_min, n_max = n_range
     if n_min > n_max:
         raise ParameterError(f"empty node range: n_min {n_min} > n_max {n_max}")
@@ -495,12 +545,20 @@ def host_corpus(
         raise ParameterError(f"no connected host on {n_min}+ nodes has at most {max_edges} edges")
     rng = random.Random(seed)
     out = []
+    rejects = 0
     while len(out) < count:
         n = rng.randint(*n_range)
         p = rng.uniform(*p_range)
         h = random_connected_host(n, p, rng)
         if max_edges is not None and h.m > max_edges:
+            rejects += 1
+            if rejects == _MAX_REJECTS:
+                raise ParameterError(
+                    f"{rejects} hosts in a row had more than {max_edges} edges; "
+                    "raise the edge cap or lower the node range"
+                )
             continue
+        rejects = 0
         out.append(h)
     return out
 

@@ -260,6 +260,8 @@ def _cmd_sweep(args):
     else:
         if args.seed is None:
             raise ParameterError("random sweep requires --seed (or pass --input files)")
+        if args.count < 1:
+            raise ParameterError(f"--count must be at least 1, got {args.count}")
         hosts = analysis.host_corpus(
             args.count,
             (args.n_min, args.n_max),

@@ -113,9 +113,9 @@ def updates(monkeypatch):
     calls = []
     update = analysis._add_edge
 
-    def counted(rows, u, v):
+    def counted(d, u, v, lanes):
         calls.append((u, v))
-        return update(rows, u, v)
+        return update(d, u, v, lanes)
 
     monkeypatch.setattr(analysis, "_add_edge", counted)
     return calls
@@ -239,6 +239,22 @@ class TestHostCensus:
 
 TREE_HOST = HostGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
 
+
+def _lane_width_hosts():
+    # with the n = 2 host below, n = 3..10 spans every lane width from 4 to 7
+    # bits and both bounds on it; from n = 8 on the hosts are sparse, so the
+    # oracle's subsets stay few
+    rng = random.Random(72)
+    hosts = []
+    for n in range(3, 11):
+        hosts.append(cycle(n))
+        while len(hosts) % 3:
+            h = random_connected_host(n, 0.5 if n < 8 else 0.05, rng)
+            if h.m <= 12:
+                hosts.append(h)
+    return hosts
+
+
 # a branching tree host, where every removal is a bridge (lo is None); a
 # cycle host, whose other states are paths; the smallest host; and two hosts
 # whose lowest-index edges are node 0's, so that the prefixes of the high
@@ -250,7 +266,7 @@ BUILDER_HOSTS = CENSUS_HOSTS + [
     HostGraph(2, [(0, 1)]),
     HostGraph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (2, 3), (4, 5), (5, 6)]),
     HostGraph(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (2, 5)]),
-]
+] + _lane_width_hosts()
 
 
 def _oracle_census(host):
@@ -260,6 +276,12 @@ def _oracle_census(host):
         st = GameState(host, sub)
         recs.append((st.mask, len(sub), routing_cost(st), *game.stability_interval(st)))
     return tuple(sorted(recs))
+
+
+def _node_sum(sums, n, x):
+    """Node x's distance sum, read from the packed sums of ``_census_sums``."""
+    w, wn = analysis._lanes(n)[:2]
+    return (sums >> wn * x) & ((1 << w) - 1)
 
 
 class TestCensusBuilder:
@@ -311,7 +333,7 @@ class TestCensusBuilder:
         # the one state is kept
         sums = analysis._census_sums(path(n))
         assert list(sums) == [(1 << (n - 1)) - 1]
-        assert sums[(1 << (n - 1)) - 1][0] == n * (n - 1) // 2
+        assert _node_sum(sums[(1 << (n - 1)) - 1], n, 0) == n * (n - 1) // 2
 
     @given(st.integers(0, 10**6), st.integers(2, 6))
     @settings(max_examples=30, deadline=None)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,31 @@ class TestSweep:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "at most 2 edges" in proc.stderr
+
+    def test_tree_only_edge_cap_fails_fast(self, capsys):
+        # on 20 nodes only a tree meets a 19-edge cap, and a draw is a tree
+        # with probability below 10^-7: the corpus gives up after a run of
+        # rejections
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "sweep", "--alpha", "1", "--seed", "1", "--n-min", "20", "--n-max", "20",
+            "--max-edges", "19", "--count", "1",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "more than 19 edges" in err
+
+    @pytest.mark.parametrize("count", [-2, 0])
+    def test_count_below_one_rejected_before_drawing(self, capsys, monkeypatch, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a host was drawn")
+
+        monkeypatch.setattr(analysis, "random_connected_host", refuse)
+        code, out, err = run(
+            capsys, "sweep", "--alpha", "1", "--seed", "1", "--count", str(count)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--count" in err
 
     def test_empty_node_range_exit_2(self, capsys):
         code, out, err = run(
