@@ -106,7 +106,6 @@ from .spanning import (
     SmrcstResult,
     enumerate_spanning_trees,
     extend_to_spanning_tree,
-    find_hamilton_path,
     greedy_long_path,
     mrcst_exact,
     smrcst,

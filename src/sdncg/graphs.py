@@ -9,15 +9,18 @@ workers.
 Adjacency is kept both as neighbor sets and as per-node bitmasks. Python
 integers are unbounded, so the bitmask path is exact at every size and is
 the one used by the hot loops; ``_bfs`` is the one traversal kernel behind
-connectivity, bridges, distance rows and distance sums. A ``GameState``
-stores its edge set once, as a bitmask over the host's sorted edge list;
-everything else about a state is derived from that mask.
+connectivity, bridges, distance sums and the distance rows of states with
+cycles. A spanning tree's table needs no BFS: ``_rooted`` roots it once,
+and each row follows from its parent's row. A ``GameState`` stores its edge
+set once, as a bitmask over the host's sorted edge list; everything else
+about a state is derived from that mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import StructureError
@@ -77,6 +80,45 @@ def _bfs(nbr, sources: int, allowed: int = -1, row=None):
                     row[low.bit_length() - 1] = d
                     f ^= low
     return total, seen & allowed
+
+
+def _rooted(nbr, n: int):
+    """Root the tree in ``nbr`` at node 0: ``(parent, depth, order, size, sums)``.
+
+    ``order`` is a depth-first preorder, so node ``order[i]``'s subtree is
+    the slice ``order[i : i + size[order[i]]]``. ``sums`` are the per-node
+    distance sums: a child c is one step nearer than its parent to the
+    size[c] nodes of its subtree and one step farther from the others. The
+    preorder holds only the nodes reached from 0: on n - 1 edges that do
+    not connect all n nodes it is shorter than n, and the other lists are
+    then meaningless.
+    """
+    parent = [0] * n
+    depth = [0] * n
+    order = []
+    seen = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        f = nbr[v] & ~seen
+        seen |= f
+        d = depth[v] + 1
+        while f:
+            low = f & -f
+            w = low.bit_length() - 1
+            parent[w] = v
+            depth[w] = d
+            stack.append(w)
+            f ^= low
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    sums = [0] * n
+    sums[0] = sum(depth)
+    for v in order[1:]:
+        sums[v] = sums[parent[v]] + n - 2 * size[v]
+    return parent, depth, order, size, sums
 
 
 class HostGraph:
@@ -236,10 +278,14 @@ def bfs_all_pairs(state: GameState) -> DistanceTable:
     """Exact all-pairs distances of a state.
 
     Defensive about disconnection even though validated states are always
-    connected (unchecked fast-path constructions funnel through here).
+    connected (unchecked fast-path constructions funnel through here). A
+    state with n - 1 edges is connected only as a spanning tree, whose
+    table ``_tree_table`` builds without BFS.
     """
     n = state.host.n
     nbr = state.adjacency_masks
+    if state.is_tree:
+        return _tree_table(nbr, n)
     full = (1 << n) - 1
     rows = []
     sums = []
@@ -251,6 +297,36 @@ def bfs_all_pairs(state: GameState) -> DistanceTable:
         rows.append(tuple(row))
         sums.append(s)
     return DistanceTable(tuple(rows), tuple(sums), sum(sums))
+
+
+def _tree_table(nbr, n: int) -> DistanceTable:
+    """All-pairs distances of the spanning tree in ``nbr``, row from row.
+
+    Rooted at 0, a child c is one step nearer than its parent to every node
+    of its subtree and one step farther from every other node. Rows are
+    built in preorder coordinates, where c's subtree is one slice, and one
+    ``itemgetter`` puts each back in label order.
+    """
+    parent, depth, order, size, sums = _rooted(nbr, n)
+    if len(order) != n:
+        raise StructureError("state is disconnected")
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    relabel = itemgetter(*pos)
+    rows = [None] * n
+    rows[0] = [depth[v] for v in order]
+    dist = [None] * n
+    dist[0] = relabel(rows[0])
+    for i in range(1, n):
+        c = order[i]
+        up = rows[parent[c]]
+        row = [x + 1 for x in up]
+        end = i + size[c]
+        row[i:end] = [x - 1 for x in up[i:end]]
+        rows[c] = row
+        dist[c] = relabel(row)
+    return DistanceTable(tuple(dist), tuple(sums), sum(sums))
 
 
 def routing_cost(state: GameState) -> int:
@@ -284,12 +360,14 @@ class TreeScaffold:
     Rooted at node 0. ``subtree_size``, ``down`` (distance sums within each
     subtree) and ``per_node_sum``, together with the tree's cached distance
     table, let a single-swap routing-cost delta be computed in O(1).
+    ``order`` is a preorder: every node comes after its parent.
     """
 
     __slots__ = (
         "tree",
         "parent",
         "depth",
+        "order",
         "subtree_size",
         "down",
         "per_node_sum",
@@ -301,47 +379,20 @@ class TreeScaffold:
         n = host.n
         if tree.m != n - 1:
             raise StructureError(f"not a spanning tree: {tree.m} edges on {n} nodes")
-        nbr = tree.adjacency_masks
-        parent = [0] * n
-        depth = [0] * n
-        order = [0]
-        seen = 1
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            f = nbr[v] & ~seen
-            seen |= f
-            while f:
-                low = f & -f
-                w = low.bit_length() - 1
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                order.append(w)
-                f ^= low
+        parent, depth, order, size, pns = _rooted(tree.adjacency_masks, n)
         if len(order) != n:
             raise StructureError("not a spanning tree: disconnected")
-        size = [1] * n
         down = [0] * n
-        for v in reversed(order):
-            if v:
-                p = parent[v]
-                size[p] += size[v]
-                down[p] += down[v] + size[v]
-        total = 0
-        pns = [0] * n
-        pns[0] = sum(depth)
-        for v in order:
-            if v:
-                total += size[v] * (n - size[v])
-                pns[v] = pns[parent[v]] + n - 2 * size[v]
+        for v in reversed(order[1:]):
+            down[parent[v]] += down[v] + size[v]
         self.tree = tree
         self.parent = tuple(parent)
         self.depth = tuple(depth)
+        self.order = tuple(order)
         self.subtree_size = tuple(size)
         self.down = tuple(down)
         self.per_node_sum = tuple(pns)
-        self.total = 2 * total
+        self.total = sum(pns)
 
     def __repr__(self):
         return f"TreeScaffold(n={self.tree.host.n}, cost={self.total})"

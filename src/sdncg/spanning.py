@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, CertificateError, ParameterError, StructureError
-from .graphs import GameState, HostGraph, TreeScaffold, _bfs, _cut_swap_deltas, edge
+from .graphs import GameState, HostGraph, TreeScaffold, _cut_swap_deltas, edge
 
 BEST_SWAP = "best"
 FIRST_SWAP = "first"
@@ -68,57 +68,13 @@ def _deepest_dfs_path(host: HostGraph) -> list[int]:
     return best
 
 
-def _exact_longest_path(host: HostGraph, seed: list[int]) -> list[int]:
-    """Exact longest simple path by branch and bound (meant for n <= 20).
-
-    Prunes by the size of the unvisited region still reachable from the
-    current endpoint; the seed path provides the initial bound.
-    """
-    n = host.n
-    adj_mask = host.adj_mask
-    best = list(seed)
-    best_len = len(best)
-    stack_path: list[int] = []
-
-    def rec(v: int, visited: int) -> None:
-        nonlocal best, best_len
-        if best_len == n:
-            return
-        ext = adj_mask[v] & ~visited
-        if len(stack_path) > best_len:
-            best = list(stack_path)
-            best_len = len(best)
-        if not ext:
-            return
-        # the unvisited nodes still reachable from v bound any extension
-        if len(stack_path) + _bfs(adj_mask, ext, ~visited)[1].bit_count() <= best_len:
-            return
-        f = ext
-        while f:
-            low = f & -f
-            w = low.bit_length() - 1
-            f ^= low
-            stack_path.append(w)
-            rec(w, visited | low)
-            stack_path.pop()
-            if best_len == n:
-                return
-
-    for start in range(n):
-        if best_len == n:
-            break
-        stack_path = [start]
-        rec(start, 1 << start)
-    return best
-
-
 def greedy_long_path(host: HostGraph) -> list[int]:
     """A simple path whose edge count l satisfies l * n >= m.
 
     Two-sided greedy: seed at a minimum-degree node, repeatedly step to the
     unvisited neighbor of minimum degree (ties to the smaller label), first
     forward then backward. If the greedy path misses the m/n guarantee the
-    exact search takes over for n <= 20 and the DFS-depth fallback beyond.
+    DFS-depth fallback takes over, which always meets it.
     """
     n, m = host.n, host.m
     deg = [host.degree(v) for v in range(n)]
@@ -149,8 +105,6 @@ def greedy_long_path(host: HostGraph) -> list[int]:
         rescue = _deepest_dfs_path(host)
         if len(rescue) > len(path):
             path = rescue
-        if n <= 20:
-            path = _exact_longest_path(host, path)
     if (len(path) - 1) * n < m:
         raise CertificateError(
             f"long-path guarantee violated: l*n = {(len(path) - 1) * n} < m = {m}"
@@ -208,9 +162,12 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
     Removing tree edge e and adding host edge f leaves a tree exactly when e
     lies on the tree path of f, so each non-tree edge f = (x, y) walks its
     path up to the lowest common ancestor and scores each tree edge on it in
-    O(1). For the edge from c up to its parent, with x in c's subtree,
-    s = size[c], o = n - s, j = depth[x] - depth[c], k the tree distance
-    from x to y and P the per-node distance sums, the routing-cost change is
+    O(1). The ancestor's depth is read off ``anc``, the node masks of each
+    node and its ancestors: x and y share exactly the ancestors of their
+    lowest common one. For the edge from c up to its parent, with x in c's
+    subtree, s = size[c], o = n - s, j = depth[x] - depth[c], k the tree
+    distance from x to y and P the per-node distance sums, the routing-cost
+    change is
 
         2 * [o*(P[x] - o*(j+1)) + s*(P[y] - s*(k-j)) - n*(P[parent c] - s)]
 
@@ -221,7 +178,9 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
 
     ``best`` takes the largest change and ``first`` the smallest (e, f) with
     a positive one; ties go to the smallest (e, f). Host edges are sorted, so
-    f arrives in increasing order and only e needs comparing.
+    f arrives in increasing order and only e needs comparing. Once ``first``
+    holds a pick, only tree edges below it can win, so it scores no other;
+    a pass that finds nothing scores every pair.
     """
     host = scaffold.tree.host
     n = host.n
@@ -232,39 +191,40 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
     edge_index = host.edge_index
     up = [-1] + [edge_index[edge(c, parent[c])] for c in range(1, n)]
     r = [n * ((n - 2 * size[c]) * depth[c] + size[c] - pns[parent[c]]) for c in range(n)]
+    anc = [0] * n
+    for v in scaffold.order:
+        anc[v] = anc[parent[v]] | (1 << v)
     first = pivot == FIRST_SWAP
     tree_mask = scaffold.tree.mask
     best_delta = 0
-    best_e = best_f = None
+    best_e = limit = host.m
+    best_f = None
     for i, f in enumerate(host.edges):
         if (tree_mask >> i) & 1:
             continue
         x, y = f
-        a, b = x, y
-        while depth[a] > depth[b]:
-            a = parent[a]
-        while depth[b] > depth[a]:
-            b = parent[b]
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-        k1 = depth[x] + depth[y] - 2 * depth[a] + 1
+        dl = (anc[x] & anc[y]).bit_count() - 1
+        k1 = depth[x] + depth[y] - 2 * dl + 1
         for near, far in ((x, y), (y, x)):
             j1 = depth[near] + 1
             t = n * (n * j1 - pns[near])
             c1 = pns[far] - pns[near] + 2 * n * j1
             c = near
-            while c != a:
-                s = size[c]
-                delta = s * (c1 - s * k1) + r[c]
-                if delta > t:
-                    delta = 1 if first else delta - t
-                    if delta > best_delta or (delta == best_delta and up[c] < best_e):
-                        best_delta = delta
-                        best_e = up[c]
-                        best_f = f
+            for _ in range(depth[near] - dl):
+                e = up[c]
+                if e < limit:
+                    s = size[c]
+                    delta = s * (c1 - s * k1) + r[c]
+                    if delta > t:
+                        delta = 1 if first else delta - t
+                        if delta > best_delta or (delta == best_delta and e < best_e):
+                            best_delta = delta
+                            best_e = e
+                            best_f = f
+                            if first:
+                                limit = e
                 c = parent[c]
-    if best_e is None:
+    if best_f is None:
         return None
     return host.edges[best_e], best_f
 
@@ -403,20 +363,12 @@ def mrcst_exact(host: HostGraph, budget: int = 10**6) -> TreeScaffold:
     return TreeScaffold(GameState._from_mask(host, best_mask))
 
 
-def find_hamilton_path(host: HostGraph) -> Optional[list[int]]:
-    """A Hamilton path of the host, or None. Exact search; small n only."""
-    longest = _exact_longest_path(host, _deepest_dfs_path(host))
-    if len(longest) == host.n:
-        return longest
-    return None
-
-
 def _crossing_sets(scaffold: TreeScaffold) -> list[int]:
     """Per node c, the bitmask of non-tree host edges (by index) with exactly
     one endpoint in c's subtree: the crossing set of the cut above c.
 
     Each node starts with its non-tree incidence mask, and children fold
-    into parents by XOR, deepest first. The fold is the XOR over c's
+    into parents by XOR, in reverse preorder. The fold is the XOR over c's
     subtree, in which an edge with both endpoints inside cancels.
     """
     host = scaffold.tree.host
@@ -428,7 +380,7 @@ def _crossing_sets(scaffold: TreeScaffold) -> list[int]:
             bit = 1 << i
             cross[x] ^= bit
             cross[y] ^= bit
-    for c in sorted(range(1, host.n), key=scaffold.depth.__getitem__, reverse=True):
+    for c in reversed(scaffold.order[1:]):
         cross[parent[c]] ^= cross[c]
     return cross
 
@@ -446,7 +398,9 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     The rescan visits only the crossing pairs: ``_crossing_sets`` gives
     every cut's crossing edges in one bottom-up XOR pass, and
     ``graphs._cut_swap_deltas`` scores them from terms read once per cut
-    and the tree's distance table, independently of the search loop. Tree
+    and the tree's distance table, independently of the search loop. That
+    table is the state's cached one, built once row from row without BFS,
+    and a later stability check of the tree reads the same table. Tree
     edges, then crossing edges, go in ascending index order, and the first
     improving pair is named.
     """

@@ -22,9 +22,11 @@ from sdncg import (
     path,
     random_connected_host,
     routing_cost,
+    smrcst,
     star,
     tree_swap_delta,
 )
+from sdncg import graphs
 
 
 def host_strategy(n_max=7):
@@ -201,12 +203,83 @@ class TestTreeScaffold:
     def test_matches_bfs_on_all_spanning_trees(self):
         for host in (clique(5), cycle(6), random_connected_host(7, 0.5, random.Random(7))):
             for sc in enumerate_spanning_trees(host):
-                assert sc.total == bfs_all_pairs(sc.tree).total
+                sums, total = oracles.distance_sums(host.n, sc.tree.active)
+                assert (sc.per_node_sum, sc.total) == (tuple(sums), total)
 
     def test_per_node_sums(self):
         sc = TreeScaffold(full_state(star(5)))
-        t = bfs_all_pairs(sc.tree)
-        assert sc.per_node_sum == t.per_node_sum
+        assert sc.per_node_sum == tuple(oracles.distance_sums(5, sc.tree.active)[0])
+
+    def test_order_is_a_preorder(self):
+        rng = random.Random(17)
+        for n in range(2, 30):
+            host = clique(n)
+            sc = TreeScaffold(GameState(host, oracles.random_spanning_tree(n, host.edges, rng)))
+            assert sorted(sc.order) == list(range(n))
+            at = {v: i for i, v in enumerate(sc.order)}
+            for i, v in enumerate(sc.order):
+                block = sc.order[i : i + sc.subtree_size[v]]
+                # the subtree of v is the slice starting at v
+                assert all(w == v or at[sc.parent[w]] >= i for w in block)
+                assert all(at[sc.parent[w]] < at[w] for w in block if w != v)
+
+
+class TestTreeTable:
+    """Tree tables (built without BFS) against Floyd-Warshall."""
+
+    def assert_matches_oracle(self, state):
+        n = state.host.n
+        t = bfs_all_pairs(state)
+        ref = oracles.floyd_warshall(n, state.active)
+        assert t.dist == tuple(tuple(row) for row in ref)
+        sums, total = oracles.distance_sums(n, state.active)
+        assert (t.per_node_sum, t.total) == (tuple(sums), total)
+
+    def test_random_trees(self):
+        rng = random.Random(29)
+        for n in range(2, 71):
+            host = random_connected_host(n, min(1.0, 6 / n), rng)
+            for _ in range(2):
+                tree = oracles.random_spanning_tree(n, host.edges, rng)
+                self.assert_matches_oracle(GameState(host, tree))
+
+    def test_paths_and_stars(self):
+        for n in (2, 3, 10, 70):
+            self.assert_matches_oracle(full_state(path(n)))
+            self.assert_matches_oracle(full_state(star(n)))
+
+    def test_relabeled_path(self):
+        # a path whose labels jump around, so preorder and labels differ
+        order = random.Random(3).sample(range(40), 40)
+        host = clique(40)
+        self.assert_matches_oracle(GameState(host, zip(order, order[1:])))
+
+    def test_smrcst_trees(self):
+        rng = random.Random(31)
+        for n in (12, 40, 70):
+            host = random_connected_host(n, 6 / n, rng)
+            for pivot in ("best", "first"):
+                self.assert_matches_oracle(smrcst(host, pivot).tree.tree)
+
+    def test_disconnected_tree_sized_mask(self):
+        # n - 1 edges: a triangle plus an isolated node
+        h = clique(4)
+        mask = sum(1 << h.edge_index[e] for e in ((0, 1), (0, 2), (1, 2)))
+        with pytest.raises(StructureError, match="state is disconnected"):
+            bfs_all_pairs(GameState._from_mask(h, mask))
+        # and with node 0 the isolated one
+        mask = sum(1 << h.edge_index[e] for e in ((1, 2), (1, 3), (2, 3)))
+        with pytest.raises(StructureError, match="state is disconnected"):
+            bfs_all_pairs(GameState._from_mask(h, mask))
+
+    def test_tree_table_runs_no_bfs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("BFS on a tree")
+
+        state = full_state(path(9))
+        monkeypatch.setattr(graphs, "_bfs", refuse)
+        t = bfs_all_pairs(state)
+        assert t.total == 8 * 9 * 10 // 3
 
 
 class TestSwapDelta:

@@ -49,6 +49,20 @@ def crossing_swaps(scaffold):
             yield e, f
 
 
+def delta_scan_picks(scaffold):
+    """The swaps each pivot must pick, by ``tree_swap_delta`` on every
+    crossing pair in scan order: the first pair of the largest positive
+    change, and the first pair with a positive one."""
+    best_delta, best, first = 0, None, None
+    for e, f in crossing_swaps(scaffold):
+        delta = tree_swap_delta(scaffold, e, f)
+        if delta > 0 and first is None:
+            first = e, f
+        if delta > best_delta:
+            best_delta, best = delta, (e, f)
+    return {"best": best, "first": first}
+
+
 def no_improving_swap(scaffold):
     return all(tree_swap_delta(scaffold, e, f) <= 0 for e, f in crossing_swaps(scaffold))
 
@@ -232,15 +246,29 @@ class TestFindSwapAgainstDelta:
             n = rng.randint(5, 70)
             h = host_with_m_edges(n, min(3 * n, n * (n - 1) // 2), rng)
             sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
-            best_delta, best, first = 0, None, None
-            for e, f in crossing_swaps(sc):
-                delta = tree_swap_delta(sc, e, f)
-                if delta > 0 and first is None:
-                    first = e, f
-                if delta > best_delta:
-                    best_delta, best = delta, (e, f)
-            assert _find_swap(sc, "best") == best
-            assert _find_swap(sc, "first") == first
+            want = delta_scan_picks(sc)
+            assert _find_swap(sc, "best") == want["best"]
+            assert _find_swap(sc, "first") == want["first"]
+
+    def test_pivots_match_delta_scan_along_trajectories(self):
+        # every scaffold of full smrcst runs, including the last, swap-maximal one
+        rng = random.Random(47)
+        for n in (40, 55, 70):
+            h = host_with_m_edges(n, 3 * n, rng)
+            for pivot in ("best", "first"):
+                sc = extend_to_spanning_tree(h, greedy_long_path(h))
+                steps = 0
+                while True:
+                    swap = _find_swap(sc, pivot)
+                    assert swap == delta_scan_picks(sc)[pivot]
+                    if swap is None:
+                        break
+                    flip = sum(1 << h.edge_index[e] for e in swap)
+                    sc = TreeScaffold(GameState._from_mask(h, sc.tree.mask ^ flip))
+                    steps += 1
+                res = smrcst(h, pivot)
+                assert (sc.tree.mask, steps) == (res.tree.tree.mask, res.iterations)
+                assert steps > 0
 
     def test_smrcst_with_reference_search(self, monkeypatch):
         # sparse and two-sided hosts, where the greedy seed is often not swap-maximal
