@@ -100,7 +100,6 @@ from .graphs import (
     full_state,
     is_bridge,
     routing_cost,
-    tree_swap_delta,
 )
 from .spanning import (
     SmrcstResult,

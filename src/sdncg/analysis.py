@@ -207,8 +207,8 @@ def _census_sums(host: HostGraph) -> dict:
     lanes = _lanes(n)
     w, wn, _, col0, row0, across, down, guard, _ = lanes
     last = [0] * host.m  # per edge, the nodes whose last-decided edge it is
-    for x in range(n):
-        last[host.edge_index[edge(x, min(host.adj[x]))]] |= 1 << x
+    for x, nbr in enumerate(host.adj_mask):
+        last[host.edge_index[edge(x, (nbr & -nbr).bit_length() - 1)]] |= 1 << x
     d = n * (across * down - sum(1 << (wn + w) * x for x in range(n)))  # n off the diagonal
     guard0 = guard & row0
     reach = guard0 - n * across  # 2^(W-1) - n in each lane of row 0
@@ -710,8 +710,9 @@ def _suite_complete_optimum(seed: int) -> list[dict]:
         host, recs = _complete_census(n)
         full_mask = (1 << host.m) - 1
         n_paths = math.factorial(n) // 2
+        t = threshold_table(n)
         for da, tag in ((Fraction(-1, 2), "below"), (Fraction(0), "tie"), (Fraction(1, 2), "above")):
-            a = Fraction(n, 3) + da
+            a = t.clique_optimal + da
             welfare, optima = _optima(recs, a)
             best = [(mask, cnt) for mask, cnt, _, _, _ in optima]
             expect = optimum_complete_closed_form(n, a)
@@ -741,6 +742,7 @@ def _suite_complete_stability(seed: int) -> list[dict]:
     claims = []
     for n in _COMPLETE_SIZES:
         host, recs = _complete_census(n)
+        t = threshold_table(n)
         full_mask = (1 << host.m) - 1
         trees = {mask for mask, cnt, _, _, _ in recs if cnt == n - 1}
 
@@ -782,7 +784,7 @@ def _suite_complete_stability(seed: int) -> list[dict]:
             )
         )
 
-        a_path = Fraction(n - 1, 2)
+        a_path = t.path_stable_limit
         path_mask = 0
         for i in range(n - 1):
             path_mask |= 1 << host.edge_index[(i, i + 1)]
@@ -798,7 +800,7 @@ def _suite_complete_stability(seed: int) -> list[dict]:
             )
         )
 
-        a_big = Fraction(n, 2) + Fraction(1, 4)
+        a_big = t.clique_unique + Fraction(1, 4)
         s_big = stable_set(a_big)
         claims.append(
             _claim(
@@ -835,12 +837,13 @@ def _suite_smrcst_stability(seed: int) -> list[dict]:
     unstable = ""
     weak_edge = ""
     for h in hosts:
+        third = threshold_table(h.n).clique_optimal
         for pivot in ("best", "first"):
             # hi is the smallest larger-endpoint drop over the non-tree edges
             lo, hi = stability_interval(smrcst(h, pivot).tree.tree)
-            if not _in_interval(lo, hi, h.n, 3):
+            if not stable_in_interval((lo, hi), third):
                 unstable = unstable or f"n={h.n} m={h.m} pivot={pivot}"
-            if hi is not None and 3 * hi < h.n:
+            if hi is not None and hi < third:
                 weak_edge = weak_edge or (
                     f"n={h.n} pivot={pivot}: a non-tree edge drops both "
                     f"endpoint sums by at most {hi}, below n/3"
@@ -883,7 +886,7 @@ def _suite_host_uniqueness(seed: int) -> list[dict]:
     hosts = _small_hosts(50, seed)
     bad = ""
     for h in hosts:
-        a = Fraction((h.n - 1) ** 2, 4) + 1
+        a = threshold_table(h.n).host_unique + 1
         atlas = enumerate_stable_states(h, a)
         want = (1 << h.m) - 1
         got = sorted(st.mask for st in atlas.stable_states)
@@ -959,12 +962,13 @@ def _suite_poa_pos(seed: int) -> list[dict]:
     )
     for n in _COMPLETE_SIZES:
         host, recs = _complete_census(n)
+        t = threshold_table(n)
         grid = (
             Fraction(1, 2),
             Fraction(1),
-            Fraction(n, 3),
-            Fraction(n - 1, 2),
-            Fraction(n, 2) + Fraction(1, 4),
+            t.clique_optimal,
+            t.path_stable_limit,
+            t.clique_unique + Fraction(1, 4),
         )
         bad = ""
         for a in grid:
@@ -981,7 +985,7 @@ def _suite_poa_pos(seed: int) -> list[dict]:
     hosts = _small_hosts(20, seed)
     bad = ""
     for h in hosts:
-        a = Fraction((h.n - 2) * h.n * (h.n + 2), 24) + 1
+        a = threshold_table(h.n).host_optimal + 1
         val = poa_exact(h, a)
         if val != 1:
             bad = bad or f"n={h.n} m={h.m} alpha={a}: PoA = {val}"

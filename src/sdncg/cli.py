@@ -327,19 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=(
-            "path",
-            "cycle",
-            "star",
-            "clique",
-            "hypercube",
-            "path-clique",
-            "clique-network",
-            "star-of-cliques",
-            "hypercube-clique-network",
-            "path-of-cliques",
-            "wheel-clique-network",
-        ),
+        choices=constructions.CONSTRUCTION_FAMILIES,
     )
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
@@ -362,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics", help="improving-move dynamics from the full graph")
     common(p, alpha=True, inp=True, budget=10_000)
-    p.add_argument("--policy", choices=("first", "best", "random"), default="first")
+    p.add_argument("--policy", choices=game.POLICIES, default="first")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_dynamics)
 
     p = sub.add_parser("smrcst", help="swap-maximal routing-cost spanning tree")
     common(p, inp=True)
-    p.add_argument("--policy", choices=("best", "first"), default="best")
+    p.add_argument("--policy", choices=spanning.PIVOTS, default="best")
     p.set_defaults(fn=_cmd_smrcst)
 
     p = sub.add_parser("mrcst", help="exact maximum routing-cost spanning tree")

@@ -72,14 +72,15 @@ def parse_json(text: str) -> HostGraph:
         raise GraphParseError("JSON graph needs fields 'n' and 'edges'")
     n = payload["n"]
     edges = payload["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    # type() and not isinstance(): JSON true and false load as bools, which are ints
+    if type(n) is not int or not isinstance(edges, list):
         raise GraphParseError("'n' must be an integer and 'edges' an array")
     pairs = []
     for i, item in enumerate(edges):
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+            or not all(type(x) is int for x in item)
         ):
             raise GraphParseError(f"edge #{i} must be a two-element integer array")
         pairs.append((item[0], item[1]))

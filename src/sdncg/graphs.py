@@ -6,9 +6,8 @@ is an exact integer; nothing here touches floating point. ``HostGraph`` and
 reads; ``GameState`` is a cheap value object that may be copied across
 workers.
 
-Adjacency is kept both as neighbor sets and as per-node bitmasks. Python
-integers are unbounded, so the bitmask path is exact at every size and is
-the one used by the hot loops; ``_bfs`` is the one traversal kernel behind
+Adjacency is kept as per-node bitmasks. Python integers are unbounded, so
+they are exact at every size; ``_bfs`` is the one traversal kernel behind
 connectivity, bridges, distance sums and the distance rows of states with
 cycles. A spanning tree's table needs no BFS: ``_rooted`` roots it once,
 and each row follows from its parent's row. A ``GameState`` stores its edge
@@ -47,17 +46,15 @@ def _mask_adjacency(n: int, edges, mask: int) -> list[int]:
     return nbr
 
 
-def _bfs(nbr, sources: int, allowed: int = -1, row=None):
+def _bfs(nbr, sources: int, row=None):
     """Level-by-level BFS over bitmask adjacency; the one traversal kernel.
 
-    Starts from the node mask ``sources`` (a subset of ``allowed``) at
-    distance 0 and never enters a node outside ``allowed``. Returns ``(sum
-    of the hop distances of the reached nodes, mask of the reached nodes)``.
+    Starts from the node mask ``sources`` at distance 0. Returns ``(sum of
+    the hop distances of the reached nodes, mask of the reached nodes)``.
     If ``row`` is a list, each node reached beyond the sources gets its
     distance written into it.
     """
-    # nodes outside `allowed` start out seen, so no level masks them again
-    seen = sources | ~allowed
+    seen = sources
     frontier = sources
     total = 0
     d = 0
@@ -79,7 +76,7 @@ def _bfs(nbr, sources: int, allowed: int = -1, row=None):
                     low = f & -f
                     row[low.bit_length() - 1] = d
                     f ^= low
-    return total, seen & allowed
+    return total, seen
 
 
 def _rooted(nbr, n: int):
@@ -128,7 +125,7 @@ class HostGraph:
     dictionaries (state keys pair a host with an edge bitmask).
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "edge_index", "_hash")
+    __slots__ = ("n", "edges", "adj_mask", "edge_index", "_hash")
 
     def __init__(self, n: int, edges: Iterable) -> None:
         if n < 2:
@@ -145,11 +142,6 @@ class HostGraph:
             raise StructureError("host graph must be connected")
         self.n = n
         self.edges = tuple(norm)
-        adj = [set() for _ in range(n)]
-        for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
         self.adj_mask = tuple(_mask_adjacency(n, self.edges, (1 << len(norm)) - 1))
         self.edge_index = {e: i for i, e in enumerate(norm)}
         if _bfs(self.adj_mask, 1)[1] != (1 << n) - 1:
@@ -164,7 +156,7 @@ class HostGraph:
         return edge(u, v) in self.edge_index
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def __eq__(self, other):
         return (
@@ -396,82 +388,3 @@ class TreeScaffold:
 
     def __repr__(self):
         return f"TreeScaffold(n={self.tree.host.n}, cost={self.total})"
-
-
-def tree_swap_delta(scaffold: TreeScaffold, remove, add) -> int:
-    """Exact routing-cost change of ``tree - remove + add`` in O(1).
-
-    Validates the swap and reads its delta from ``_cut_swap_deltas``, the
-    one place the formula lives.
-    """
-    rem = edge(*remove)
-    tree = scaffold.tree
-    host = tree.host
-    index = host.edge_index
-    mask = tree.mask
-    i = index.get(rem)
-    if i is None or not (mask >> i) & 1:
-        raise StructureError(f"edge {rem} not in tree")
-    new = edge(*add)
-    if new == rem:
-        return 0
-    j = index.get(new)
-    if j is None:
-        raise StructureError(f"edge {new} not in host")
-    if (mask >> j) & 1:
-        raise StructureError(f"edge {new} already in tree")
-    a, b = rem
-    child, par = (a, b) if scaffold.depth[a] > scaffold.depth[b] else (b, a)
-    dist = tree.table.dist
-    x, y = new
-    # a node lies on the child's side of the cut iff it is nearer the child
-    if (dist[x][child] < dist[x][par]) == (dist[y][child] < dist[y][par]):
-        raise StructureError("swap disconnects: replacement edge does not cross the cut")
-    return next(_cut_swap_deltas(scaffold, child, 1 << j))[1]
-
-
-def _cut_swap_deltas(scaffold: TreeScaffold, b: int, crossing: int):
-    """Routing-cost change of every swap at one cut of the tree.
-
-    The cut removes the tree edge from child ``b`` up to its parent a;
-    ``crossing`` is the bitmask of the host edges (by index) with exactly
-    one endpoint in b's subtree. Yields ``(j, delta)`` for each of them in
-    ascending j, with no validation.
-
-    Distances inside each of the two components of the cut tree are
-    unchanged by a swap, so only the cross terms move; those reduce to two
-    within-component distance sums. In a tree every path from the far side
-    enters a component through the cut edge, so for the new edge (u, v),
-    u on a's side and v on b's, with L the component sizes and S the
-    within-component sums,
-
-        S(a, u) = P[u] - L_b*(d(u, a) + 1) - S(b, b)
-        S(b, v) = P[v] - L_a*(d(v, b) + 1) - S(a, a)
-        delta   = 2 * [L_b*(S(a, u) - S(a, a)) + L_a*(S(b, v) - S(b, b))]
-
-    where P is the per-node distance sum and d the tree's distance table
-    (built once per tree, on first use). Everything but P[u], P[v] and the
-    two distances is a term of the cut, read once. A node x lies on b's side
-    iff d(x, b) < d(x, a).
-    """
-    tree = scaffold.tree
-    n = tree.host.n
-    edges = tree.host.edges
-    a = scaffold.parent[b]
-    len_b = scaffold.subtree_size[b]
-    len_a = n - len_b
-    pns = scaffold.per_node_sum
-    s_b_b = scaffold.down[b]
-    s_a_a = pns[a] - len_b - s_b_b
-    dist = tree.table.dist
-    da, db = dist[a], dist[b]
-    # delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b)) - base
-    base = len_b * len_b + len_a * len_a + n * (s_a_a + s_b_b)
-    while crossing:
-        low = crossing & -crossing
-        j = low.bit_length() - 1
-        crossing ^= low
-        u, v = edges[j]
-        if db[u] < da[u]:
-            u, v = v, u
-        yield j, 2 * (len_b * (pns[u] - len_b * da[u]) + len_a * (pns[v] - len_a * db[v]) - base)

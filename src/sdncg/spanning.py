@@ -3,7 +3,9 @@
 Three layers: a greedy long-path seed with a certified length guarantee, the
 swap-improvement loop that turns the seeded tree into a swap-maximal
 routing-cost spanning tree, and an exact enumeration oracle for the true
-maximum at bounded size.
+maximum at bounded size. Both swap-delta formulas live here: the search
+scores each pair along a non-tree edge's tree path, and the certificate
+rescores every pair by an independent formula per cut of the tree.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, CertificateError, ParameterError, StructureError
-from .graphs import GameState, HostGraph, TreeScaffold, _cut_swap_deltas, edge
+from .graphs import GameState, HostGraph, TreeScaffold, edge
 
 BEST_SWAP = "best"
 FIRST_SWAP = "first"
@@ -36,33 +38,25 @@ class SmrcstResult:
 def _deepest_dfs_path(host: HostGraph) -> list[int]:
     """Deepest root-to-leaf path over DFS trees from every root.
 
-    The search descends into the first unvisited neighbor, so the stack is
+    The search descends into the lowest unvisited neighbor, so the stack is
     always the tree path from the root. In a DFS tree of a connected graph
     every edge joins an ancestor to a descendant, so charging each edge to
     its deeper endpoint shows the depth is at least m/n. That makes this an
     unconditional fallback for the long path guarantee.
     """
-    n = host.n
-    adj = [sorted(host.adj[v]) for v in range(n)]
+    nbr = host.adj_mask
     best: list[int] = []
-    for root in range(n):
-        seen = [False] * n
-        seen[root] = True
-        nxt = [0] * n
+    for root in range(host.n):
+        seen = 1 << root
         stack = [root]
         while stack:
-            v = stack[-1]
-            nbrs = adj[v]
-            i = nxt[v]
-            while i < len(nbrs) and seen[nbrs[i]]:
-                i += 1
-            nxt[v] = i + 1
-            if i == len(nbrs):
+            f = nbr[stack[-1]] & ~seen
+            if not f:
                 stack.pop()
                 continue
-            w = nbrs[i]
-            seen[w] = True
-            stack.append(w)
+            low = f & -f
+            seen |= low
+            stack.append(low.bit_length() - 1)
             if len(stack) > len(best):
                 best = list(stack)
     return best
@@ -79,28 +73,33 @@ def greedy_long_path(host: HostGraph) -> list[int]:
     n, m = host.n, host.m
     deg = [host.degree(v) for v in range(n)]
     start = min(range(n), key=lambda v: (deg[v], v))
-    in_path = [False] * n
-    in_path[start] = True
+    in_path = 1 << start
     path = [start]
 
     def step(v: int) -> Optional[int]:
-        cands = [w for w in host.adj[v] if not in_path[w]]
-        if not cands:
-            return None
-        return min(cands, key=lambda w: (deg[w], w))
+        # ascending labels, so a strict comparison sends ties to the smaller
+        f = host.adj_mask[v] & ~in_path
+        w = None
+        while f:
+            low = f & -f
+            x = low.bit_length() - 1
+            if w is None or deg[x] < deg[w]:
+                w = x
+            f ^= low
+        return w
 
     while True:
         w = step(path[-1])
         if w is None:
             break
         path.append(w)
-        in_path[w] = True
+        in_path |= 1 << w
     while True:
         w = step(path[0])
         if w is None:
             break
         path.insert(0, w)
-        in_path[w] = True
+        in_path |= 1 << w
     if (len(path) - 1) * n < m:
         rescue = _deepest_dfs_path(host)
         if len(rescue) > len(path):
@@ -385,6 +384,53 @@ def _crossing_sets(scaffold: TreeScaffold) -> list[int]:
     return cross
 
 
+def _cut_swap_deltas(scaffold: TreeScaffold, b: int, crossing: int):
+    """Routing-cost change of every swap at one cut of the tree.
+
+    The cut removes the tree edge from child ``b`` up to its parent a;
+    ``crossing`` is the bitmask of the host edges (by index) with exactly
+    one endpoint in b's subtree. Yields ``(j, delta)`` for each of them in
+    ascending j, with no validation.
+
+    Distances inside each of the two components of the cut tree are
+    unchanged by a swap, so only the cross terms move; those reduce to two
+    within-component distance sums. In a tree every path from the far side
+    enters a component through the cut edge, so for the new edge (u, v),
+    u on a's side and v on b's, with L the component sizes and S the
+    within-component sums,
+
+        S(a, u) = P[u] - L_b*(d(u, a) + 1) - S(b, b)
+        S(b, v) = P[v] - L_a*(d(v, b) + 1) - S(a, a)
+        delta   = 2 * [L_b*(S(a, u) - S(a, a)) + L_a*(S(b, v) - S(b, b))]
+
+    where P is the per-node distance sum and d the tree's distance table
+    (built once per tree, on first use). Everything but P[u], P[v] and the
+    two distances is a term of the cut, read once. A node x lies on b's side
+    iff d(x, b) < d(x, a).
+    """
+    tree = scaffold.tree
+    n = tree.host.n
+    edges = tree.host.edges
+    a = scaffold.parent[b]
+    len_b = scaffold.subtree_size[b]
+    len_a = n - len_b
+    pns = scaffold.per_node_sum
+    s_b_b = scaffold.down[b]
+    s_a_a = pns[a] - len_b - s_b_b
+    dist = tree.table.dist
+    da, db = dist[a], dist[b]
+    # delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b)) - base
+    base = len_b * len_b + len_a * len_a + n * (s_a_a + s_b_b)
+    while crossing:
+        low = crossing & -crossing
+        j = low.bit_length() - 1
+        crossing ^= low
+        u, v = edges[j]
+        if db[u] < da[u]:
+            u, v = v, u
+        yield j, 2 * (len_b * (pns[u] - len_b * da[u]) + len_a * (pns[v] - len_a * db[v]) - base)
+
+
 def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     """Re-verify every guarantee attached to a swap-maximal tree.
 
@@ -397,8 +443,8 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
 
     The rescan visits only the crossing pairs: ``_crossing_sets`` gives
     every cut's crossing edges in one bottom-up XOR pass, and
-    ``graphs._cut_swap_deltas`` scores them from terms read once per cut
-    and the tree's distance table, independently of the search loop. That
+    ``_cut_swap_deltas`` scores them from terms read once per cut and the
+    tree's distance table, independently of the search loop. That
     table is the state's cached one, built once row from row without BFS,
     and a later stability check of the tree reads the same table. Tree
     edges, then crossing edges, go in ascending index order, and the first

@@ -1,5 +1,6 @@
 """Golden-file coverage for every CLI path."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -42,6 +43,21 @@ def k6(tmp_path):
     f = tmp_path / "k6.txt"
     f.write_text(dump_text(clique(6)))
     return str(f)
+
+
+def help_text():
+    """``sdncg --help`` and ``sdncg <cmd> --help`` for every subcommand, each
+    after a ``$`` line naming it; ``tests/golden/cli-help.txt`` holds it at
+    COLUMNS=80 (argparse of Python 3.11). After a deliberate parser change:
+
+        COLUMNS=80 PYTHONPATH=src:tests python -c \\
+            "import test_cli; print(test_cli.help_text(), end='')" > tests/golden/cli-help.txt
+    """
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parts = [f"$ sdncg --help\n{parser.format_help()}"]
+    parts += [f"$ sdncg {name} --help\n{p.format_help()}" for name, p in sub.choices.items()]
+    return "".join(parts)
 
 
 def run(capsys, *argv):
@@ -391,6 +407,13 @@ class TestCampaign:
     def test_unknown_suite_exit_2(self, capsys):
         code, _, err = run(capsys, "campaign", "--suite", "bogus")
         assert code == 2 and "unknown suite" in err
+
+
+class TestHelp:
+    def test_help_matches_golden(self, monkeypatch):
+        # every flag, choice list and default the parser shows, byte for byte
+        monkeypatch.setenv("COLUMNS", "80")
+        assert help_text().encode() == (GOLDEN / "cli-help.txt").read_bytes()
 
 
 class TestErrors:

@@ -1,6 +1,16 @@
 import pytest
 
-from sdncg import GraphParseError, clique, dump_json, dump_text, load_graph, parse_json, parse_text, path
+from sdncg import (
+    GraphParseError,
+    clique,
+    dump_json,
+    dump_text,
+    load_graph,
+    parse_json,
+    parse_text,
+    path,
+    save_graph,
+)
 
 
 def test_text_round_trip():
@@ -48,6 +58,25 @@ def test_json_validation():
         parse_json('{"n": 3}')
     with pytest.raises(GraphParseError, match="edge #1"):
         parse_json('{"n": 3, "edges": [[0, 1], [1]]}')
+
+
+def test_json_refuses_booleans():
+    # JSON true and false load as Python bools, and bool is a subclass of int
+    with pytest.raises(GraphParseError, match="edge #0"):
+        parse_json('{"n": 3, "edges": [[true, 2], [false, true]]}')
+    with pytest.raises(GraphParseError, match="edge #1"):
+        parse_json('{"n": 3, "edges": [[0, 1], [1, true]]}')
+    with pytest.raises(GraphParseError, match="'n' must be an integer"):
+        parse_json('{"n": true, "edges": [[0, 1]]}')
+
+
+def test_save_graph_round_trip(tmp_path):
+    g = clique(4)
+    for name, fmt, dump in (("g.txt", "text", dump_text), ("g.json", "json", dump_json)):
+        f = tmp_path / name
+        save_graph(g, str(f), fmt)
+        assert f.read_text() == dump(g)
+        assert load_graph(str(f)) == g
 
 
 def test_load_graph_sniffs_extension(tmp_path):

@@ -24,9 +24,9 @@ from sdncg import (
     routing_cost,
     smrcst,
     star,
-    tree_swap_delta,
 )
 from sdncg import graphs
+from sdncg.spanning import _cut_swap_deltas
 
 
 def host_strategy(n_max=7):
@@ -44,7 +44,7 @@ class TestHostGraph:
         assert h.n == 4 and h.m == 3
         assert h.has_edge(1, 0) and not h.has_edge(0, 2)
         assert h.degree(1) == 2
-        assert h.adj[1] == frozenset({0, 2})
+        assert h.adj_mask == (0b10, 0b101, 0b1010, 0b100)
 
     def test_edge_normalization(self):
         h = HostGraph(3, [(2, 0), (1, 0)])
@@ -283,33 +283,28 @@ class TestTreeTable:
 
 
 class TestSwapDelta:
+    """``spanning._cut_swap_deltas``, the certificate's per-cut formula,
+    against distance sums recomputed by BFS on the swapped tree."""
+
+    @staticmethod
+    def cut(sc, rem, crossing):
+        """``[(added edge, delta)]`` for the host edges ``crossing`` at the
+        cut of tree edge ``rem``, in the order the formula yields them."""
+        host = sc.tree.host
+        child = max(rem, key=sc.depth.__getitem__)
+        mask = sum(1 << host.edge_index[f] for f in crossing)
+        return [(host.edges[j], delta) for j, delta in _cut_swap_deltas(sc, child, mask)]
+
     def test_path_to_star(self):
         sc = TreeScaffold(GameState(clique(4), [(0, 1), (1, 2), (2, 3)]))
-        assert tree_swap_delta(sc, (2, 3), (1, 3)) == -2
+        assert self.cut(sc, (2, 3), [(1, 3)]) == [((1, 3), -2)]
 
     def test_star_to_path(self):
         sc = TreeScaffold(GameState(clique(4), [(0, 1), (0, 2), (0, 3)]))
-        assert tree_swap_delta(sc, (0, 3), (1, 3)) == 2
-
-    def test_identity_swap(self):
-        sc = TreeScaffold(GameState(clique(4), [(0, 1), (1, 2), (2, 3)]))
-        assert tree_swap_delta(sc, (1, 2), (1, 2)) == 0
-
-    def test_rejects_disconnecting_swap(self):
-        host = clique(5)
-        sc = TreeScaffold(GameState(host, [(0, 1), (1, 2), (2, 3), (3, 4)]))
-        with pytest.raises(StructureError):
-            tree_swap_delta(sc, (0, 1), (1, 3))  # (1,3) does not cross the {0} cut
-
-    def test_rejects_foreign_edges(self):
-        host = path(4)
-        sc = TreeScaffold(full_state(host))
-        with pytest.raises(StructureError):
-            tree_swap_delta(sc, (1, 2), (0, 2))  # not a host edge
-        with pytest.raises(StructureError):
-            tree_swap_delta(sc, (0, 2), (1, 2))  # not a tree edge
+        assert self.cut(sc, (0, 3), [(1, 3)]) == [((1, 3), 2)]
 
     def test_every_swap_of_every_tree_matches_bfs(self):
+        # each cut's whole crossing set in one call, as the certificate asks
         for host in (clique(5), cycle(6), random_connected_host(7, 0.5, random.Random(7))):
             n = host.n
             for sc in enumerate_spanning_trees(host):
@@ -317,11 +312,12 @@ class TestSwapDelta:
                 _, before = oracles.distance_sums(n, tree_edges)
                 for rem in sorted(tree_edges):
                     side = oracles.child_side(n, tree_edges, rem)
-                    for add in host.edges:
-                        if add in tree_edges or (add[0] in side) == (add[1] in side):
-                            continue
-                        _, after = oracles.distance_sums(n, (tree_edges - {rem}) | {add})
-                        assert tree_swap_delta(sc, rem, add) == after - before
+                    want = [
+                        (add, oracles.distance_sums(n, (tree_edges - {rem}) | {add})[1] - before)
+                        for add in host.edges
+                        if add not in tree_edges and (add[0] in side) != (add[1] in side)
+                    ]
+                    assert self.cut(sc, rem, [add for add, _ in want]) == want
 
     def test_200_random_swaps_match_from_scratch(self):
         rng = random.Random(321)
@@ -339,11 +335,10 @@ class TestSwapDelta:
             if not crossing:
                 continue
             add = rng.choice(crossing)
-            got = tree_swap_delta(sc, rem, add)
             swapped = (set(tree_edges) - {rem}) | {add}
             _, before = oracles.distance_sums(n, tree_edges)
             _, after = oracles.distance_sums(n, swapped)
-            assert got == after - before
+            assert self.cut(sc, rem, [add]) == [(add, after - before)]
             checked += 1
 
 

@@ -26,7 +26,6 @@ from sdncg import (
     smrcst,
     smrcst_certificates,
     star,
-    tree_swap_delta,
     StructureError,
     ParameterError,
 )
@@ -49,13 +48,21 @@ def crossing_swaps(scaffold):
             yield e, f
 
 
+def swap_delta(scaffold, e, f):
+    """Routing-cost change of ``tree - e + f`` by the certificate's cut
+    formula, ``spanning._cut_swap_deltas``, asked for the one pair."""
+    child = max(e, key=scaffold.depth.__getitem__)
+    [(_, delta)] = spanning._cut_swap_deltas(scaffold, child, 1 << scaffold.tree.host.edge_index[f])
+    return delta
+
+
 def delta_scan_picks(scaffold):
-    """The swaps each pivot must pick, by ``tree_swap_delta`` on every
+    """The swaps each pivot must pick, by ``swap_delta`` on every
     crossing pair in scan order: the first pair of the largest positive
     change, and the first pair with a positive one."""
     best_delta, best, first = 0, None, None
     for e, f in crossing_swaps(scaffold):
-        delta = tree_swap_delta(scaffold, e, f)
+        delta = swap_delta(scaffold, e, f)
         if delta > 0 and first is None:
             first = e, f
         if delta > best_delta:
@@ -64,7 +71,7 @@ def delta_scan_picks(scaffold):
 
 
 def no_improving_swap(scaffold):
-    return all(tree_swap_delta(scaffold, e, f) <= 0 for e, f in crossing_swaps(scaffold))
+    return all(swap_delta(scaffold, e, f) <= 0 for e, f in crossing_swaps(scaffold))
 
 
 def host_with_m_edges(n, m, rng):
@@ -83,8 +90,8 @@ class TestGreedyLongPath:
             assert len(p) == n
 
     def test_k4_hamilton(self):
-        p = greedy_long_path(clique(4))
-        assert len(p) == 4
+        # equal degrees everywhere, so each step goes to the smallest label
+        assert greedy_long_path(clique(4)) == [0, 1, 2, 3]
 
     def test_c5(self):
         p = greedy_long_path(cycle(5))
@@ -210,7 +217,7 @@ class TestSmrcst:
 
 class TestFindSwapAgainstDelta:
     def test_batched_scores_match_single_swap(self):
-        # the path walk's scores, cross-checked via the public op
+        # the path walk's scores, cross-checked by the certificate's formula
         rng = random.Random(23)
         for _ in range(10):
             h = random_connected_host(rng.randint(5, 10), rng.uniform(0.4, 0.9), rng)
@@ -220,10 +227,10 @@ class TestFindSwapAgainstDelta:
                 assert no_improving_swap(sc)
             else:
                 e, f = found
-                best = tree_swap_delta(sc, e, f)
+                best = swap_delta(sc, e, f)
                 assert best > 0
                 for e2, f2 in crossing_swaps(sc):
-                    assert tree_swap_delta(sc, e2, f2) <= best
+                    assert swap_delta(sc, e2, f2) <= best
 
     def test_both_pivots_match_reference_search(self):
         # every swap rescored by BFS on the new tree, in (tree edge, host edge) order
@@ -389,7 +396,7 @@ class TestSwapLoopGuard:
         h = clique(5)
         seed = extend_to_spanning_tree(h, greedy_long_path(h))
         e, f = next(crossing_swaps(seed))
-        assert tree_swap_delta(seed, e, f) <= 0
+        assert swap_delta(seed, e, f) <= 0
         monkeypatch.setattr(spanning, "_find_swap", lambda scaffold, pivot: (e, f))
         with pytest.raises(CertificateError, match=re.escape(f"swap ({e}, {f})")):
             smrcst(h)
@@ -454,7 +461,7 @@ class TestCertificates:
             res = smrcst(h)
             e, f = rng.choice(list(crossing_swaps(res.tree)))
             sc = TreeScaffold(GameState(h, (res.tree.tree.active - {e}) | {f}))
-            improving = [(e2, f2) for e2, f2 in crossing_swaps(sc) if tree_swap_delta(sc, e2, f2) > 0]
+            improving = [(e2, f2) for e2, f2 in crossing_swaps(sc) if swap_delta(sc, e2, f2) > 0]
             fake = SmrcstResult(sc, 1, 0, sc.total)
             if not improving:
                 assert smrcst_certificates(fake, h)["swap_maximal"]
@@ -473,7 +480,7 @@ class TestCertificates:
         h = random_connected_host(8, 0.35, random.Random(2))
         res = smrcst(h)
         for e, f in crossing_swaps(res.tree):
-            if tree_swap_delta(res.tree, e, f) >= 0:
+            if swap_delta(res.tree, e, f) >= 0:
                 continue
             sc = TreeScaffold(GameState(h, (res.tree.tree.active - {e}) | {f}))
             improving = [
@@ -496,11 +503,11 @@ class TestCertificates:
 
         kernel = graphs._bfs
 
-        def rows_only(nbr, sources, allowed=-1, row=None):
+        def rows_only(nbr, sources, row=None):
             # the one distance table builds rows; any other BFS is a rescan BFS
             if row is None:
-                raise AssertionError("masked BFS in the certificate rescan")
-            return kernel(nbr, sources, allowed, row)
+                raise AssertionError("rowless BFS in the certificate rescan")
+            return kernel(nbr, sources, row)
 
         tables = []
         build = graphs.bfs_all_pairs
