@@ -31,10 +31,13 @@ print(f"\nstar on K_5 at alpha=1: {out.terminal} after {out.steps} moves")
 
 # the game is not a potential game: improving moves can cycle
 alpha = Fraction(5, 2)
-cyc = find_improving_cycle(5, alpha, search_budget=10**6, seed=3)
+cyc = find_improving_cycle(5, alpha)
 print(f"\nsearching K_5 at alpha={alpha} for a state-revisiting trajectory...")
 print(f"found after {cyc.steps} improving moves; cycle starts at step {cyc.cycle_start}")
 print(f"replay check: {replay_validates_cycle(cyc, alpha)}")
 print("the cycle:")
 for key, mv in cyc.trajectory[cyc.cycle_start:]:
     print(f"  {mv}")
+
+# the search is exhaustive: None with budget to spare rules cycles out
+print(f"\nK_5 at alpha=3 has an improving cycle: {find_improving_cycle(5, 3) is not None}")

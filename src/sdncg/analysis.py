@@ -85,7 +85,7 @@ from .game import (
     stability_interval,
     stable_in_interval,
 )
-from .graphs import GameState, HostGraph, canonical_key, edge, full_state
+from .graphs import GameState, HostGraph, _bfs, _mask_adjacency, canonical_key, edge, full_state
 from .spanning import mrcst_exact, smrcst, smrcst_certificates
 
 SWEEP_COLUMNS = (
@@ -370,68 +370,68 @@ def optimum_complete_closed_form(n: int, alpha) -> CompleteOptimum:
     return CompleteOptimum("both", sw_path, sw_path, sw_clique)
 
 
-def find_improving_cycle(
-    n: int, alpha, search_budget: int = 10**6, seed: int = 0
-) -> Optional[DynamicsOutcome]:
-    """Seeded random-restart search on the complete host for a trajectory of
-    improving moves that revisits a state. Not-found within budget is a
-    legitimate result (None); a negative budget raises ParameterError.
+def find_improving_cycle(n: int, alpha, search_budget: int = 10**6) -> Optional[DynamicsOutcome]:
+    """Exhaustive depth-first search of K_n's improving-move graph for a
+    trajectory of improving moves that revisits a state.
 
-    Each restart draws a random connected start state (a random spanning
-    tree over a shuffled node order plus a fair coin per other edge) and
-    walks seeded-random improving moves from it, all on one generator. A
-    walk ends when it reaches a stable state, revisits a state or runs out
-    of budget; ``search_budget`` caps the moves summed over restarts, a walk
-    of s moves costing max(1, s). The outcome is the same as that of
-    ``run_dynamics`` under the seeded-random policy from each start state.
+    Roots are the edge masks in ascending order from the star at node 0,
+    the least mask with n - 1 edges; a root already reached, with fewer
+    than n - 1 edges or disconnected is skipped. The walk follows the arcs
+    of ``_improving_arcs`` in order and scans each state at most once. An
+    arc back into the current path closes a cycle: the trajectory runs from
+    the root, ``cycle_start`` is the depth of the revisited state and
+    ``final_state`` is that state. An arc into a finished state is skipped,
+    since no cycle passes through it.
 
-    The restarts run on edge masks and share one memo of the improving-move
-    graph, from a state's mask to its ``(move, next mask)`` arcs in
-    ``improving_moves`` order, so each distinct state is scanned once per
-    search and a restart builds no state of its own: a ``GameState`` is
-    built only to scan a new mask and for the returned cycle's final state.
-    The memo lives for one call and holds one entry per distinct state
-    scanned: at most the number of connected spanning subgraphs of K_n (728
-    on K_5), and at most ``2 * search_budget``.
+    Each root looked at and each state scanned costs one unit of
+    ``search_budget``, checked before the step. An exhausted budget returns
+    None; None with budget left proves that K_n has no improving cycle at
+    this alpha. A negative budget raises ParameterError.
     """
     a = as_alpha(alpha)
     if search_budget < 0:
         raise ParameterError(f"search budget must be nonnegative, got {search_budget}")
     host = clique(n)
     p, q = a.numerator, a.denominator
-    bits = [1 << i for i in range(host.m)]
-    bit = [[0] * n for _ in range(n)]
-    for (u, v), i in host.edge_index.items():
-        bit[u][v] = bit[v][u] = bits[i]
-    rng = random.Random(seed)
-    shuffle, randrange, coin, choice = rng.shuffle, rng.randrange, rng.random, rng.choice
-    arcs_of = {}
+    everyone = (1 << n) - 1
+    seen = set()
     used = 0
-    while used < search_budget:
-        order = list(range(n))
-        shuffle(order)
-        mask = 0
-        for i in range(1, n):
-            mask |= bit[order[i]][order[randrange(i)]]
-        for b in bits:
-            if not mask & b and coin() < 0.5:
-                mask |= b
-        seen = {mask: 0}
-        trajectory = []
-        for _ in range(search_budget - used):
-            arcs = arcs_of.get(mask)
-            if arcs is None:
-                arcs = arcs_of[mask] = _improving_arcs(GameState._from_mask(host, mask), p, q)
-            if not arcs:
-                break
-            mv, nxt = choice(arcs)
-            trajectory.append(((host, mask), mv))
-            if nxt in seen:
-                final = GameState._from_mask(host, nxt)
-                return DynamicsOutcome(tuple(trajectory), CYCLE, final, cycle_start=seen[nxt])
-            seen[nxt] = len(trajectory)
-            mask = nxt
-        used += max(1, len(trajectory))
+    for root in range((1 << (n - 1)) - 1, 1 << host.m):
+        if used >= search_budget:
+            return None
+        used += 1
+        if root.bit_count() < n - 1 or root in seen:
+            continue
+        if _bfs(_mask_adjacency(n, host.edges, root), 1)[1] != everyone:
+            continue
+        # path[i] is the state at depth i, arcs[i] its unexplored arcs (None
+        # until scanned) and moves[i] the move taken out of it
+        seen.add(root)
+        path, arcs, moves, depth = [root], [None], [], {root: 0}
+        while path:
+            if arcs[-1] is None:
+                if used >= search_budget:
+                    return None
+                used += 1
+                arcs[-1] = iter(_improving_arcs(GameState._from_mask(host, path[-1]), p, q))
+            for mv, nxt in arcs[-1]:
+                if nxt in depth:
+                    moves.append(mv)
+                    trajectory = tuple(((host, mask), m) for mask, m in zip(path, moves))
+                    final = GameState._from_mask(host, nxt)
+                    return DynamicsOutcome(trajectory, CYCLE, final, cycle_start=depth[nxt])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    depth[nxt] = len(path)
+                    path.append(nxt)
+                    arcs.append(None)
+                    moves.append(mv)
+                    break
+            else:
+                del depth[path.pop()]
+                arcs.pop()
+                if moves:
+                    moves.pop()
     return None
 
 
@@ -903,9 +903,9 @@ def _suite_host_uniqueness(seed: int) -> list[dict]:
 
 def _suite_improving_cycle(seed: int) -> list[dict]:
     alpha, budget = Fraction(5, 2), 10**6
-    out = find_improving_cycle(5, alpha, search_budget=budget, seed=seed)
+    out = find_improving_cycle(5, alpha, search_budget=budget)
     if out is None:
-        return [_claim("improving-cycle-found", False, f"no cycle within {budget} steps")]
+        return [_claim("improving-cycle-found", False, f"no cycle within budget {budget}")]
     ok = replay_validates_cycle(out, alpha)
     length = out.steps - out.cycle_start
     return [

@@ -212,12 +212,8 @@ def _cmd_poa(args):
 
 
 def _cmd_cycle(args):
-    if args.seed is None:
-        raise ParameterError("cycle requires --seed")
-    outcome = analysis.find_improving_cycle(
-        args.n, _alpha(args), search_budget=args.budget, seed=args.seed
-    )
-    lines = [f"# seed: {args.seed}"]
+    outcome = analysis.find_improving_cycle(args.n, _alpha(args), search_budget=args.budget)
+    lines = []
     if args.format == "json":
         if outcome is None:
             lines.append(json.dumps({"found": False}))
@@ -239,6 +235,8 @@ def _cmd_cycle(args):
         lines.append(f"steps: {outcome.steps}")
         lines.append(f"cycle_start: {outcome.cycle_start}")
         lines.append(f"length: {outcome.steps - outcome.cycle_start}")
+        start = sorted(outcome.final_state.active)
+        lines.append("start: " + " ".join(f"{u}-{v}" for u, v in start))
         for _, mv in outcome.trajectory[outcome.cycle_start :]:
             lines.append(str(mv))
     _out(args, "\n".join(lines) + "\n")
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle", help="search for an improving-move cycle on K_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="ignored: the search is exhaustive and deterministic")
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--output")
     p.add_argument("--format", choices=("text", "json"), default="text")

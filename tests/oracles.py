@@ -5,7 +5,6 @@ adjacency, Floyd-Warshall, itertools subsets, fraction Gaussian
 elimination) so that agreement with the package is meaningful.
 """
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -213,72 +212,40 @@ def connected_spanning_subgraphs(n, edges):
     return out
 
 
-def reference_improving_cycle(n, alpha, search_budget, seed):
-    """The improving-cycle search on K_n as a plain restart loop that scans
-    every state afresh at every step.
+def has_improving_cycle(n, alpha):
+    """Whether K_n's improving-move graph at alpha has a directed cycle.
 
-    It draws from the generator exactly as ``find_improving_cycle`` does: a
-    start state is a random spanning tree over a shuffled node order plus a
-    fair coin for each other edge, and each step takes ``rng.choice`` over
-    the improving moves in lexicographic order. The moves come from
-    ``sdncg.game.improving_moves`` on a newly built state, which is checked
-    against the brute-force ``improving_moves`` above on its own. Masks put
-    bit i on the i-th pair of ``combinations(range(n), 2)``.
-
-    Returns ``(found, walks)`` where each walk is ``(terminal, cycle_start,
-    [(mask, (kind, u, v)), ...], final mask)``.
+    The graph is built from the brute-force ``improving_moves`` above over
+    every connected spanning subgraph, and searched by a colour DFS: a cycle
+    exists iff some arc reaches a state that is still on the DFS path.
     """
-    from sdncg import GameState, clique, improving_moves as scan
-
-    alpha = Fraction(alpha)
-    host = clique(n)
     pairs = list(combinations(range(n), 2))
-    bits = {e: 1 << i for i, e in enumerate(pairs)}
-
-    def mask_of(active):
-        return sum(bits[e] for e in active)
-
-    rng = random.Random(seed)
-    walks = []
-    used = 0
-    while used < search_budget:
-        order = list(range(n))
-        rng.shuffle(order)
-        active = set()
-        for i in range(1, n):
-            u, v = order[i], order[rng.randrange(i)]
-            active.add((min(u, v), max(u, v)))
-        for e in pairs:
-            if e not in active and rng.random() < 0.5:
-                active.add(e)
-        seen = {mask_of(active): 0}
-        steps = []
-        cycle_start = None
-        for _ in range(search_budget - used):
-            moves = scan(GameState(host, active), alpha)
-            if not moves:
-                terminal = "stable"
-                break
-            mv = rng.choice(moves)
-            steps.append((mask_of(active), (mv.kind, mv.u, mv.v)))
-            if mv.kind == "add":
-                active = active | {(mv.u, mv.v)}
+    arcs = {}
+    for active in connected_spanning_subgraphs(n, pairs):
+        arcs[active] = [
+            active | {(u, v)} if kind == "add" else active - {(u, v)}
+            for kind, u, v in improving_moves(n, pairs, active, alpha)
+        ]
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = dict.fromkeys(arcs, WHITE)
+    for root in arcs:
+        if colour[root] != WHITE:
+            continue
+        colour[root] = GREY
+        stack = [(root, iter(arcs[root]))]
+        while stack:
+            state, rest = stack[-1]
+            for nxt in rest:
+                if colour[nxt] == GREY:
+                    return True
+                if colour[nxt] == WHITE:
+                    colour[nxt] = GREY
+                    stack.append((nxt, iter(arcs[nxt])))
+                    break
             else:
-                active = active - {(mv.u, mv.v)}
-            key = mask_of(active)
-            if key in seen:
-                terminal = "cycle"
-                cycle_start = seen[key]
-                break
-            seen[key] = len(steps)
-        else:
-            stuck = not scan(GameState(host, active), alpha)
-            terminal = "stable" if stuck else "budget-exhausted"
-        walks.append((terminal, cycle_start, steps, mask_of(active)))
-        used += max(1, len(steps))
-        if terminal == "cycle":
-            return True, walks
-    return False, walks
+                colour[state] = BLACK
+                stack.pop()
+    return False
 
 
 def reference_optimum_and_atlas(n, host_edges, alpha):

@@ -51,7 +51,7 @@ def test_criterion_06_host_uniqueness():
 
 
 def test_criterion_07_improving_cycle():
-    _run(7, "improving cycle at n=5, alpha=5/2", "improving-cycle", time_limit=10)
+    _run(7, "improving cycle at n=5, alpha=5/2", "improving-cycle", time_limit=2)
 
 
 def test_criterion_08_construction_stability():

@@ -459,76 +459,9 @@ class TestThresholds:
 
 
 class TestImprovingCycle:
-    def test_found_at_n5(self):
-        out = find_improving_cycle(5, Fraction(5, 2), search_budget=10**6, seed=3)
-        assert out is not None and out.terminal == "cycle"
-        assert replay_validates_cycle(out, Fraction(5, 2))
-
-    def test_not_found_small_budget(self):
-        assert find_improving_cycle(4, Fraction(1, 2), search_budget=40, seed=0) is None
-
-    @pytest.mark.parametrize(
-        "n, alpha, budget, seed",
-        [
-            (4, Fraction(1, 2), 40, 0),
-            # the budget runs out on a stable state: the last look decides
-            (4, Fraction(1, 2), 11, 0),
-            (5, Fraction(5, 2), 3000, 0),
-            (5, Fraction(5, 2), 10**6, 3),
-            (5, Fraction(5, 2), 10**6, 5),
-            (6, Fraction(3), 2000, 0),
-        ],
-    )
-    def test_matches_rescanning_reference(self, monkeypatch, n, alpha, budget, seed):
-        self._check_against_reference(monkeypatch, n, alpha, budget, seed)
-
-    @pytest.mark.parametrize(
-        "n, alpha, budget, seed",
-        [(4, Fraction(1, 2), 40, 0), (5, Fraction(5, 2), 10**6, 3)],
-    )
-    def test_arcs_built_without_apply_move(self, monkeypatch, n, alpha, budget, seed):
-        # an arc's next mask toggles the move's edge bit; no state is built for it
-        def refuse(*args, **kwargs):
-            raise AssertionError("apply_move called while building arcs")
-
-        monkeypatch.setattr(game, "apply_move", refuse)
-        self._check_against_reference(monkeypatch, n, alpha, budget, seed)
-
     @staticmethod
-    def _check_against_reference(monkeypatch, n, alpha, budget, seed):
-        # record every scan the search makes, across all restarts
-        scanned = []
-        scan = analysis._improving_arcs
-
-        def recorded(state, *args):
-            scanned.append(state.mask)
-            return scan(state, *args)
-
-        monkeypatch.setattr(analysis, "_improving_arcs", recorded)
-        out = find_improving_cycle(n, alpha, search_budget=budget, seed=seed)
-        found, walks = oracles.reference_improving_cycle(n, alpha, budget, seed)
-        # each state a walk stands on with budget left to move from is
-        # scanned once per search, in the order walks first reach it
-        want = {}
-        used = 0
-        for _, _, steps, final in walks:
-            states = [mask for mask, _ in steps]
-            if len(steps) < budget - used:
-                states.append(final)
-            for mask in states:
-                want.setdefault(mask)
-            used += max(1, len(steps))
-        assert scanned == list(want)
-        assert (out is not None) == found
-        if found:
-            terminal, cycle_start, steps, final = walks[-1]
-            assert terminal == out.terminal == "cycle"
-            assert [(mask, (mv.kind, mv.u, mv.v)) for (_, mask), mv in out.trajectory] == steps
-            assert {h for (h, _), _ in out.trajectory} == {clique(n)}
-            assert out.cycle_start == cycle_start
-            assert out.final_state.mask == final
-
-    def test_each_state_scanned_once(self, monkeypatch):
+    def _count_scans(monkeypatch):
+        # scans per state mask, through the search's one move scan
         scanned = Counter()
         scan = analysis._improving_arcs
 
@@ -537,45 +470,74 @@ class TestImprovingCycle:
             return scan(state, *args)
 
         monkeypatch.setattr(analysis, "_improving_arcs", counted)
-        out = find_improving_cycle(5, Fraction(5, 2), search_budget=10**6, seed=3)
+        return scanned
+
+    def test_found_at_n5(self):
+        out = find_improving_cycle(5, Fraction(5, 2))
+        assert out is not None and out.terminal == "cycle"
+        assert replay_validates_cycle(out, Fraction(5, 2))
+
+    def test_found_at_n6(self):
+        out = find_improving_cycle(6, Fraction(5, 2))
+        assert out is not None and out.terminal == "cycle"
+        assert replay_validates_cycle(out, Fraction(5, 2))
+
+    def test_not_found_small_budget(self):
+        assert find_improving_cycle(4, Fraction(1, 2), search_budget=40) is None
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        [(4, a) for a in (Fraction(1, 2), 1, 2, Fraction(5, 2), 3)]
+        + [(5, a) for a in (2, Fraction(9, 4), Fraction(5, 2), 3)],
+        ids=str,
+    )
+    def test_matches_colour_dfs(self, n, alpha):
+        out = find_improving_cycle(n, alpha)
+        assert (out is not None) == oracles.has_improving_cycle(n, alpha)
+        if out is not None:
+            assert replay_validates_cycle(out, alpha)
+            assert {h for (h, _), _ in out.trajectory} == {clique(n)}
+            assert out.final_state.mask == out.trajectory[out.cycle_start][0][1]
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_none_is_exhaustive(self, monkeypatch, alpha):
+        # with budget to spare, None means every connected state was scanned
+        scanned = self._count_scans(monkeypatch)
+        assert find_improving_cycle(5, alpha) is None
+        # K_5 has 728 connected spanning subgraphs
+        assert len(scanned) == 728 and set(scanned.values()) == {1}
+
+    def test_deterministic(self):
+        assert find_improving_cycle(5, Fraction(5, 2)) == find_improving_cycle(5, Fraction(5, 2))
+
+    def test_arcs_built_without_apply_move(self, monkeypatch):
+        # an arc's next mask toggles the move's edge bit; no state is built for it
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_move called while building arcs")
+
+        monkeypatch.setattr(game, "apply_move", refuse)
+        out = find_improving_cycle(5, Fraction(5, 2))
+        monkeypatch.undo()
+        assert out is not None and replay_validates_cycle(out, Fraction(5, 2))
+
+    def test_each_state_scanned_once(self, monkeypatch):
+        scanned = self._count_scans(monkeypatch)
+        out = find_improving_cycle(5, Fraction(5, 2))
         assert out is not None and out.terminal == "cycle"
         assert set(scanned.values()) == {1}
         # K_5 has 728 connected spanning subgraphs
         assert sum(scanned.values()) <= 728
 
-    def test_restarts_build_no_state(self, monkeypatch):
-        # seed 0 makes 56,718 restarts; a state is built only to scan a new
-        # mask and for the cycle's final state, and alpha is parsed once
-        built, scanned, parsed = [], [], []
-        build = GameState._from_mask.__func__
-        scan = analysis._improving_arcs
-        parse = game.as_alpha
-
-        def counted_build(cls, host, mask):
-            built.append(mask)
-            return build(cls, host, mask)
-
-        def counted_scan(state, *args):
-            scanned.append(state.mask)
-            return scan(state, *args)
-
-        def counted_parse(value):
-            parsed.append(value)
-            return parse(value)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("run_dynamics called by the search")
-
-        monkeypatch.setattr(GameState, "_from_mask", classmethod(counted_build))
-        monkeypatch.setattr(analysis, "_improving_arcs", counted_scan)
-        monkeypatch.setattr(analysis, "as_alpha", counted_parse)
-        monkeypatch.setattr(game, "as_alpha", counted_parse)
-        monkeypatch.setattr(game, "run_dynamics", refuse)
-        out = find_improving_cycle(5, Fraction(5, 2), seed=0)
-        assert out is not None and out.terminal == "cycle"
-        assert len(scanned) == len(set(scanned)) == 728
-        assert len(built) <= len(scanned) + 1
-        assert len(parsed) == 1
+    def test_budget_counts_roots_and_scans(self, monkeypatch):
+        # one unit per root mask looked at, from the star at node 0, and one
+        # per state scanned: the found search needs exactly their sum
+        scanned = self._count_scans(monkeypatch)
+        alpha = Fraction(5, 2)
+        out = find_improving_cycle(5, alpha)
+        root = out.trajectory[0][0][1]
+        need = root - 0b1111 + 1 + sum(scanned.values())
+        assert find_improving_cycle(5, alpha, search_budget=need) == out
+        assert find_improving_cycle(5, alpha, search_budget=need - 1) is None
 
     def test_negative_budget_refused(self, monkeypatch):
         def refuse(n):
@@ -583,7 +545,7 @@ class TestImprovingCycle:
 
         monkeypatch.setattr(analysis, "clique", refuse)
         with pytest.raises(ParameterError, match="budget"):
-            find_improving_cycle(5, Fraction(5, 2), search_budget=-5, seed=0)
+            find_improving_cycle(5, Fraction(5, 2), search_budget=-5)
 
 
 class TestApproximationReport:
@@ -624,6 +586,21 @@ class TestApproximationReport:
         monkeypatch.setattr(analysis, "smrcst", lambda *a, **k: unswapped)
         with pytest.raises(CertificateError, match="swap-maximality"):
             approximation_report(k26, [1], subset_budget=1 << 12)
+
+
+class TestSmrcstStability:
+    def test_drop_of_exactly_n_third_passes(self, monkeypatch):
+        # the smallest drop equals n/3 = 2 under both pivots: alpha = n/3 is
+        # the interval's closed end, so both claims hold on this host
+        h = HostGraph(6, [(0, 4), (1, 5), (2, 3), (3, 4), (3, 5), (4, 5)])
+        for pivot in ("best", "first"):
+            assert game.stability_interval(smrcst(h, pivot).tree.tree) == (None, 2)
+        monkeypatch.setattr(analysis, "_smrcst_hosts", lambda seed: [h])
+        report = theorem_campaign("smrcst-stability", seed=0)
+        assert [(c["id"], c["pass"]) for c in report["claims"]] == [
+            ("smrcst-stable-at-n-third", True),
+            ("smrcst-per-edge-distance-drop", True),
+        ]
 
 
 class TestMrcstOptimality:

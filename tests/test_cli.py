@@ -6,11 +6,23 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from sdncg import analysis, cli, clique, cycle, dump_text, parse_text, path
+from sdncg import (
+    GameState,
+    Move,
+    analysis,
+    apply_move,
+    cli,
+    clique,
+    dump_text,
+    improving_moves,
+    parse_text,
+    path,
+)
 from sdncg.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -236,32 +248,43 @@ class TestPoa:
 
 class TestCycle:
     def test_found(self, capsys):
-        code, out, _ = run(
-            capsys, "cycle", "--n", "5", "--alpha", "5/2", "--seed", "3", "--budget", "200000"
-        )
+        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "5/2")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "# seed: 3"
-        assert lines[1] == "cycle: found"
+        assert out.splitlines()[0] == "cycle: found"
+
+    def test_text_output_replays(self, capsys):
+        # the start line and the cycle's moves are enough to check it alone
+        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "5/2")
+        assert code == 0
+        fields = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        moves = [line.split() for line in out.splitlines() if ": " not in line]
+        assert len(moves) == int(fields["length"]) > 0
+        edges = [tuple(map(int, e.split("-"))) for e in fields["start"].split()]
+        start = GameState(clique(5), edges)
+        state = start
+        for kind, u, v in moves:
+            mv = Move(kind, int(u), int(v))
+            assert mv in improving_moves(state, Fraction(5, 2))
+            state = apply_move(state, mv)
+        assert state == start
+
+    def test_seed_ignored(self, capsys):
+        plain = run(capsys, "cycle", "--n", "5", "--alpha", "5/2")
+        seeded = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--seed", "7")
+        assert plain == seeded
 
     def test_not_found(self, capsys):
-        code, out, _ = run(capsys, "cycle", "--n", "4", "--alpha", "1/2", "--seed", "0", "--budget", "30")
+        code, out, _ = run(capsys, "cycle", "--n", "4", "--alpha", "1/2", "--budget", "30")
         assert code == 0
         assert "cycle: not-found" in out
 
-    def test_requires_seed(self, capsys):
-        code, _, err = run(capsys, "cycle", "--n", "5", "--alpha", "5/2")
-        assert code == 2 and "seed" in err
-
     def test_negative_budget_refused(self, capsys):
-        code, out, err = run(
-            capsys, "cycle", "--n", "5", "--alpha", "5/2", "--seed", "0", "--budget", "-5"
-        )
+        code, out, err = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--budget", "-5")
         assert code == 2 and out == "" and "budget" in err
 
     def test_zero_budget_not_found(self, capsys):
-        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--seed", "0", "--budget", "0")
-        assert code == 0 and out == "# seed: 0\ncycle: not-found\n"
+        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--budget", "0")
+        assert code == 0 and out == "cycle: not-found\n"
 
 
 class TestSweep:
