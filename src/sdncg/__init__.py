@@ -33,8 +33,6 @@ from .analysis import (
 )
 from .constructions import (
     CONSTRUCTION_FAMILIES,
-    ConstructionSpec,
-    build_construction,
     clique,
     clique_network,
     closed_form_sw,
@@ -62,7 +60,6 @@ from .errors import (
 from .game import (
     ADD,
     REMOVE,
-    Alpha,
     DynamicsOutcome,
     Move,
     StabilityReport,

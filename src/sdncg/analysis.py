@@ -331,22 +331,22 @@ def enumerate_stable_states(host: HostGraph, alpha, budget: int = 1 << 22) -> Eq
     return EquilibriumAtlas(host, a, tuple(stable), tuple(welfares), len(recs))
 
 
-def poa_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> Fraction:
-    """Optimum welfare over the worst stable welfare, exact."""
+def _price(host: HostGraph, alpha, budget: int, pick) -> Fraction:
     a = as_alpha(alpha)
     opt, stable = _read_census(host_census(host, budget), a)
     if not stable:
         raise NoEquilibriumError(f"no pairwise stable state on this host at alpha={a}")
-    return opt / min(stable)
+    return opt / pick(stable)
+
+
+def poa_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> Fraction:
+    """Optimum welfare over the worst stable welfare, exact."""
+    return _price(host, alpha, budget, min)
 
 
 def pos_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> Fraction:
     """Optimum welfare over the best stable welfare, exact."""
-    a = as_alpha(alpha)
-    opt, stable = _read_census(host_census(host, budget), a)
-    if not stable:
-        raise NoEquilibriumError(f"no pairwise stable state on this host at alpha={a}")
-    return opt / max(stable)
+    return _price(host, alpha, budget, max)
 
 
 @dataclass(frozen=True)
@@ -384,9 +384,10 @@ def find_improving_cycle(n: int, alpha, search_budget: int = 10**6) -> Optional[
     since no cycle passes through it.
 
     Each root looked at and each state scanned costs one unit of
-    ``search_budget``, checked before the step. An exhausted budget returns
-    None; None with budget left proves that K_n has no improving cycle at
-    this alpha. A negative budget raises ParameterError.
+    ``search_budget``, checked before the step; a step past the budget
+    raises BudgetExceededError. None is returned only when every root has
+    been looked at, so it proves that K_n has no improving cycle at this
+    alpha. A negative budget raises ParameterError.
     """
     a = as_alpha(alpha)
     if search_budget < 0:
@@ -394,11 +395,12 @@ def find_improving_cycle(n: int, alpha, search_budget: int = 10**6) -> Optional[
     host = clique(n)
     p, q = a.numerator, a.denominator
     everyone = (1 << n) - 1
+    over = f"improving-cycle search on K_{n} at alpha={a} exceeds budget {search_budget}"
     seen = set()
     used = 0
     for root in range((1 << (n - 1)) - 1, 1 << host.m):
         if used >= search_budget:
-            return None
+            raise BudgetExceededError(over)
         used += 1
         if root.bit_count() < n - 1 or root in seen:
             continue
@@ -411,7 +413,7 @@ def find_improving_cycle(n: int, alpha, search_budget: int = 10**6) -> Optional[
         while path:
             if arcs[-1] is None:
                 if used >= search_budget:
-                    return None
+                    raise BudgetExceededError(over)
                 used += 1
                 arcs[-1] = iter(_improving_arcs(GameState._from_mask(host, path[-1]), p, q))
             for mv, nxt in arcs[-1]:
@@ -454,16 +456,12 @@ def replay_validates_cycle(outcome: DynamicsOutcome, alpha) -> bool:
     return canonical_key(st) == traj[outcome.cycle_start][0]
 
 
-def approximation_report(
-    host: HostGraph,
-    alphas,
-    subset_budget: int = 1 << 22,
-    tree_budget: int = 10**6,
-) -> list[dict]:
+def approximation_report(host: HostGraph, alphas, subset_budget: int = 1 << 22) -> list[dict]:
     """Exact approximation ratios of the maximization pipeline on one host,
     one report per alpha, in the order of ``alphas``.
 
-    Builds one SMRCST, one exact MRCST and one census for all the alphas.
+    Builds one SMRCST, one exact MRCST (under ``mrcst_exact``'s default
+    budget) and one census for all the alphas.
     The SMRCST must pass ``smrcst_certificates`` (seeded distance bound
     9*rc >= n*l^2, swap-maximality), and at every alpha the ratio against
     the exact maximum tree must be at most m/(n-1) + 1; either failure
@@ -471,7 +469,7 @@ def approximation_report(
     """
     res = smrcst(host)
     smrcst_certificates(res, host)
-    mr = mrcst_exact(host, tree_budget)
+    mr = mrcst_exact(host)
     recs = host_census(host, subset_budget)
     bound = Fraction(host.m, host.n - 1) + 1
     reports = []
@@ -636,21 +634,13 @@ def _complete_census(n: int):
     complete-optimum, complete-stability and poa-pos all read it, and the
     CLI runs them as separate ``campaign`` calls."""
     host = clique(n)
-    return host, host_census(host, 1 << host.m)
+    return host, host_census(host)
 
 
 def _mask_is_path(host: HostGraph, mask: int, cnt: int) -> bool:
     if cnt != host.n - 1:
         return False
-    deg = [0] * host.n
-    mm = mask
-    while mm:
-        low = mm & -mm
-        u, v = host.edges[low.bit_length() - 1]
-        deg[u] += 1
-        deg[v] += 1
-        mm ^= low
-    return max(deg) <= 2
+    return all(nbr.bit_count() <= 2 for nbr in _mask_adjacency(host.n, host.edges, mask))
 
 
 # The campaigns' inputs, fixed here: a suite's only input is its seed, from
@@ -903,9 +893,12 @@ def _suite_host_uniqueness(seed: int) -> list[dict]:
 
 def _suite_improving_cycle(seed: int) -> list[dict]:
     alpha, budget = Fraction(5, 2), 10**6
-    out = find_improving_cycle(5, alpha, search_budget=budget)
+    try:
+        out = find_improving_cycle(5, alpha, search_budget=budget)
+    except BudgetExceededError as exc:
+        return [_claim("improving-cycle-found", False, str(exc))]
     if out is None:
-        return [_claim("improving-cycle-found", False, f"no cycle within budget {budget}")]
+        return [_claim("improving-cycle-found", False, f"no improving cycle on K_5 at alpha={alpha}")]
     ok = replay_validates_cycle(out, alpha)
     length = out.steps - out.cycle_start
     return [
@@ -1055,8 +1048,8 @@ def list_suites() -> tuple[str, ...]:
 def theorem_campaign(suite: str, seed: int = 0) -> dict:
     """Run one named verification suite; deterministic given the seed.
 
-    The seed is a suite's only input: it draws the suite's random hosts and
-    its search. Every corpus, size and alpha is fixed in this module, so
+    The seed is a suite's only input: it draws the suite's random hosts.
+    Every corpus, size and alpha is fixed in this module, so
     ``sdncg campaign`` and this call run the same configuration.
 
     Returns a machine-readable report: per-claim pass/fail with details, and

@@ -17,19 +17,10 @@ import sys
 from multiprocessing import Pool
 
 from . import analysis, constructions, game, graphio, spanning
-from .errors import (
-    BudgetExceededError,
-    CertificateError,
-    GraphParseError,
-    NoEquilibriumError,
-    ParameterError,
-    SdncgError,
-    StructureError,
-)
+from .errors import GraphParseError, ParameterError, SdncgError, StructureError
 from .graphs import HostGraph, full_state
 
 _USAGE_ERRORS = (GraphParseError, ParameterError, StructureError)
-_DOMAIN_ERRORS = (BudgetExceededError, NoEquilibriumError, CertificateError)
 
 
 def _out(args, text):
@@ -60,17 +51,21 @@ def _sizes(text):
 
 
 def _cmd_gen(args):
-    spec = constructions.ConstructionSpec(
-        family=args.family,
-        n=args.n,
-        d=args.d,
-        k=args.k,
-        c=args.c,
-        alpha=game.parse_alpha(args.alpha) if args.alpha else None,
-        base=graphio.load_graph(args.input) if args.input else None,
-        sizes=_sizes(args.sizes) if args.sizes else None,
-    )
-    g = constructions.build_construction(spec)
+    values = {
+        "n": args.n,
+        "d": args.d,
+        "k": args.k,
+        "c": args.c,
+        "alpha": game.parse_alpha(args.alpha) if args.alpha else None,
+        "base": graphio.load_graph(args.input) if args.input else None,
+        "sizes": _sizes(args.sizes) if args.sizes else None,
+    }
+    fn, names = constructions._FAMILY_BUILDERS[args.family]
+    for name in names:
+        # path-clique ignores c when k is 0 or n, and checks it otherwise
+        if values[name] is None and not (args.family == "path-clique" and name == "c"):
+            raise ParameterError(f"family {args.family!r} requires parameter {name!r}")
+    g = fn(*(values[name] for name in names))
     text = graphio.dump_json(g) if args.format == "json" else graphio.dump_text(g)
     _out(args, text)
     return 0
@@ -415,9 +410,6 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SdncgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

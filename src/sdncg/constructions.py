@@ -9,9 +9,7 @@ pairs, center cliques) by arithmetic on the documented layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ParameterError
 from .game import as_alpha
@@ -257,24 +255,6 @@ def embed_in_clique(graph: HostGraph) -> GameState:
     return GameState(clique(graph.n), graph.edges)
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """A named family plus its parameters, for data-driven generation.
-
-    Only the parameters the family consumes need to be set; feasibility is
-    validated by the family generator itself.
-    """
-
-    family: str
-    n: Optional[int] = None
-    d: Optional[int] = None
-    k: Optional[int] = None
-    c: Optional[int] = None
-    alpha: Optional[Fraction] = None
-    base: Optional[HostGraph] = None
-    sizes: Optional[tuple[int, ...]] = None
-
-
 _FAMILY_BUILDERS = {
     "path": (path, ("n",)),
     "cycle": (cycle, ("n",)),
@@ -290,20 +270,3 @@ _FAMILY_BUILDERS = {
 }
 
 CONSTRUCTION_FAMILIES = tuple(_FAMILY_BUILDERS)
-
-
-def build_construction(spec: ConstructionSpec) -> HostGraph:
-    """Dispatch a spec to its generator; missing parameters are errors."""
-    try:
-        fn, fields = _FAMILY_BUILDERS[spec.family]
-    except KeyError:
-        raise ParameterError(
-            f"unknown family {spec.family!r}; pick one of {CONSTRUCTION_FAMILIES}"
-        ) from None
-    args = []
-    for name in fields:
-        value = getattr(spec, name)
-        if value is None and not (spec.family == "path-clique" and name == "c"):
-            raise ParameterError(f"family {spec.family!r} requires parameter {name!r}")
-        args.append(value)
-    return fn(*args)

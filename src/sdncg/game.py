@@ -23,8 +23,6 @@ from typing import Optional
 from .errors import ParameterError, StructureError
 from .graphs import GameState, _bfs, edge, is_bridge
 
-Alpha = Fraction
-
 ADD = "add"
 REMOVE = "remove"
 
@@ -81,10 +79,6 @@ class Move:
     kind: str
     u: int
     v: int
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
 
     def __str__(self):
         return f"{self.kind} {self.u} {self.v}"
@@ -224,15 +218,14 @@ def _improving_arcs(state: GameState, p: int, q: int, limit: Optional[int] = Non
     return tuple(out)
 
 
-def improving_moves(state: GameState, alpha, limit: Optional[int] = None) -> list:
+def improving_moves(state: GameState, alpha) -> list:
     """All improving moves in deterministic lexicographic (kind, u, v) order.
 
     Additions need a strict gain for both endpoints, removals for at least
-    one; ``limit`` truncates the list without changing the order. With
-    alpha = p/q every test is on integers.
+    one. With alpha = p/q every test is on integers.
     """
     a = as_alpha(alpha)
-    return [mv for mv, _ in _improving_arcs(state, a.numerator, a.denominator, limit)]
+    return [mv for mv, _ in _improving_arcs(state, a.numerator, a.denominator)]
 
 
 def is_pairwise_stable(state: GameState, alpha) -> StabilityReport:

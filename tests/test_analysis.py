@@ -483,7 +483,8 @@ class TestImprovingCycle:
         assert replay_validates_cycle(out, Fraction(5, 2))
 
     def test_not_found_small_budget(self):
-        assert find_improving_cycle(4, Fraction(1, 2), search_budget=40) is None
+        with pytest.raises(BudgetExceededError, match="budget 40"):
+            find_improving_cycle(4, Fraction(1, 2), search_budget=40)
 
     @pytest.mark.parametrize(
         "n, alpha",
@@ -506,6 +507,11 @@ class TestImprovingCycle:
         assert find_improving_cycle(5, alpha) is None
         # K_5 has 728 connected spanning subgraphs
         assert len(scanned) == 728 and set(scanned.values()) == {1}
+        # the proof needs every root mask from the star at node 0 looked at
+        need = (1 << 10) - 0b1111 + 728
+        assert find_improving_cycle(5, alpha, search_budget=need) is None
+        with pytest.raises(BudgetExceededError):
+            find_improving_cycle(5, alpha, search_budget=need - 1)
 
     def test_deterministic(self):
         assert find_improving_cycle(5, Fraction(5, 2)) == find_improving_cycle(5, Fraction(5, 2))
@@ -537,7 +543,8 @@ class TestImprovingCycle:
         root = out.trajectory[0][0][1]
         need = root - 0b1111 + 1 + sum(scanned.values())
         assert find_improving_cycle(5, alpha, search_budget=need) == out
-        assert find_improving_cycle(5, alpha, search_budget=need - 1) is None
+        with pytest.raises(BudgetExceededError):
+            find_improving_cycle(5, alpha, search_budget=need - 1)
 
     def test_negative_budget_refused(self, monkeypatch):
         def refuse(n):

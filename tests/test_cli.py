@@ -18,7 +18,11 @@ from sdncg import (
     apply_move,
     cli,
     clique,
+    clique_network,
     dump_text,
+    errors,
+    game,
+    hypercube,
     improving_moves,
     parse_text,
     path,
@@ -136,6 +140,34 @@ class TestGen:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--sizes" in err
+
+    def test_dispatch(self, capsys, tmp_path):
+        base = tmp_path / "p3.txt"
+        base.write_text(dump_text(path(3)))
+        cases = [
+            (("path", "--n", "5"), path(5)),
+            (("hypercube", "--d", "3"), hypercube(3)),
+            (
+                ("clique-network", "--input", str(base), "--sizes", "2,2,2"),
+                clique_network(path(3), [2, 2, 2]),
+            ),
+        ]
+        for flags, want in cases:
+            code, out, _ = run(capsys, "gen", "--family", *flags)
+            assert code == 0 and parse_text(out) == want
+
+    def test_missing_parameter_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "star-of-cliques", "--n", "14")
+        assert code == 2 and out == ""
+        assert err == "error: family 'star-of-cliques' requires parameter 'alpha'\n"
+
+    def test_path_clique_k0_needs_no_c(self, capsys):
+        code, out, _ = run(capsys, "gen", "--family", "path-clique", "--n", "6", "--k", "0")
+        assert code == 0 and parse_text(out) == path(6)
+
+    def test_unknown_family_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "moebius", "--n", "8")
+        assert code == 2 and out == "" and "invalid choice" in err
 
     def test_infeasible_params_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "star-of-cliques", "--n", "5", "--alpha", "9")
@@ -274,17 +306,30 @@ class TestCycle:
         assert plain == seeded
 
     def test_not_found(self, capsys):
-        code, out, _ = run(capsys, "cycle", "--n", "4", "--alpha", "1/2", "--budget", "30")
-        assert code == 0
-        assert "cycle: not-found" in out
+        # a search cut short by its budget proves nothing and says so
+        code, out, err = run(capsys, "cycle", "--n", "4", "--alpha", "1/2", "--budget", "30")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget 30" in err
+
+    def test_budget_exhausted_exit_1(self, capsys):
+        # K_5 has an improving cycle at 5/2, but not within 100 units
+        code, out, err = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--budget", "100")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget 100" in err
+
+    def test_not_found_is_proof(self, capsys):
+        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "3")
+        assert code == 0 and out == "cycle: not-found\n"
+        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "3", "--format", "json")
+        assert code == 0 and json.loads(out) == {"found": False}
 
     def test_negative_budget_refused(self, capsys):
         code, out, err = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--budget", "-5")
         assert code == 2 and out == "" and "budget" in err
 
     def test_zero_budget_not_found(self, capsys):
-        code, out, _ = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--budget", "0")
-        assert code == 0 and out == "cycle: not-found\n"
+        code, out, err = run(capsys, "cycle", "--n", "5", "--alpha", "5/2", "--budget", "0")
+        assert code == 1 and out == "" and "budget 0" in err
 
 
 class TestSweep:
@@ -452,6 +497,20 @@ class TestErrors:
 
     def test_usage_error_exit_2(self, capsys):
         assert main(["sw"]) == 2  # missing required flags
+
+    @pytest.mark.parametrize(
+        "exc", [errors.SdncgError, *errors.SdncgError.__subclasses__()], ids=lambda c: c.__name__
+    )
+    def test_library_error_exit_code(self, capsys, monkeypatch, k4, exc):
+        # usage errors exit with 2, every other library error with 1
+        usage = {errors.GraphParseError, errors.ParameterError, errors.StructureError}
+
+        def fail(*args, **kwargs):
+            raise exc("boom")
+
+        monkeypatch.setattr(game, "social_welfare", fail)
+        code, out, err = run(capsys, "sw", "--alpha", "1", "--input", k4)
+        assert (code, out, err) == (2 if exc in usage else 1, "", "error: boom\n")
 
     def test_byte_identical_reruns(self, capsys, k6):
         outs = []

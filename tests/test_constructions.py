@@ -246,54 +246,13 @@ def test_embed_in_clique():
     assert st.active == frozenset({(0, 1), (1, 2), (2, 3)})
 
 
-class TestConstructionSpec:
-    def test_dispatch(self):
-        from sdncg import ConstructionSpec, build_construction
-
-        assert build_construction(ConstructionSpec("path", n=5)) == path(5)
-        assert build_construction(ConstructionSpec("hypercube", d=3)) == hypercube(3)
-        g = build_construction(
-            ConstructionSpec("clique-network", base=path(3), sizes=(2, 2, 2))
-        )
-        assert g.n == 6
-        assert build_construction(ConstructionSpec("path-clique", n=6, k=0)) == path(6)
-
-    def test_missing_parameter(self):
-        from sdncg import ConstructionSpec, build_construction
-
-        with pytest.raises(ParameterError, match="requires parameter"):
-            build_construction(ConstructionSpec("star-of-cliques", n=14))
-
-    def test_unknown_family(self):
-        from sdncg import ConstructionSpec, build_construction
-
-        with pytest.raises(ParameterError, match="unknown family"):
-            build_construction(ConstructionSpec("moebius", n=8))
-
-    def test_every_family_yields_requested_count(self):
-        from sdncg import ConstructionSpec, build_construction
-
-        specs = [
-            ConstructionSpec("path", n=7),
-            ConstructionSpec("cycle", n=7),
-            ConstructionSpec("star", n=7),
-            ConstructionSpec("clique", n=7),
-            ConstructionSpec("path-clique", n=7, k=4, c=3),
-            ConstructionSpec("star-of-cliques", n=14, alpha=Fraction(2)),
-            ConstructionSpec("hypercube-clique-network", n=14),
-            ConstructionSpec("path-of-cliques", n=18, d=4),
-            ConstructionSpec("wheel-clique-network", n=14),
-        ]
-        for spec in specs:
-            assert build_construction(spec).n == spec.n
-
-
 def test_generators_yield_requested_sizes():
     cases = [
         (path, [(2,), (9,)]),
         (cycle, [(3,), (8,)]),
         (star, [(2,), (9,)]),
         (clique, [(2,), (7,)]),
+        (path_clique, [(7, 4, 3), (6, 0)]),
         (star_of_cliques, [(14, 2), (30, 4)]),
         (hypercube_clique_network, [(8,), (13,), (40,)]),
         (path_of_cliques, [(16, 2), (30, 6)]),

@@ -144,8 +144,10 @@ class TestImprovingMoves:
         assert moves == sorted(moves)
 
     def test_limit_truncates(self):
-        moves = improving_moves(full_state(clique(5)), Fraction(1, 2), limit=2)
-        assert len(moves) == 2
+        # run_dynamics' first policy asks the scan for a prefix of one
+        st_ = full_state(clique(5))
+        arcs = game._improving_arcs(st_, 1, 2, 2)
+        assert [mv for mv, _ in arcs] == improving_moves(st_, Fraction(1, 2))[:2]
 
     @given(st.integers(0, 10**6), st.integers(3, 6))
     @settings(max_examples=25, deadline=None)
@@ -222,7 +224,8 @@ class TestScanAgainstBruteForce:
             assert rep.moves_examined == host.m
             assert stable_in_interval((lo, hi), a) == (not want)
             for k in (1, 2):
-                assert improving_moves(st_, a, limit=k) == list(rep.witnesses[:k])
+                arcs = game._improving_arcs(st_, a.numerator, a.denominator, k)
+                assert [mv for mv, _ in arcs] == list(rep.witnesses[:k])
 
 
 class TestTreeScan:
