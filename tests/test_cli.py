@@ -156,6 +156,22 @@ class TestGen:
             code, out, _ = run(capsys, "gen", "--family", *flags)
             assert code == 0 and parse_text(out) == want
 
+    def test_every_family_yields_requested_count(self, capsys):
+        specs = [
+            (7, ("path", "--n", "7")),
+            (7, ("cycle", "--n", "7")),
+            (7, ("star", "--n", "7")),
+            (7, ("clique", "--n", "7")),
+            (7, ("path-clique", "--n", "7", "--k", "4", "--c", "3")),
+            (14, ("star-of-cliques", "--n", "14", "--alpha", "2")),
+            (14, ("hypercube-clique-network", "--n", "14")),
+            (18, ("path-of-cliques", "--n", "18", "--d", "4")),
+            (14, ("wheel-clique-network", "--n", "14")),
+        ]
+        for n, flags in specs:
+            code, out, _ = run(capsys, "gen", "--family", *flags)
+            assert code == 0 and parse_text(out).n == n, flags[0]
+
     def test_missing_parameter_exit_2(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "star-of-cliques", "--n", "14")
         assert code == 2 and out == ""
