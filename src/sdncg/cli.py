@@ -50,7 +50,15 @@ def _sizes(text):
         raise ParameterError(f"--sizes must be comma-separated integers, got {text!r}") from None
 
 
+# per builder parameter of the constructions, the gen flag that sets it
+_GEN_FLAGS = {"n": "n", "d": "d", "k": "k", "c": "c", "alpha": "alpha", "base": "input", "sizes": "sizes"}
+
+
 def _cmd_gen(args):
+    fn, names = constructions._FAMILY_BUILDERS[args.family]
+    for name, flag in _GEN_FLAGS.items():
+        if name not in names and getattr(args, flag) is not None:
+            raise ParameterError(f"family {args.family!r} does not take --{flag}")
     values = {
         "n": args.n,
         "d": args.d,
@@ -60,7 +68,6 @@ def _cmd_gen(args):
         "base": graphio.load_graph(args.input) if args.input else None,
         "sizes": _sizes(args.sizes) if args.sizes else None,
     }
-    fn, names = constructions._FAMILY_BUILDERS[args.family]
     for name in names:
         # path-clique ignores c when k is 0 or n, and checks it otherwise
         if values[name] is None and not (args.family == "path-clique" and name == "c"):

@@ -3,13 +3,16 @@
 Three layers: a greedy long-path seed with a certified length guarantee, the
 swap-improvement loop that turns the seeded tree into a swap-maximal
 routing-cost spanning tree, and an exact enumeration oracle for the true
-maximum at bounded size. Both swap-delta formulas live here: the search
+maximum at bounded size. One explicit-stack walk on node-mask components,
+``_tree_walk``, lists spanning trees: all of them for the oracle, the first
+around the seed path. Both swap-delta formulas live here: the search
 scores each pair along a non-tree edge's tree path, and the certificate
 rescores every pair by an independent formula per cut of the tree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -113,46 +116,24 @@ def greedy_long_path(host: HostGraph) -> list[int]:
 
 def extend_to_spanning_tree(host: HostGraph, path) -> TreeScaffold:
     """Grow a spanning tree around a simple path, adding host edges in
-    lexicographic order whenever they join two components."""
+    lexicographic order whenever they join two components: the first tree
+    of ``_tree_walk`` from the path's forest."""
     nodes = list(path)
     if len(set(nodes)) != len(nodes):
         raise StructureError("path repeats a node")
     for v in nodes:
         if not 0 <= v < host.n:
             raise StructureError(f"path node {v} out of range")
-    chosen = []
+    mask = 0
     for a, b in zip(nodes, nodes[1:]):
         e = edge(a, b)
         if e not in host.edge_index:
             raise StructureError(f"path edge {e} not in host")
-        chosen.append(e)
-    parent = list(range(host.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[rb] = ra
-        return True
-
-    components = host.n
-    for a, b in chosen:
-        if not union(a, b):
-            raise StructureError("path is not simple in the host")
-        components -= 1
-    for e in host.edges:
-        if components == 1:
-            break
-        if union(*e):
-            chosen.append(e)
-            components -= 1
-    return TreeScaffold(GameState(host, chosen))
+        mask |= 1 << host.edge_index[e]
+    span = sum(1 << v for v in nodes)
+    comp = [span if span >> x & 1 else 1 << x for x in range(host.n)]
+    mask = next(_tree_walk(host, mask, comp, host.n - mask.bit_count()))
+    return TreeScaffold(GameState._from_mask(host, mask))
 
 
 def _find_swap(scaffold: TreeScaffold, pivot: str):
@@ -288,78 +269,53 @@ def _spanning_tree_count(host: HostGraph) -> int:
     return mat[-1][-1]
 
 
-def _spanning_tree_masks(host: HostGraph, budget: int) -> Iterator[int]:
-    """Edge bitmasks of every labeled spanning tree, include-branch first
-    over ascending edge indices; raises before the first tree when the
-    count passes budget."""
-    if _spanning_tree_count(host) > budget:
-        raise BudgetExceededError(f"spanning tree count exceeds budget {budget}")
-    n = host.n
-    m = host.m
-    edges = host.edges
-    parent = list(range(n))
-    size = [1] * n
-    undo: list[tuple[int, int]] = []
+def _tree_walk(host: HostGraph, mask: int, comp: list, k: int) -> Iterator[int]:
+    """Edge masks of every spanning tree that contains the forest ``mask``.
 
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a, b) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        size[ra] += size[rb]
-        undo.append((ra, rb))
-        return True
-
-    def rollback():
-        ra, rb = undo.pop()
-        size[ra] -= size[rb]
-        parent[rb] = rb
-
-    def rec(i: int, mask: int, components: int) -> Iterator[int]:
-        if components == 1:
+    Include/exclude backtracking (Read & Tarjan 1975) over ascending edge
+    indices, depth first, each edge put in before it is left out, so the
+    trees come in ascending order of their sorted edge lists. ``comp[x]`` is
+    the node mask of x's component and ``k`` the component count. Edge i is
+    left out only while the m - i - 1 edges after it can still join the k
+    components. The stack is explicit: no input size limits its depth.
+    """
+    edges, m = host.edges, host.m
+    stack = [(0, mask, comp, k)]
+    while stack:
+        i, mask, comp, k = stack.pop()
+        if k == 1:
             yield mask
-            return
-        if m - i < components - 1:
-            return
+            continue
         u, v = edges[i]
-        if union(u, v):
-            yield from rec(i + 1, mask | (1 << i), components - 1)
-            rollback()
-        yield from rec(i + 1, mask, components)
-
-    yield from rec(0, 0, n)
+        cu, cv = comp[u], comp[v]
+        if m - i - 1 >= k - 1:
+            stack.append((i + 1, mask, comp, k))
+        if cu != cv:
+            joined = cu | cv
+            comp = [joined if c == cu or c == cv else c for c in comp]
+            stack.append((i + 1, mask | 1 << i, comp, k - 1))
 
 
 def enumerate_spanning_trees(host: HostGraph, budget: int = 10**6) -> Iterator[TreeScaffold]:
-    """Stream every labeled spanning tree exactly once (deterministic order).
+    """Stream every labeled spanning tree exactly once, in ascending order of
+    their sorted edge lists (``itertools.combinations`` order).
 
-    Raises BudgetExceededError instead of silently truncating when the tree
-    count passes ``budget``.
+    Raises BudgetExceededError before the first tree, instead of silently
+    truncating, when the tree count passes ``budget``. The O(n^3) count is
+    taken only when C(m, n-1), never below it, passes the budget too.
     """
-    for mask in _spanning_tree_masks(host, budget):
+    n = host.n
+    if math.comb(host.m, n - 1) > budget and _spanning_tree_count(host) > budget:
+        raise BudgetExceededError(f"spanning tree count exceeds budget {budget}")
+    for mask in _tree_walk(host, 0, [1 << x for x in range(n)], n):
         yield TreeScaffold(GameState._from_mask(host, mask))
 
 
 def mrcst_exact(host: HostGraph, budget: int = 10**6) -> TreeScaffold:
-    """Exact maximum routing-cost spanning tree by enumeration.
-
-    Ties break toward the lexicographically smallest edge bitmask.
-    """
-    best_cost = -1
-    best_mask = None
-    for mask in _spanning_tree_masks(host, budget):
-        cost = TreeScaffold(GameState._from_mask(host, mask)).total
-        if cost > best_cost or (cost == best_cost and mask < best_mask):
-            best_cost = cost
-            best_mask = mask
-    return TreeScaffold(GameState._from_mask(host, best_mask))
+    """Exact maximum routing-cost spanning tree by enumerating every tree
+    under ``enumerate_spanning_trees``'s budget; ties go to the smallest
+    edge bitmask."""
+    return max(enumerate_spanning_trees(host, budget), key=lambda sc: (sc.total, -sc.tree.mask))
 
 
 def _crossing_sets(scaffold: TreeScaffold) -> list[int]:

@@ -167,6 +167,20 @@ def spanning_trees_brute(n, edges):
     return out
 
 
+def forced_path_kruskal(n, edges, path):
+    """The tree that takes a simple path's edges, then each host edge in
+    sorted order that joins two components (tracked as node sets)."""
+    comp = [{v} for v in range(n)]
+    chosen = set()
+    for u, v in list(zip(path, path[1:])) + sorted(edges):
+        if comp[u] is not comp[v]:
+            joined = comp[u] | comp[v]
+            for x in joined:
+                comp[x] = joined
+            chosen.add((min(u, v), max(u, v)))
+    return frozenset(chosen)
+
+
 def kirchhoff_count(n, edges):
     """Spanning-tree count by exact determinant of the reduced Laplacian."""
     lap = [[Fraction(0)] * n for _ in range(n)]

@@ -181,6 +181,19 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--family", "path-clique", "--n", "6", "--k", "0")
         assert code == 0 and parse_text(out) == path(6)
 
+    def test_flag_of_another_family_exit_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "path", "--n", "4", "--d", "3")
+        assert code == 2 and out == ""
+        assert err == "error: family 'path' does not take --d\n"
+
+    def test_unread_value_refused_unparsed(self, capsys):
+        # refused for the flag, not for a value the family would never read
+        code, out, err = run(capsys, "gen", "--family", "path", "--n", "4", "--sizes", "x")
+        assert code == 2 and out == ""
+        assert err == "error: family 'path' does not take --sizes\n"
+        code, out, err = run(capsys, "gen", "--family", "star", "--n", "4", "--input", "missing.txt")
+        assert code == 2 and err == "error: family 'star' does not take --input\n"
+
     def test_unknown_family_exit_2(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "moebius", "--n", "8")
         assert code == 2 and out == "" and "invalid choice" in err
@@ -259,6 +272,16 @@ class TestTrees:
         code, out, _ = run(capsys, "mrcst", "--input", k4, "--format", "json")
         payload = json.loads(out)
         assert payload["routing_cost"] == 20
+
+    def test_mrcst_on_a_deep_path(self, capsys, tmp_path):
+        # the path's only tree sits 1,499 edges deep in the enumeration
+        f = tmp_path / "p1500.txt"
+        f.write_text(dump_text(path(1500)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mrcst", "--input", str(f))
+        assert code == 0 and err == ""
+        assert parse_text(out) == path(1500)
+        assert time.perf_counter() - start < 5
 
 
 class TestOpt:

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,25 @@ class TestExtendToSpanningTree:
             extend_to_spanning_tree(clique(4), [0, 1, 0])
         with pytest.raises(StructureError):
             extend_to_spanning_tree(path(4), [0, 2])
+
+    def test_matches_forced_path_kruskal(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            h = random_connected_host(rng.randint(2, 14), rng.uniform(0.1, 0.8), rng)
+            walk = [rng.randrange(h.n)]
+            for _ in range(rng.randrange(h.n)):
+                nxt = [w for w in range(h.n) if w not in walk and h.has_edge(walk[-1], w)]
+                if not nxt:
+                    break
+                walk.append(rng.choice(nxt))
+            for p in [[], walk, *([v] for v in range(h.n))]:
+                got = extend_to_spanning_tree(h, p).tree.active
+                assert got == oracles.forced_path_kruskal(h.n, h.edges, p), (h, p)
+
+    def test_deep_host_in_time(self):
+        start = time.perf_counter()
+        assert extend_to_spanning_tree(path(1500), []).tree.m == 1499
+        assert time.perf_counter() - start < 5
 
 
 class TestSmrcst:
@@ -348,6 +368,30 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             list(gen)
 
+    def test_order_is_combinations_order(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            h = random_connected_host(rng.randint(3, 8), rng.uniform(0.2, 0.6), rng)
+            got = [sc.tree.active for sc in enumerate_spanning_trees(h)]
+            assert got == oracles.spanning_trees_brute(h.n, h.edges)
+
+    def test_deep_hosts_in_time(self):
+        # one tree each, 1,499 edges deep in the walk
+        start = time.perf_counter()
+        [sc] = enumerate_spanning_trees(star(1500))
+        assert sc.tree.active == frozenset(star(1500).edges)
+        [sc] = enumerate_spanning_trees(path(1500))
+        assert time.perf_counter() - start < 5
+
+    def test_budget_count_skipped_when_it_cannot_bind(self, monkeypatch):
+        def refuse(host):
+            raise AssertionError("tree count taken though C(m, n-1) <= budget")
+
+        monkeypatch.setattr(spanning, "_spanning_tree_count", refuse)
+        [sc] = enumerate_spanning_trees(path(1500), budget=1)
+        assert sc.tree.m == 1499
+        assert sum(1 for _ in enumerate_spanning_trees(cycle(6), budget=6)) == 6
+
     def test_count_matches_kirchhoff_oracle(self):
         rng = random.Random(41)
         for _ in range(50):
@@ -374,6 +418,19 @@ class TestMrcst:
                 for t in oracles.spanning_trees_brute(h.n, h.edges)
             )
             assert best.total == brute
+
+    def test_ties_go_to_smallest_mask(self):
+        h = clique(5)
+        trees = oracles.spanning_trees_brute(h.n, h.edges)
+        costs = [oracles.distance_sums(h.n, t)[1] for t in trees]
+        masks = [sum(1 << h.edge_index[e] for e in t) for t, c in zip(trees, costs) if c == max(costs)]
+        assert len(masks) > 1
+        assert mrcst_exact(h).tree.mask == min(masks)
+
+    def test_deep_path_in_time(self):
+        start = time.perf_counter()
+        assert mrcst_exact(path(1500)).total == 1499 * 1500 * 1501 // 3
+        assert time.perf_counter() - start < 5
 
     def test_budget_signal(self):
         with pytest.raises(BudgetExceededError):
