@@ -63,14 +63,12 @@ from .game import (
     DynamicsOutcome,
     Move,
     StabilityReport,
-    add_move,
     addition_decreases,
     apply_move,
     as_alpha,
     improving_moves,
     is_pairwise_stable,
     parse_alpha,
-    remove_move,
     removal_increases,
     run_dynamics,
     social_welfare,
@@ -84,15 +82,12 @@ from .graphio import (
     load_graph,
     parse_json,
     parse_text,
-    save_graph,
 )
 from .graphs import (
-    DistanceTable,
     GameState,
     HostGraph,
     TreeScaffold,
     bfs_all_pairs,
-    canonical_key,
     edge,
     full_state,
     is_bridge,

@@ -85,7 +85,7 @@ from .game import (
     stability_interval,
     stable_in_interval,
 )
-from .graphs import GameState, HostGraph, _bfs, _mask_adjacency, canonical_key, edge, full_state
+from .graphs import GameState, HostGraph, _bfs, _mask_adjacency, edge, full_state
 from .spanning import mrcst_exact, smrcst, smrcst_certificates
 
 SWEEP_COLUMNS = (
@@ -149,6 +149,10 @@ class ThresholdTable:
     clique_optimal: Fraction  # n/3: optimum flips from path to clique
     path_stable_limit: Fraction  # (n-1)/2: path stays stable up to here
     clique_unique: Fraction  # n/2: beyond this only the clique is stable
+    # The two general-host bounds below are claims that fail on some hosts:
+    # host_unique on some with 6 or 7 nodes (`sdncg campaign --suite
+    # host-uniqueness --seed 5` fails), host_optimal on some with 3 to 7
+    # (it is 5/8 on K_3, below clique_optimal).
     host_unique: Fraction  # (n-1)^2/4: beyond this only the host is stable
     host_optimal: Fraction  # (n-2)n(n+2)/24: beyond this the host is optimal
 
@@ -230,7 +234,10 @@ def _census_sums(host: HostGraph) -> dict:
     return sums
 
 
-def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
+CENSUS_BUDGET = 1 << 22
+
+
+def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
     """Alpha-free census of a host, in ascending mask order: one record
     ``(mask, |E|, rc, lo, hi)`` per connected spanning edge subset.
 
@@ -238,7 +245,8 @@ def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
     ``stability_interval`` (None is unbounded). The welfare at alpha is
     ``2*alpha*|E| + rc``, and the state is pairwise stable at alpha iff
     ``lo <= alpha <= hi``, so one census answers every alpha. The budget
-    caps the 2^m subsets and is checked before anything is built.
+    caps the 2^m subsets and is checked before anything is built; a
+    negative budget raises ParameterError.
 
     Every call builds the census anew; nothing is cached. Every
     ``inc``/``dec`` is the difference of two neighbouring states' per-node
@@ -246,6 +254,8 @@ def host_census(host: HostGraph, budget: int = 1 << 22) -> tuple:
     int of sums and a ``hi`` per connected state until it ends: about 2.3
     times the retained memory at its peak.
     """
+    if budget < 0:
+        raise ParameterError(f"budget must be nonnegative, got {budget}")
     if (1 << host.m) > budget:
         raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
     ps = _census_sums(host)
@@ -300,7 +310,7 @@ def _read_census(recs, a: Fraction):
     return _optima(recs, a)[0], stable
 
 
-def optimum_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> OptimumResult:
+def optimum_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> OptimumResult:
     """Exhaustive social optimum over all connected spanning subnetworks."""
     recs = host_census(host, budget)
     welfare, best = _optima(recs, as_alpha(alpha))
@@ -308,7 +318,7 @@ def optimum_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> OptimumResul
     return OptimumResult(states, welfare, len(recs))
 
 
-def enumerate_stable_states(host: HostGraph, alpha, budget: int = 1 << 22) -> EquilibriumAtlas:
+def enumerate_stable_states(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> EquilibriumAtlas:
     """Exhaustive pairwise-stable set; every survivor re-confirmed by the
     full stability report."""
     a = as_alpha(alpha)
@@ -339,12 +349,12 @@ def _price(host: HostGraph, alpha, budget: int, pick) -> Fraction:
     return opt / pick(stable)
 
 
-def poa_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> Fraction:
+def poa_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> Fraction:
     """Optimum welfare over the worst stable welfare, exact."""
     return _price(host, alpha, budget, min)
 
 
-def pos_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> Fraction:
+def pos_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> Fraction:
     """Optimum welfare over the best stable welfare, exact."""
     return _price(host, alpha, budget, max)
 
@@ -353,8 +363,6 @@ def pos_exact(host: HostGraph, alpha, budget: int = 1 << 22) -> Fraction:
 class CompleteOptimum:
     kind: str  # "path" | "clique" | "both"
     welfare: Fraction
-    path_welfare: Fraction
-    clique_welfare: Fraction
 
 
 def optimum_complete_closed_form(n: int, alpha) -> CompleteOptimum:
@@ -364,13 +372,16 @@ def optimum_complete_closed_form(n: int, alpha) -> CompleteOptimum:
     sw_path = closed_form_sw("path", n, a)
     sw_clique = closed_form_sw("clique", n, a)
     if sw_path > sw_clique:
-        return CompleteOptimum("path", sw_path, sw_path, sw_clique)
+        return CompleteOptimum("path", sw_path)
     if sw_clique > sw_path:
-        return CompleteOptimum("clique", sw_clique, sw_path, sw_clique)
-    return CompleteOptimum("both", sw_path, sw_path, sw_clique)
+        return CompleteOptimum("clique", sw_clique)
+    return CompleteOptimum("both", sw_path)
 
 
-def find_improving_cycle(n: int, alpha, search_budget: int = 10**6) -> Optional[DynamicsOutcome]:
+CYCLE_BUDGET = 10**6
+
+
+def find_improving_cycle(n: int, alpha, search_budget: int = CYCLE_BUDGET) -> Optional[DynamicsOutcome]:
     """Exhaustive depth-first search of K_n's improving-move graph for a
     trajectory of improving moves that revisits a state.
 
@@ -448,15 +459,15 @@ def replay_validates_cycle(outcome: DynamicsOutcome, alpha) -> bool:
     host, mask0 = traj[0][0]
     st = GameState._from_mask(host, mask0)
     for key, mv in traj:
-        if canonical_key(st) != key:
+        if (st.host, st.mask) != key:
             return False
         if mv not in improving_moves(st, a):
             return False
         st = apply_move(st, mv)
-    return canonical_key(st) == traj[outcome.cycle_start][0]
+    return (st.host, st.mask) == traj[outcome.cycle_start][0]
 
 
-def approximation_report(host: HostGraph, alphas, subset_budget: int = 1 << 22) -> list[dict]:
+def approximation_report(host: HostGraph, alphas, subset_budget: int = CENSUS_BUDGET) -> list[dict]:
     """Exact approximation ratios of the maximization pipeline on one host,
     one report per alpha, in the order of ``alphas``.
 
@@ -579,12 +590,12 @@ def _approx(x) -> str:
     return "" if x is None else f"{float(x):.6g}"
 
 
-def sweep_cell(host: HostGraph, alpha, budget: int = 1 << 22) -> dict:
+def sweep_cell(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> dict:
     """One CSV row: optimum, stable extrema, PoA/PoS for (host, alpha)."""
     return _sweep_row(host, as_alpha(alpha), host_census(host, budget))
 
 
-def sweep_host(host: HostGraph, alphas, budget: int = 1 << 22) -> list[dict]:
+def sweep_host(host: HostGraph, alphas, budget: int = CENSUS_BUDGET) -> list[dict]:
     """The rows of one host, in the order of ``alphas``, from one census."""
     recs = host_census(host, budget)
     return [_sweep_row(host, as_alpha(a), recs) for a in alphas]
@@ -892,9 +903,9 @@ def _suite_host_uniqueness(seed: int) -> list[dict]:
 
 
 def _suite_improving_cycle(seed: int) -> list[dict]:
-    alpha, budget = Fraction(5, 2), 10**6
+    alpha = Fraction(5, 2)
     try:
-        out = find_improving_cycle(5, alpha, search_budget=budget)
+        out = find_improving_cycle(5, alpha)
     except BudgetExceededError as exc:
         return [_claim("improving-cycle-found", False, str(exc))]
     if out is None:

@@ -31,18 +31,6 @@ def _out(args, text):
         sys.stdout.write(text)
 
 
-def _load_host(args):
-    return graphio.load_graph(args.input)
-
-
-def _alpha(args):
-    return game.parse_alpha(args.alpha)
-
-
-def _fmt(x):
-    return analysis.format_exact(x)
-
-
 def _sizes(text):
     try:
         return tuple(int(s) for s in text.split(","))
@@ -79,15 +67,15 @@ def _cmd_gen(args):
 
 
 def _cmd_sw(args):
-    host = _load_host(args)
-    value = game.social_welfare(full_state(host), _alpha(args))
-    _out(args, _fmt(value) + "\n")
+    host = graphio.load_graph(args.input)
+    value = game.social_welfare(full_state(host), game.parse_alpha(args.alpha))
+    _out(args, analysis.format_exact(value) + "\n")
     return 0
 
 
 def _cmd_stable(args):
-    host = _load_host(args)
-    report = game.is_pairwise_stable(full_state(host), _alpha(args))
+    host = graphio.load_graph(args.input)
+    report = game.is_pairwise_stable(full_state(host), game.parse_alpha(args.alpha))
     if args.format == "json":
         payload = {
             "stable": report.stable,
@@ -103,11 +91,12 @@ def _cmd_stable(args):
 
 
 def _cmd_dynamics(args):
-    host = _load_host(args)
+    host = graphio.load_graph(args.input)
     if args.policy == "random" and args.seed is None:
         raise ParameterError("--policy random requires --seed")
+    alpha = game.parse_alpha(args.alpha)
     outcome = game.run_dynamics(
-        full_state(host), _alpha(args), policy=args.policy, budget=args.budget, seed=args.seed
+        full_state(host), alpha, policy=args.policy, budget=args.budget, seed=args.seed
     )
     lines = []
     if args.policy == "random":
@@ -130,69 +119,60 @@ def _cmd_dynamics(args):
     return 0
 
 
-def _tree_payload(scaffold, extra):
+def _emit_tree(args, scaffold, **extra):
     tree = scaffold.tree
-    payload = {
-        "n": tree.host.n,
-        "edges": [list(e) for e in sorted(tree.active)],
-        "routing_cost": scaffold.total,
-    }
-    payload.update(extra)
-    return payload
-
-
-def _emit_tree(args, scaffold, extra):
     if args.format == "json":
-        _out(args, json.dumps(_tree_payload(scaffold, extra)) + "\n")
+        payload = {
+            "n": tree.host.n,
+            "edges": [list(e) for e in sorted(tree.active)],
+            "routing_cost": scaffold.total,
+            **extra,
+        }
+        _out(args, json.dumps(payload) + "\n")
     else:
-        _out(args, graphio.dump_text(HostGraph(scaffold.tree.host.n, scaffold.tree.active)))
+        _out(args, graphio.dump_text(HostGraph(tree.host.n, tree.active)))
 
 
 def _cmd_smrcst(args):
-    host = _load_host(args)
+    host = graphio.load_graph(args.input)
     result = spanning.smrcst(host, args.policy)
     _emit_tree(
-        args,
-        result.tree,
-        {
-            "iterations": result.iterations,
-            "seed_path_length": result.seed_path_length,
-        },
+        args, result.tree, iterations=result.iterations, seed_path_length=result.seed_path_length
     )
     return 0
 
 
 def _cmd_mrcst(args):
-    host = _load_host(args)
+    host = graphio.load_graph(args.input)
     scaffold = spanning.mrcst_exact(host, args.budget)
-    _emit_tree(args, scaffold, {})
+    _emit_tree(args, scaffold)
     return 0
 
 
 def _cmd_opt(args):
-    host = _load_host(args)
-    result = analysis.optimum_exact(host, _alpha(args), args.budget)
+    host = graphio.load_graph(args.input)
+    result = analysis.optimum_exact(host, game.parse_alpha(args.alpha), args.budget)
     if args.format == "json":
         payload = {
-            "welfare": _fmt(result.welfare),
+            "welfare": analysis.format_exact(result.welfare),
             "optima": len(result.best_states),
             "states_examined": result.states_examined,
             "best_edges": [sorted(st.active) for st in result.best_states],
         }
         _out(args, json.dumps(payload) + "\n")
     else:
-        _out(args, _fmt(result.welfare) + "\n")
+        _out(args, analysis.format_exact(result.welfare) + "\n")
     return 0
 
 
 def _cmd_atlas(args):
-    host = _load_host(args)
-    atlas = analysis.enumerate_stable_states(host, _alpha(args), args.budget)
+    host = graphio.load_graph(args.input)
+    atlas = analysis.enumerate_stable_states(host, game.parse_alpha(args.alpha), args.budget)
     if args.format == "json":
         payload = {
             "stable_count": atlas.stable_count,
-            "sw_worst_stable": _fmt(atlas.worst_welfare),
-            "sw_best_stable": _fmt(atlas.best_welfare),
+            "sw_worst_stable": analysis.format_exact(atlas.worst_welfare),
+            "sw_best_stable": analysis.format_exact(atlas.best_welfare),
             "states_examined": atlas.states_examined,
             "stable_edges": [sorted(st.active) for st in atlas.stable_states],
         }
@@ -200,21 +180,22 @@ def _cmd_atlas(args):
     else:
         lines = [
             f"stable_count: {atlas.stable_count}",
-            f"sw_worst_stable: {_fmt(atlas.worst_welfare)}",
-            f"sw_best_stable: {_fmt(atlas.best_welfare)}",
+            f"sw_worst_stable: {analysis.format_exact(atlas.worst_welfare)}",
+            f"sw_best_stable: {analysis.format_exact(atlas.best_welfare)}",
         ]
         _out(args, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_poa(args):
-    host = _load_host(args)
-    _out(args, _fmt(analysis.poa_exact(host, _alpha(args), args.budget)) + "\n")
+    host = graphio.load_graph(args.input)
+    price = analysis.poa_exact(host, game.parse_alpha(args.alpha), args.budget)
+    _out(args, analysis.format_exact(price) + "\n")
     return 0
 
 
 def _cmd_cycle(args):
-    outcome = analysis.find_improving_cycle(args.n, _alpha(args), search_budget=args.budget)
+    outcome = analysis.find_improving_cycle(args.n, game.parse_alpha(args.alpha), args.budget)
     lines = []
     if args.format == "json":
         if outcome is None:
@@ -254,6 +235,8 @@ def _cmd_sweep(args):
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise ParameterError(f"--workers must be between 1 and {cpus}, got {args.workers}")
+    if args.budget < 0:
+        raise ParameterError(f"--budget must be nonnegative, got {args.budget}")
     alphas = [game.parse_alpha(s) for s in args.alpha.split(",")]
     if args.input:
         hosts = [graphio.load_graph(p) for p in args.input]
@@ -349,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_stable)
 
     p = sub.add_parser("dynamics", help="improving-move dynamics from the full graph")
-    common(p, alpha=True, inp=True, budget=10_000)
+    common(p, alpha=True, inp=True, budget=game.DYNAMICS_BUDGET)
     p.add_argument("--policy", choices=game.POLICIES, default="first")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_dynamics)
@@ -360,26 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_smrcst)
 
     p = sub.add_parser("mrcst", help="exact maximum routing-cost spanning tree")
-    common(p, inp=True, budget=10**6)
+    common(p, inp=True, budget=spanning.TREE_BUDGET)
     p.set_defaults(fn=_cmd_mrcst)
 
     p = sub.add_parser("opt", help="exact social optimum welfare")
-    common(p, alpha=True, inp=True, budget=1 << 22)
+    common(p, alpha=True, inp=True, budget=analysis.CENSUS_BUDGET)
     p.set_defaults(fn=_cmd_opt)
 
     p = sub.add_parser("atlas", help="exhaustive pairwise-stable set")
-    common(p, alpha=True, inp=True, budget=1 << 22)
+    common(p, alpha=True, inp=True, budget=analysis.CENSUS_BUDGET)
     p.set_defaults(fn=_cmd_atlas)
 
     p = sub.add_parser("poa", help="exact price of anarchy")
-    common(p, alpha=True, inp=True, budget=1 << 22)
+    common(p, alpha=True, inp=True, budget=analysis.CENSUS_BUDGET)
     p.set_defaults(fn=_cmd_poa)
 
     p = sub.add_parser("cycle", help="search for an improving-move cycle on K_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--seed", type=int, help="ignored: the search is exhaustive and deterministic")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=analysis.CYCLE_BUDGET)
     p.add_argument("--output")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_cycle)

@@ -84,16 +84,6 @@ class Move:
         return f"{self.kind} {self.u} {self.v}"
 
 
-def add_move(u: int, v: int) -> Move:
-    a, b = edge(u, v)
-    return Move(ADD, a, b)
-
-
-def remove_move(u: int, v: int) -> Move:
-    a, b = edge(u, v)
-    return Move(REMOVE, a, b)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """A full stability verdict; ``witnesses`` lists every improving move
@@ -110,9 +100,9 @@ class StabilityReport:
 class DynamicsOutcome:
     """Trajectory of improving moves plus how it ended.
 
-    ``trajectory`` holds ``(state key, move)`` pairs, the move being the one
-    taken from that state. In a cycle outcome the final state equals the
-    state at index ``cycle_start``.
+    ``trajectory`` holds ``((host, mask), move)`` pairs: the labeled key of
+    a state and the move taken from it. In a cycle outcome the final state
+    equals the state at index ``cycle_start``.
     """
 
     trajectory: tuple
@@ -307,16 +297,19 @@ def _best_arc(host, alpha: Fraction, arcs):
     return best
 
 
+DYNAMICS_BUDGET = 10_000
+
+
 def run_dynamics(
     start: GameState,
     alpha,
     policy: str = FIRST_IMPROVING,
-    budget: int = 10_000,
+    budget: int = DYNAMICS_BUDGET,
     seed: Optional[int] = None,
 ) -> DynamicsOutcome:
     """Iterate policy-selected improving moves until stable, revisit, or budget.
 
-    Revisits are detected on labeled canonical keys, so a cycle outcome means
+    Revisits are detected on labeled edge masks, so a cycle outcome means
     an exact state recurrence. Deterministic given (start, alpha, policy, seed).
 
     The walk runs on edge masks and scans each state it stands on once: it
@@ -348,7 +341,6 @@ def run_dynamics(
             mv, nxt = rng.choice(arcs)
         else:
             mv, nxt = _best_arc(host, a, arcs)
-        # (host, mask) is the state's canonical key
         trajectory.append(((host, st.mask), mv))
         st = GameState._from_mask(host, nxt)
         if nxt in seen:

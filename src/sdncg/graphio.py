@@ -100,9 +100,3 @@ def load_graph(path: str) -> HostGraph:
     if os.path.splitext(path)[1].lower() == ".json":
         return parse_json(text)
     return parse_text(text)
-
-
-def save_graph(graph: HostGraph, path: str, fmt: str = "text") -> None:
-    text = dump_json(graph) if fmt == "json" else dump_text(graph)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -2,9 +2,9 @@
 
 Nodes are dense integers ``0..n-1``. Every distance quantity in this module
 is an exact integer; nothing here touches floating point. ``HostGraph`` and
-``DistanceTable`` are immutable after construction and safe for concurrent
-reads; ``GameState`` is a cheap value object that may be copied across
-workers.
+a state's distance table are immutable after construction and safe for
+concurrent reads; ``GameState`` is a cheap value object that may be copied
+across workers, equal and hashed by ``(host, mask)``.
 
 Adjacency is kept as per-node bitmasks. Python integers are unbounded, so
 they are exact at every size; ``_bfs`` is the one traversal kernel behind
@@ -335,15 +335,6 @@ def is_bridge(state: GameState, e) -> bool:
     nbr[u] ^= 1 << v
     nbr[v] ^= 1 << u
     return _bfs(nbr, 1 << u)[1] != (1 << state.host.n) - 1
-
-
-def canonical_key(state: GameState):
-    """Opaque key equal iff two states share the host and active edge set.
-
-    Labeled equality only; isomorphic but differently labeled states get
-    different keys on purpose.
-    """
-    return (state.host, state.mask)
 
 
 class TreeScaffold:

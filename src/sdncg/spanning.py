@@ -296,22 +296,28 @@ def _tree_walk(host: HostGraph, mask: int, comp: list, k: int) -> Iterator[int]:
             stack.append((i + 1, mask | 1 << i, comp, k - 1))
 
 
-def enumerate_spanning_trees(host: HostGraph, budget: int = 10**6) -> Iterator[TreeScaffold]:
+TREE_BUDGET = 10**6
+
+
+def enumerate_spanning_trees(host: HostGraph, budget: int = TREE_BUDGET) -> Iterator[TreeScaffold]:
     """Stream every labeled spanning tree exactly once, in ascending order of
     their sorted edge lists (``itertools.combinations`` order).
 
     Raises BudgetExceededError before the first tree, instead of silently
     truncating, when the tree count passes ``budget``. The O(n^3) count is
-    taken only when C(m, n-1), never below it, passes the budget too.
+    taken only when C(m, n-1), never below it, passes the budget too. A
+    negative budget raises ParameterError before either count.
     """
     n = host.n
+    if budget < 0:
+        raise ParameterError(f"budget must be nonnegative, got {budget}")
     if math.comb(host.m, n - 1) > budget and _spanning_tree_count(host) > budget:
         raise BudgetExceededError(f"spanning tree count exceeds budget {budget}")
     for mask in _tree_walk(host, 0, [1 << x for x in range(n)], n):
         yield TreeScaffold(GameState._from_mask(host, mask))
 
 
-def mrcst_exact(host: HostGraph, budget: int = 10**6) -> TreeScaffold:
+def mrcst_exact(host: HostGraph, budget: int = TREE_BUDGET) -> TreeScaffold:
     """Exact maximum routing-cost spanning tree by enumerating every tree
     under ``enumerate_spanning_trees``'s budget; ties go to the smallest
     edge bitmask."""

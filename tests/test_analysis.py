@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import random
@@ -10,10 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 from sdncg import (
+    ADD,
+    REMOVE,
     BudgetExceededError,
     CertificateError,
+    DynamicsOutcome,
     GameState,
     HostGraph,
+    Move,
     NoEquilibriumError,
     ParameterError,
     approximation_report,
@@ -189,6 +194,16 @@ class TestHostCensus:
         monkeypatch.setattr(analysis, "_census_sums", _refuse)
         with pytest.raises(BudgetExceededError):
             host_census(clique(7), 1 << 20)
+
+    def test_negative_budget_refused_before_build(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_census_sums", _refuse)
+        with pytest.raises(ParameterError, match="nonnegative, got -1"):
+            host_census(clique(3), -1)
+        for read in (optimum_exact, enumerate_stable_states, poa_exact, pos_exact, sweep_cell):
+            with pytest.raises(ParameterError):
+                read(clique(3), 1, -1)
+        with pytest.raises(ParameterError):
+            sweep_host(clique(3), [1], -1)
 
     def test_census_keeps_no_state(self, updates):
         # a second call builds the same census again, edge update for update
@@ -553,6 +568,56 @@ class TestImprovingCycle:
         monkeypatch.setattr(analysis, "clique", refuse)
         with pytest.raises(ParameterError, match="budget"):
             find_improving_cycle(5, Fraction(5, 2), search_budget=-5)
+
+
+class TestReplayValidatesCycle:
+    """Each refusal of ``replay_validates_cycle``: every test fails if the
+    replay drops the comparison it names."""
+
+    alpha = Fraction(5, 2)
+
+    @pytest.fixture
+    def out(self):
+        out = find_improving_cycle(5, self.alpha)
+        # the state test alters step 1, which must be neither the start nor
+        # the state the cycle returns to
+        assert out.cycle_start > 1
+        return out
+
+    def test_accepts_the_search_outcome(self, out):
+        assert replay_validates_cycle(out, self.alpha)
+
+    def test_recorded_state_differs(self, out):
+        traj = list(out.trajectory)
+        (host, mask), mv = traj[1]
+        traj[1] = ((host, mask ^ 1), mv)
+        assert not replay_validates_cycle(dataclasses.replace(out, trajectory=tuple(traj)), self.alpha)
+
+    def test_move_not_improving(self):
+        # at alpha 1/2 adding a chord to a tree of K_4 helps neither endpoint
+        # enough, while removing it again helps both: consistent states, and
+        # a return to the start, but the first move is not improving
+        host = clique(4)
+        tree = GameState(host, [(0, 1), (1, 2), (2, 3)])
+        chord = GameState(host, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        traj = (((host, tree.mask), Move(ADD, 0, 3)), ((host, chord.mask), Move(REMOVE, 0, 3)))
+        out = DynamicsOutcome(traj, game.CYCLE, tree, cycle_start=0)
+        assert not replay_validates_cycle(out, Fraction(1, 2))
+
+    def test_cycle_start_not_final_state(self, out):
+        shifted = dataclasses.replace(out, cycle_start=out.cycle_start + 1)
+        assert not replay_validates_cycle(shifted, self.alpha)
+
+    @pytest.mark.parametrize("terminal", ["stable", "budget-exhausted"])
+    def test_terminal_not_cycle(self, out, terminal):
+        assert not replay_validates_cycle(dataclasses.replace(out, terminal=terminal), self.alpha)
+
+    def test_no_cycle_start(self, out):
+        assert not replay_validates_cycle(dataclasses.replace(out, cycle_start=None), self.alpha)
+
+    def test_empty_trajectory(self, out):
+        empty = DynamicsOutcome((), game.CYCLE, out.final_state, cycle_start=0)
+        assert not replay_validates_cycle(empty, self.alpha)
 
 
 class TestApproximationReport:

@@ -26,6 +26,7 @@ from sdncg import (
     improving_moves,
     parse_text,
     path,
+    spanning,
 )
 from sdncg.cli import main
 
@@ -488,6 +489,19 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--alpha", "1")
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize("mode", ["input", "random"])
+    def test_negative_budget_rejected_first(self, capsys, monkeypatch, k4, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached past the --budget check")
+
+        monkeypatch.setattr(cli, "Pool", refuse)
+        monkeypatch.setattr(cli.graphio, "load_graph", refuse)
+        monkeypatch.setattr(analysis, "random_connected_host", refuse)
+        source = ["--input", k4] if mode == "input" else ["--seed", "1"]
+        code, out, err = run(capsys, "sweep", "--alpha", "1", *source, "--budget", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --budget must be nonnegative, got -1\n"
+
 
 class TestCampaign:
     def test_single_suite(self, capsys, tmp_path):
@@ -550,6 +564,27 @@ class TestErrors:
         monkeypatch.setattr(game, "social_welfare", fail)
         code, out, err = run(capsys, "sw", "--alpha", "1", "--input", k4)
         assert (code, out, err) == (2 if exc in usage else 1, "", "error: boom\n")
+
+    @pytest.mark.parametrize("command", ["opt", "atlas", "poa", "mrcst"])
+    def test_negative_budget_exit_2(self, capsys, monkeypatch, k4, command):
+        # a usage error, refused before any subset or tree is counted (sweep:
+        # TestSweep.test_negative_budget_rejected_first)
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted past the budget check")
+
+        monkeypatch.setattr(analysis, "_census_sums", refuse)
+        monkeypatch.setattr(spanning, "_spanning_tree_count", refuse)
+        alpha = [] if command == "mrcst" else ["--alpha", "1"]
+        code, out, err = run(capsys, command, *alpha, "--input", k4, "--budget", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budget must be nonnegative, got -1" in err
+
+    @pytest.mark.parametrize("command", ["opt", "atlas", "poa", "sweep", "mrcst"])
+    def test_zero_budget_exit_1(self, capsys, k4, command):
+        alpha = [] if command == "mrcst" else ["--alpha", "1"]
+        code, out, err = run(capsys, command, *alpha, "--input", k4, "--budget", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "budget 0" in err
 
     def test_byte_identical_reruns(self, capsys, k6):
         outs = []

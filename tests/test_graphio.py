@@ -9,7 +9,6 @@ from sdncg import (
     parse_json,
     parse_text,
     path,
-    save_graph,
 )
 
 
@@ -68,15 +67,6 @@ def test_json_refuses_booleans():
         parse_json('{"n": 3, "edges": [[0, 1], [1, true]]}')
     with pytest.raises(GraphParseError, match="'n' must be an integer"):
         parse_json('{"n": true, "edges": [[0, 1]]}')
-
-
-def test_save_graph_round_trip(tmp_path):
-    g = clique(4)
-    for name, fmt, dump in (("g.txt", "text", dump_text), ("g.json", "json", dump_json)):
-        f = tmp_path / name
-        save_graph(g, str(f), fmt)
-        assert f.read_text() == dump(g)
-        assert load_graph(str(f)) == g
 
 
 def test_load_graph_sniffs_extension(tmp_path):

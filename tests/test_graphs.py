@@ -12,7 +12,6 @@ from sdncg import (
     StructureError,
     TreeScaffold,
     bfs_all_pairs,
-    canonical_key,
     clique,
     cycle,
     edge,
@@ -364,28 +363,43 @@ class TestBridges:
 
 
 class TestCanonicalKey:
+    """A state's key is ``(host, mask)``: labeled equality only, so
+    isomorphic but differently labeled states differ on purpose."""
+
     def test_reflexive(self):
         st_ = full_state(path(4))
-        assert canonical_key(st_) == canonical_key(st_)
+        assert st_ == st_ and hash(st_) == hash((st_.host, st_.mask))
 
     def test_distinguishes_states(self):
+        # two labeled spanning trees of K_4, a path and a star
         h = clique(4)
         a = GameState(h, [(0, 1), (1, 2), (2, 3)])
         b = GameState(h, [(0, 1), (0, 2), (0, 3)])
-        assert canonical_key(a) != canonical_key(b)
+        assert (a.host, a.mask) != (b.host, b.mask)
+        assert a != b
+
+    def test_relabeled_isomorphic_states_differ(self):
+        # the same path on K_4 under the relabeling 0 <-> 3
+        h = clique(4)
+        a = GameState(h, [(0, 1), (1, 2), (2, 3)])
+        b = GameState(h, [(3, 1), (1, 2), (2, 0)])
+        assert (a.host, a.mask) != (b.host, b.mask)
+        assert a != b and len({a, b}) == 2
 
     def test_add_remove_round_trip(self):
-        from sdncg import add_move, apply_move, remove_move
+        from sdncg import ADD, REMOVE, Move, apply_move
 
         h = clique(4)
         a = GameState(h, [(0, 1), (1, 2), (2, 3)])
-        b = apply_move(apply_move(a, add_move(0, 3)), remove_move(0, 3))
-        assert canonical_key(a) == canonical_key(b)
+        b = apply_move(apply_move(a, Move(ADD, 0, 3)), Move(REMOVE, 0, 3))
+        assert (a.host, a.mask) == (b.host, b.mask)
+        assert a == b and hash(a) == hash(b)
 
     def test_same_edges_same_host_value(self):
         a = GameState(clique(4), [(0, 1), (1, 2), (2, 3)])
         b = GameState(clique(4), [(0, 1), (1, 2), (2, 3)])
-        assert canonical_key(a) == canonical_key(b)
+        assert (a.host, a.mask) == (b.host, b.mask)
+        assert a == b and hash(a) == hash(b)
 
 
 def test_edge_helper():

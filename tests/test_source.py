@@ -55,3 +55,62 @@ def fine(host):
     return host.fine()
 """
     assert [name for name, _ in self_calls(ast.parse(code))] == ["rec", "inner", "walk"]
+
+
+def unreferenced_privates(sources):
+    """``(file, name)`` of every module-level private function or class that
+    no code in ``sources`` (file name to source text) reads outside its own
+    definition; an import alone is not a read."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    reads = {}  # name -> ids of the Name and Attribute nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(id(node))
+    found = []
+    for file, tree in trees.items():
+        for d in tree.body:
+            if (
+                isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and d.name.startswith("_")
+                and not d.name.startswith("__")
+            ):
+                inside = {id(node) for node in ast.walk(d)}
+                if all(r in inside for r in reads.get(d.name, ())):
+                    found.append((file, d.name))
+    return found
+
+
+def test_every_private_helper_is_used():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
+
+
+def test_detects_unreferenced_privates():
+    sources = {
+        "a.py": """
+def _used():
+    return 1
+
+def _self_only():
+    return _self_only
+
+class _Imported:
+    pass
+
+def public():
+    return _used()
+""",
+        "b.py": """
+from .a import _Imported
+
+def _via_module():
+    pass
+
+def reader(mod):
+    return mod._via_module
+""",
+    }
+    assert unreferenced_privates(sources) == [("a.py", "_self_only"), ("a.py", "_Imported")]

@@ -383,6 +383,16 @@ class TestEnumeration:
         [sc] = enumerate_spanning_trees(path(1500))
         assert time.perf_counter() - start < 5
 
+    def test_negative_budget_refused_before_counting(self, monkeypatch):
+        def refuse(host):
+            raise AssertionError("trees counted before the budget check")
+
+        monkeypatch.setattr(spanning, "_spanning_tree_count", refuse)
+        with pytest.raises(ParameterError, match="nonnegative, got -1"):
+            list(enumerate_spanning_trees(clique(4), budget=-1))
+        with pytest.raises(ParameterError):
+            mrcst_exact(clique(4), budget=-1)
+
     def test_budget_count_skipped_when_it_cannot_bind(self, monkeypatch):
         def refuse(host):
             raise AssertionError("tree count taken though C(m, n-1) <= budget")
