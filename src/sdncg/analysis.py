@@ -13,55 +13,81 @@ the integer interval ``[lo, hi]``, so the optimum, the stable set, PoA and
 PoS at every alpha are read off the same records.
 
 The census is built in two passes over the lattice of edge subsets. Pass 1
-(``_census_sums``) walks the subset tree depth first, edges from the highest
-index down and each left out before put in, so leaves come in ascending mask
-order. A subset's distance matrix is its prefix's plus one edge (Ausiello et
-al., J. Algorithms 1991), and it is held as one integer of W-bit lanes
-(Lamport, CACM 1975): pair (x, y) owns the lane at bit W*(x*n + y), the top
-bit of each lane is a guard bit, and an unreachable pair holds the sentinel
-n. ``_add_edge`` inserts edge (u, v) in a fixed 28 big-int operations, with
-no loop over rows: column u is masked out and copied along every row by one
-multiplication, row v masked out and copied down every row by another, and
-their sum is set against the same with u and v swapped; the smaller, plus
-one, is set against the old lane. Each lane-wise minimum subtracts one
-operand from the other with every guard bit set and keeps the lanes whose
-guard bit survives. W is the least width that meets two bounds:
+(``_census_sums``) walks the subset tree depth first over the high edges,
+indices m - 1 down to k = min(m, 8), each left out before put in, so the
+prefixes (the masks of the high edges) come in ascending order. A prefix's
+distance matrix is its parent's plus one edge (Ausiello et al., J.
+Algorithms 1991), held as one integer of lanes (Lamport, CACM 1975): pair
+(x, y) owns the lane at bit w*(x*n + y), the top bit of each lane is a guard
+bit, w is the least width with 2n + 1 below it, and an unreachable pair
+holds the sentinel n. ``_add_edge`` inserts edge (u, v) in a fixed 28
+big-int operations, with no loop over rows: column u is masked out and
+copied along every row by one multiplication, row v masked out and copied
+down every row by another, and their sum is set against the same with u
+and v swapped; the smaller, plus one, is set against the old lane. Each
+lane-wise minimum subtracts one operand from the other with every guard bit
+set and keeps the lanes whose guard bit survives. Branches that cannot
+reach n - 1 edges or that isolate a node are skipped.
 
-- every candidate, at most 2n + 1, stays below the guard bit, so no
-  subtraction borrows across lanes;
-- every lane of the row-sum product at a connected leaf, a sum of n lanes
-  each at most n - 1, stays below 2^W, so no lane carries into the next.
+The walk stops k edges above the leaves, and ``_block`` builds each
+surviving prefix's 2^k completions at once, bit-sliced across inputs
+(Biham, FSE 1997): one int per node pair holds that pair's distance in 2^k
+lanes of W bits, lane t being the completion whose low edges (indices 0 to
+k - 1) are the bits of t. The int starts as the prefix's distance in one
+lane; low edge j = (u, v) doubles it, and its upper 2^j lanes, the
+completions that hold edge j, take the same minimum as ``_add_edge``. A lane
+is connected iff no D[0][y] holds n; a node's sum adds its n - 1 pair ints
+and is zeroed in the other lanes. W is the least of 8, 16, 32, ... bits
+with n(n - 1)/2 below 2^(W-1) - 1, which gives the two lane bounds:
 
-Branches that cannot reach n - 1 edges or that isolate a node are skipped. A
-leaf is connected iff no lane of row 0 holds n, which the guard bits show
-after 2^(W-1) - n is added to each of those lanes. One multiplication then
-sums each row into its top lane, and the per-node sums stay packed, node x's
-in lane (x, 0). Pass 2 reads each pair (S - e, S) of connected states once:
-removing e from S raises each endpoint's sum by what adding e to S - e lowers
-it, so one difference bounds S's ``lo`` and S - e's ``hi``. One lane-wise
-subtraction gives the rises of both endpoints; it cannot borrow, since
-removing an edge lowers no distance sum. ``rc`` is one more multiplication,
-which adds the n sums. No S - e means e is a bridge of S. No move is scanned
-and no BFS runs. The packed sums of every connected state are held until
-pass 2 ends (tracemalloc: 7.0 MiB peak for K_6's 26,704 states, 3.1 MiB
-retained).
+- every candidate D[x][u] + 1 + D[v][y], at most 2n + 1, and every sum or
+  rise of a connected lane, at most n(n - 1)/2, stays below the guard bit,
+  so no subtraction borrows across lanes and one value, n(n - 1)/2 + 1, is
+  left to mean "no bound";
+- every node sum, at most n(n - 1) in a lane that is not connected, stays
+  below 2^W, so no addition carries into the next lane.
+
+So lanes are bytes up to n = 16 and 16 bits from n = 17 (n(n - 1)/2 = 136).
+k = 8 makes a block int 2^8 byte lanes, 2048 bits: one operation does the
+work of 256 subsets for a few times the cost of one on a small int, and K_6
+builds in about a quarter of the time it takes at k = 5. A larger k halves
+the blocks again, but a block builds every completion of its prefix,
+connected or not, so the lanes wasted on a sparse lattice double with each
+step.
+
+Pass 2 reads each pair (S - e, S) of connected states once, lane-wise: low
+edge j pairs lane t with lane t - 2^j of the same block (a shift by 2^j
+lanes), high edge j pairs block H with block H - 2^j, lane for lane.
+Removing e from S raises each endpoint's sum by what adding e to S - e
+lowers it, so one difference bounds S's ``lo`` and S - e's ``hi``:
+``_fold`` takes the larger endpoint rise into ``lo(S)`` by lane-wise max
+and into ``hi(S - e)`` by lane-wise min. No rise borrows, since no sum falls
+and the other lanes hold 0, and a rise is at least 1, so ``lo`` is 0 and
+``hi`` n(n - 1)/2 + 1 in a lane no pair reaches. No S - e means e is a
+bridge of S. Then the records are decoded block by block, in ascending mask
+order, with ``itertools.compress`` over the connected lanes; ``rc`` adds
+the n sums in lanes of 2W bits. No move is scanned and no BFS runs. The
+blocks are held until the records are decoded: n + 3 ints of 2^k lanes per
+surviving prefix (K_6: 128 blocks).
 
 ``host_census`` keeps nothing between calls: a caller that asks one host
 several questions builds its census once and reads it as often as it needs
 (``sweep_host``, ``approximation_report``, the campaign suites). The one
 process-wide store is the per-n memo of the complete hosts' censuses
 (``_complete_census``), which three suites read and which the CLI runs as
-separate ``campaign`` calls; K_6's census alone takes 0.16 to 0.25 s to build.
+separate ``campaign`` calls; K_6's census alone takes 0.03 to 0.05 s to build.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from typing import Optional
 
 from .constructions import clique, closed_form_sw, cycle, hypercube_clique_network, path, path_of_cliques, star, star_of_cliques, wheel_clique_network, embed_in_clique
@@ -122,8 +148,6 @@ class EquilibriumAtlas:
     existence is an open matter, never an assumption.
     """
 
-    host: HostGraph
-    alpha: Fraction
     stable_states: tuple
     welfares: tuple
     states_examined: int
@@ -176,8 +200,8 @@ def _lanes(n: int) -> tuple:
     the masks of column 0 and of row 0, the multipliers that copy lane (x, 0)
     along row x and row 0 down every row, the guard bit of every lane, and
     2^(W-1) - 1 in every lane. W is the least width with 2n + 1 below the
-    guard bit and n(n - 1) below 2^W."""
-    w = max((2 * n + 1).bit_length() + 1, (n * (n - 1)).bit_length())
+    guard bit."""
+    w = (2 * n + 1).bit_length() + 1
     wn = w * n
     lane = (1 << w) - 1
     across = sum(1 << w * y for y in range(n))
@@ -200,30 +224,85 @@ def _add_edge(d: int, u: int, v: int, lanes: tuple) -> int:
     return d - (t & (g - (g >> top)))
 
 
-def _census_sums(host: HostGraph) -> dict:
-    """Census pass 1: ``{mask: packed per-node distance sums}`` of every
-    connected spanning edge subset, in ascending mask order, with node x's sum
-    in lane (x, 0) (see the module docstring). The stack is explicit, since a
-    self-recursive closure is a reference cycle that would hold the result
-    until the collector runs."""
+_BLOCK_EDGES = 8  # k, the low edges whose 2^k completions one block holds
+
+
+def _block_lanes(n: int, k: int) -> tuple:
+    """The constants of a block of 2^k completions on n nodes (see the module
+    docstring): the lane width W, the guard shift W - 1, the guard bit of
+    every lane, 1 in every lane, and per low edge j the guard bits of the
+    lanes whose bit j is set."""
+    w = 8
+    while n * (n - 1) // 2 >= (1 << w - 1) - 1:
+        w *= 2
+    ones = ((1 << (w << k)) - 1) // ((1 << w) - 1)
+    guard = ones << (w - 1)
+    # lanes 2^j to 2^(j+1) - 1 of every run of 2^(j+1) lanes
+    halves = [guard // ((1 << (w << j)) + 1) << (w << j) for j in range(k)]
+    return w, w - 1, guard, ones, halves
+
+
+def _block(d: int, n: int, low, lanes: tuple, block_lanes: tuple):
+    """The block of one prefix, from its packed matrix ``d`` (see the module
+    docstring): ``[guard bits of the connected lanes, per-node sums]``, each
+    an int of 2^k lanes, or None if no completion is connected."""
+    w0, wn0 = lanes[:2]
+    lane0 = (1 << w0) - 1
+    w, top, guard, ones, _ = block_lanes
+    D = [[(d >> wn0 * x + w0 * y) & lane0 for y in range(n)] for x in range(n)]
+    pairs = [(x, D[x], y) for x in range(n) for y in range(x + 1, n)]
+    one, g1, s = 1, 1 << top, w
+    for u, v in low:
+        cu = [row[u] for row in D]
+        cv = [row[v] for row in D]
+        cu1 = [c + one for c in cu]
+        cv1 = [c + one for c in cv]
+        for x, row, y in pairs:
+            a = cu1[x] + cv[y]
+            t = (a | g1) - cv1[x] - cu[y]
+            g = t & g1  # guard bit set where D[x][u] + D[v][y] >= D[x][v] + D[u][y]
+            a -= t & (g - (g >> top))
+            dxy = row[y]
+            t = (dxy | g1) - a
+            g = t & g1  # guard bit set where D[x][y] >= a
+            row[y] = D[y][x] = dxy | (dxy - (t & (g - (g >> top)))) << s
+        one |= one << s
+        g1 |= g1 << s
+        s <<= 1
+    far = ((1 << top) - n) * ones  # lifts a lane that holds n to its guard bit
+    cut = 0
+    for dy in D[0][1:]:
+        cut |= dy + far
+    conn = guard & ~cut
+    if not conn:
+        return None
+    full = conn | (conn - (conn >> top))
+    return [conn, [sum(row) & full for row in D]]
+
+
+def _census_sums(host: HostGraph, k: int, block_lanes: tuple) -> dict:
+    """Census pass 1: ``{prefix: [connected lanes, per-node sums]}`` for
+    every prefix (the mask of edges k to m - 1) with a connected
+    completion, in ascending prefix order (see ``_block`` and the module
+    docstring). The stack is explicit, since a self-recursive closure is a
+    reference cycle that would hold the result until the collector runs."""
     n = host.n
     need = n - 1
     lanes = _lanes(n)
-    w, wn, _, col0, row0, across, down, guard, _ = lanes
+    w, wn, _, _, _, across, down, _, _ = lanes
     last = [0] * host.m  # per edge, the nodes whose last-decided edge it is
     for x, nbr in enumerate(host.adj_mask):
         last[host.edge_index[edge(x, (nbr & -nbr).bit_length() - 1)]] |= 1 << x
     d = n * (across * down - sum(1 << (wn + w) * x for x in range(n)))  # n off the diagonal
-    guard0 = guard & row0
-    reach = guard0 - n * across  # 2^(W-1) - n in each lane of row 0
-    shift = w * (n - 1)
-    sums = {}
+    low = host.edges[:k]
+    blocks = {}
     stack = [(host.m, 0, 0, d)]  # (undecided edges, mask, nodes it covers, matrix)
     while stack:
         i, mask, covered, d = stack.pop()
-        if i == 0:
-            if not (d + reach) & guard0:  # no lane of row 0 holds n
-                sums[mask] = (d * across >> shift) & col0
+        if i == k:
+            block = _block(d, n, low, lanes, block_lanes)
+            if block is not None:
+                blocks[mask] = block
             continue
         i -= 1
         u, v = host.edges[i]
@@ -231,7 +310,25 @@ def _census_sums(host: HostGraph) -> dict:
         # leave edge i out only if n - 1 edges stay reachable and no node is isolated
         if mask.bit_count() + i >= need and not last[i] & ~covered:
             stack.append((i, mask, covered, d))
-    return sums
+    return blocks
+
+
+def _fold(lo, hi, before_u, before_v, sums_u, sums_v, valid, guard, top):
+    """One lattice pair (S - e, S) per valid lane: the larger endpoint rise
+    from S to S - e, folded into lo(S) by lane-wise max and into hi(S - e) by
+    lane-wise min. ``valid`` holds the guard bits of the lanes where both
+    states are connected; the rises of the other lanes are masked to 0."""
+    low = valid - (valid >> top)
+    rise_u = ((before_u | guard) - sums_u) & low  # no lane borrows: no sum falls
+    rise_v = ((before_v | guard) - sums_v) & low
+    t = (rise_u | guard) - rise_v
+    g = t & guard
+    rise = rise_v + (t & (g - (g >> top)))
+    t = (lo | guard) - rise
+    g = t & guard
+    t2 = (hi | guard) - rise
+    g2 = t2 & valid
+    return rise + (t & (g - (g >> top))), hi - (t2 & (g2 - (g2 >> top)))
 
 
 CENSUS_BUDGET = 1 << 22
@@ -250,43 +347,67 @@ def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
 
     Every call builds the census anew; nothing is cached. Every
     ``inc``/``dec`` is the difference of two neighbouring states' per-node
-    distance sums (see the module docstring), so the build holds one packed
-    int of sums and a ``hi`` per connected state until it ends: about 2.3
-    times the retained memory at its peak.
+    distance sums, read lane by lane from the blocks of pass 1 (see the
+    module docstring), which are held until the records are decoded.
     """
     if budget < 0:
         raise ParameterError(f"budget must be nonnegative, got {budget}")
     if (1 << host.m) > budget:
         raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
-    ps = _census_sums(host)
-    w, wn, _, _, row0, _, down, _, _ = _lanes(host.n)
-    lane = (1 << w) - 1
-    bits = [(1 << i, wn * u, wn * v) for i, (u, v) in enumerate(host.edges)]
-    lo = []
-    hi = dict.fromkeys(ps)
-    for mask, sums in ps.items():
-        top = None
-        for bit, su, sv in bits:
-            if mask & bit:
-                prev = mask ^ bit
-                before = ps.get(prev)
-                if before is None:  # e is a bridge of S
-                    continue
-                rises = before - sums  # no lane borrows: no sum falls
-                rise_u = (rises >> su) & lane
-                rise_v = (rises >> sv) & lane
-                rise = rise_u if rise_u >= rise_v else rise_v
-                if top is None or rise > top:
-                    top = rise
-                low = hi[prev]
-                if low is None or rise < low:
-                    hi[prev] = rise
-        lo.append(top)
-    shift = wn * (host.n - 1)  # the row of n - 1 in sums * down holds all n sums
-    return tuple(
-        (mask, mask.bit_count(), (sums * down >> shift) & row0, top, hi[mask])
-        for (mask, sums), top in zip(ps.items(), lo)
-    )
+    n, m = host.n, host.m
+    k = min(m, _BLOCK_EDGES)
+    block_lanes = _block_lanes(n, k)
+    w, top, guard, ones, halves = block_lanes
+    cap = n * (n - 1) // 2 + 1  # hi of a lane that no addition lowers
+    unbounded = cap * ones
+    blocks = _census_sums(host, k, block_lanes)
+    # pass 2: low edge j pairs lane t with lane t - 2^j of the same block,
+    # high edge j block H with block H - 2^j, lane for lane
+    low = [(w << j, half, u, v) for j, (half, (u, v)) in enumerate(zip(halves, host.edges))]
+    high = [(1 << j, *host.edges[j]) for j in range(k, m)]
+    for prefix, block in blocks.items():
+        conn, sums = block
+        lo, hi = 0, unbounded
+        for s, half, u, v in low:
+            valid = conn & conn << s & half
+            if valid:
+                su, sv = sums[u], sums[v]
+                lo, hi = _fold(lo, hi << s, su << s, sv << s, su, sv, valid, guard, top)
+                hi >>= s
+        for bit, u, v in high:
+            if prefix & bit and (prev := blocks.get(prefix ^ bit)) is not None:
+                valid = conn & prev[0]
+                if valid:
+                    before = prev[1]
+                    lo, prev[3] = _fold(lo, prev[3], before[u], before[v], sums[u], sums[v], valid, guard, top)
+        block += lo, hi
+    # the records, block by block: lo 0 and hi cap mean none; rc, the sum of
+    # n sums, is added in lanes of 2W bits, even and odd lanes apart
+    evens = ones // ((1 << w) + 1) * ((1 << w) - 1)
+    counts = [[c + t.bit_count() for t in range(1 << k)] for c in range(m - k + 1)]
+    lo_of = [None, *range(1, cap + 1)]
+    hi_of = [*range(cap), None]
+    rc = [0] * (1 << k)
+    recs = []
+    for prefix, (conn, sums, lo, hi) in blocks.items():
+        rc[::2] = _lane_values(sum(x & evens for x in sums), 2 * w, k - 1)
+        rc[1::2] = _lane_values(sum(x >> w & evens for x in sums), 2 * w, k - 1)
+        recs += compress(
+            zip(
+                range(prefix, prefix + (1 << k)),
+                counts[prefix.bit_count()],
+                rc,
+                map(lo_of.__getitem__, _lane_values(lo, w, k)),
+                map(hi_of.__getitem__, _lane_values(hi, w, k)),
+            ),
+            _lane_values(conn, w, k),
+        )
+    return tuple(recs)
+
+
+def _lane_values(x: int, w: int, k: int):
+    """The 2^k lanes of W bits of ``x``, lowest first (W is 8, 16, 32 or 64)."""
+    return memoryview(x.to_bytes(w << k >> 3, sys.byteorder)).cast("BHIQ"[(w >> 4).bit_length()])
 
 
 def _optima(recs, a: Fraction):
@@ -299,15 +420,12 @@ def _optima(recs, a: Fraction):
 
 
 def _read_census(recs, a: Fraction):
-    """The census at one alpha: the optimum welfare and the welfares of
-    the stable states, in mask order."""
+    """The census at one alpha = p/q, every welfare scaled by q so that it is
+    an integer: q times the optimum welfare and q times the welfare of each
+    stable state, in mask order."""
     p, q = a.numerator, a.denominator
-    stable = [
-        Fraction(2 * p * cnt + q * rc, q)
-        for _, cnt, rc, lo, hi in recs
-        if _in_interval(lo, hi, p, q)
-    ]
-    return _optima(recs, a)[0], stable
+    stable = [2 * p * cnt + q * rc for _, cnt, rc, lo, hi in recs if _in_interval(lo, hi, p, q)]
+    return max(2 * p * cnt + q * rc for _, cnt, rc, _, _ in recs), stable
 
 
 def optimum_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> OptimumResult:
@@ -338,7 +456,7 @@ def enumerate_stable_states(host: HostGraph, alpha, budget: int = CENSUS_BUDGET)
             )
         stable.append(st)
         welfares.append(2 * a * cnt + rc)
-    return EquilibriumAtlas(host, a, tuple(stable), tuple(welfares), len(recs))
+    return EquilibriumAtlas(tuple(stable), tuple(welfares), len(recs))
 
 
 def _price(host: HostGraph, alpha, budget: int, pick) -> Fraction:
@@ -346,7 +464,7 @@ def _price(host: HostGraph, alpha, budget: int, pick) -> Fraction:
     opt, stable = _read_census(host_census(host, budget), a)
     if not stable:
         raise NoEquilibriumError(f"no pairwise stable state on this host at alpha={a}")
-    return opt / pick(stable)
+    return Fraction(opt, pick(stable))
 
 
 def poa_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> Fraction:
@@ -402,7 +520,7 @@ def find_improving_cycle(n: int, alpha, search_budget: int = CYCLE_BUDGET) -> Op
     """
     a = as_alpha(alpha)
     if search_budget < 0:
-        raise ParameterError(f"search budget must be nonnegative, got {search_budget}")
+        raise ParameterError(f"budget must be nonnegative, got {search_budget}")
     host = clique(n)
     p, q = a.numerator, a.denominator
     everyone = (1 << n) - 1
@@ -603,16 +721,18 @@ def sweep_host(host: HostGraph, alphas, budget: int = CENSUS_BUDGET) -> list[dic
 
 def _sweep_row(host: HostGraph, a: Fraction, recs) -> dict:
     opt, stable = _read_census(recs, a)
-    worst = min(stable) if stable else None
-    best = max(stable) if stable else None
-    poa = opt / worst if worst is not None else None
-    pos = opt / best if best is not None else None
+    q = a.denominator
+    worst = best = poa = pos = None
+    if stable:
+        low, high = min(stable), max(stable)
+        worst, best = Fraction(low, q), Fraction(high, q)
+        poa, pos = Fraction(opt, low), Fraction(opt, high)
     return {
         "n": host.n,
         "m": host.m,
         "alpha_num": a.numerator,
-        "alpha_den": a.denominator,
-        "sw_opt": format_exact(opt),
+        "alpha_den": q,
+        "sw_opt": format_exact(Fraction(opt, q)),
         "sw_worst_stable": format_exact(worst),
         "sw_best_stable": format_exact(best),
         "poa": format_exact(poa),
@@ -960,7 +1080,7 @@ def _suite_construction_stability(seed: int) -> list[dict]:
 def _suite_poa_pos(seed: int) -> list[dict]:
     claims = []
     opt, stable = _read_census(_complete_census(6)[1], Fraction(1))
-    got = opt / min(stable)
+    got = Fraction(opt, min(stable))
     claims.append(
         _claim("poa-k6-alpha-1", got == Fraction(4, 3), f"PoA(K_6, 1) = {got}, expected 4/3")
     )

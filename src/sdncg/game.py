@@ -324,7 +324,7 @@ def run_dynamics(
             raise ParameterError("the seeded-random policy requires a seed")
         rng = random.Random(seed)
     if budget < 0:
-        raise ParameterError("budget must be nonnegative")
+        raise ParameterError(f"budget must be nonnegative, got {budget}")
     host = start.host
     p, q = a.numerator, a.denominator
     limit = 1 if policy == FIRST_IMPROVING else None

@@ -126,6 +126,20 @@ def updates(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """The prefix matrix of every block of completions the census builds make."""
+    calls = []
+    build = analysis._block
+
+    def counted(d, *args):
+        calls.append(d)
+        return build(d, *args)
+
+    monkeypatch.setattr(analysis, "_block", counted)
+    return calls
+
+
 class TestHostCensus:
     @pytest.mark.parametrize(
         "host", CENSUS_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(CENSUS_HOSTS)]
@@ -205,19 +219,21 @@ class TestHostCensus:
         with pytest.raises(ParameterError):
             sweep_host(clique(3), [1], -1)
 
-    def test_census_keeps_no_state(self, updates):
-        # a second call builds the same census again, edge update for update
-        first = host_census(clique(4), 1 << 6)
-        once = len(updates)
-        assert host_census(clique(4), 1 << 6) == first
+    def test_census_keeps_no_state(self, updates, blocks):
+        # a second call builds the same census again, prefix update for
+        # update and block for block
+        first = host_census(clique(5), 1 << 10)
+        once, built = len(updates), len(blocks)
+        assert host_census(clique(5), 1 << 10) == first
         assert once > 0 and updates == 2 * updates[:once]
+        assert built > 0 and blocks == 2 * blocks[:built]
 
     def test_campaign_census_reused(self, monkeypatch):
         # the K_n censuses outlive the suite that built them
         assert theorem_campaign("complete-optimum", seed=0)["passed"]
         monkeypatch.setattr(analysis, "host_census", _refuse)
         opt, stable = analysis._read_census(analysis._complete_census(6)[1], Fraction(1))
-        assert opt / min(stable) == Fraction(4, 3)
+        assert Fraction(opt, min(stable)) == Fraction(4, 3)
 
     def test_campaign_builds_each_host_once(self, monkeypatch):
         # suites in campaign order: the K_n censuses are built once for all
@@ -256,8 +272,8 @@ TREE_HOST = HostGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
 
 
 def _lane_width_hosts():
-    # with the n = 2 host below, n = 3..10 spans every lane width from 4 to 7
-    # bits and both bounds on it; from n = 8 on the hosts are sparse, so the
+    # with the n = 2 host below, n = 3..10 spans every lane width of the
+    # prefix matrix, 4 to 6 bits; from n = 8 on the hosts are sparse, so the
     # oracle's subsets stay few
     rng = random.Random(72)
     hosts = []
@@ -284,6 +300,30 @@ BUILDER_HOSTS = CENSUS_HOSTS + [
 ] + _lane_width_hosts()
 
 
+def _block_hosts():
+    # the block boundary: m = 7 and 8 fill one block (k = m), m = 9 leaves
+    # one high edge (k = 8 < m); then the switch from byte to 16-bit lanes,
+    # at n(n-1)/2 = 120 (n = 16) and 136 (n = 17): a cycle, whose paths reach
+    # the largest sum, and a random tree plus one edge at each n
+    rng = random.Random(73)
+    hosts = []
+    for m in (7, 8, 9):
+        h = random_connected_host(6, 0.5, rng)
+        while h.m != m:
+            h = random_connected_host(6, 0.5, rng)
+        hosts.append(h)
+    for n in (16, 17):
+        h = random_connected_host(n, 0.01, rng)
+        while h.m != n:
+            h = random_connected_host(n, 0.01, rng)
+        hosts += [cycle(n), h]
+    return hosts + [cycle(12)]
+
+
+# appended last, so that the ids of the hosts above keep their indices
+BUILDER_HOSTS += _block_hosts()
+
+
 def _oracle_census(host):
     """The census state by state: BFS routing cost and the full move scan."""
     recs = []
@@ -293,12 +333,6 @@ def _oracle_census(host):
     return tuple(sorted(recs))
 
 
-def _node_sum(sums, n, x):
-    """Node x's distance sum, read from the packed sums of ``_census_sums``."""
-    w, wn = analysis._lanes(n)[:2]
-    return (sums >> wn * x) & ((1 << w) - 1)
-
-
 class TestCensusBuilder:
     @pytest.mark.parametrize(
         "host", BUILDER_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(BUILDER_HOSTS)]
@@ -306,13 +340,12 @@ class TestCensusBuilder:
     def test_matches_per_state_oracle(self, host):
         assert host_census(host, 1 << host.m) == _oracle_census(host)
 
-    def test_k5_lattice_work(self, monkeypatch, updates):
-        # K_5: one edge update per node of the subset tree that puts an edge
-        # in. Of the 2^10 - 1 such prefixes, 133 are never built, since they
-        # lie under a branch that leaves out an edge which either cannot
-        # leave 4 edges or is the last one that could touch a node still
-        # without edges. So 890 updates stand where 2^10 subsets would each
-        # need a BFS per node; no move scan, no BFS and no distance row
+    def test_k5_lattice_work(self, monkeypatch, updates, blocks):
+        # K_5: the walk decides the two high edges, 9 and 8, and builds the
+        # 2^8 completions of each prefix as one block: 3 prefix updates (edge
+        # 9 in, then edge 8 in under both) and 4 blocks stand where a walk to
+        # the leaves would need 2^10 - 1 updates; no move scan, no BFS and no
+        # distance row
         host = clique(5)
 
         def refuse(*args, **kwargs):
@@ -331,24 +364,45 @@ class TestCensusBuilder:
             monkeypatch.setattr(mod, name, refuse)
         recs = host_census(host, 1 << 10)
         assert len(recs) == 728
-        assert len(updates) == (1 << 10) - 1 - 133 == 890
+        assert updates == [host.edges[9], host.edges[8], host.edges[8]]
+        assert len(blocks) == 4
+        # with blocks of 2^2 completions the walk decides edges 9 down to 2,
+        # and its pruning shows: of the 2^8 prefixes, 31 are never built, as
+        # they leave out (0, 4) or (0, 3), the last edge that could touch
+        # node 4 or 3, while no edge above it in the prefix does, or leave
+        # too few edges to reach 4. The 8 branches cut at (0, 4) each lose
+        # the update of (0, 3) below them, so 247 updates and 225 blocks
+        # stand where an unpruned walk makes 255 and 256; same records
+        updates.clear()
+        blocks.clear()
+        monkeypatch.setattr(analysis, "_BLOCK_EDGES", 2)
+        assert host_census(host, 1 << 10) == recs
+        assert len(updates) == (1 << 8) - 1 - 8 == 247
+        assert len(blocks) == (1 << 8) - 31 == 225
 
     @pytest.mark.parametrize("host", [TREE_HOST, path(20)], ids=["tree-n7", "path-n20"])
-    def test_tree_host_is_linear(self, updates, host):
-        # a tree host has one state: every subtree that leaves an edge out is
-        # skipped at once, so the walk makes one update per edge, not 2^m
+    def test_tree_host_is_linear(self, updates, blocks, host):
+        # a tree host has one state: every subtree that leaves a high edge
+        # out is skipped at once, so the walk makes one update per high edge
+        # and one block, not 2^m leaves
         full = full_state(host)
         lo, hi = game.stability_interval(full)
         assert host_census(host) == ((full.mask, host.m, routing_cost(full), lo, hi),)
-        assert updates == list(reversed(host.edges))
+        assert updates == list(reversed(host.edges[8:]))
+        assert len(blocks) == 1
 
-    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 16, 17])
     def test_path_sum_at_connectivity_bound(self, n):
         # node 0 ends the path, so its distance sum is exactly n(n-1)/2 and
-        # the one state is kept
-        sums = analysis._census_sums(path(n))
-        assert list(sums) == [(1 << (n - 1)) - 1]
-        assert _node_sum(sums[(1 << (n - 1)) - 1], n, 0) == n * (n - 1) // 2
+        # only the lane of the whole path is kept: in bytes up to n = 16,
+        # whose 120 is the largest byte-lane sum, and in 16 bits from n = 17
+        k = min(n - 1, 8)
+        block_lanes = analysis._block_lanes(n, k)
+        (prefix, (conn, sums)), = analysis._census_sums(path(n), k, block_lanes).items()
+        w = block_lanes[0]
+        assert (w, prefix) == (8 if n <= 16 else 16, (1 << (n - 1)) - (1 << k))
+        assert conn == 1 << (w << k) - 1
+        assert sums[0] >> (w << k) - w == n * (n - 1) // 2
 
     @given(st.integers(0, 10**6), st.integers(2, 6))
     @settings(max_examples=30, deadline=None)

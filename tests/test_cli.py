@@ -565,17 +565,25 @@ class TestErrors:
         code, out, err = run(capsys, "sw", "--alpha", "1", "--input", k4)
         assert (code, out, err) == (2 if exc in usage else 1, "", "error: boom\n")
 
-    @pytest.mark.parametrize("command", ["opt", "atlas", "poa", "mrcst"])
+    @pytest.mark.parametrize(
+        "command", ["opt", "atlas", "poa", "mrcst", "dynamics", "cycle", "sweep"]
+    )
     def test_negative_budget_exit_2(self, capsys, monkeypatch, k4, command):
-        # a usage error, refused before any subset or tree is counted (sweep:
-        # TestSweep.test_negative_budget_rejected_first)
+        # every budgeted command: a usage error with one text, refused before
+        # any subset, tree, move or search state is counted (sweep's own
+        # order: TestSweep.test_negative_budget_rejected_first)
         def refuse(*args, **kwargs):
             raise AssertionError("counted past the budget check")
 
         monkeypatch.setattr(analysis, "_census_sums", refuse)
         monkeypatch.setattr(spanning, "_spanning_tree_count", refuse)
-        alpha = [] if command == "mrcst" else ["--alpha", "1"]
-        code, out, err = run(capsys, command, *alpha, "--input", k4, "--budget", "-1")
+        monkeypatch.setattr(game, "_improving_arcs", refuse)
+        monkeypatch.setattr(analysis, "_improving_arcs", refuse)
+        args = {
+            "mrcst": ["--input", k4],
+            "cycle": ["--n", "4", "--alpha", "1"],
+        }.get(command, ["--alpha", "1", "--input", k4])
+        code, out, err = run(capsys, command, *args, "--budget", "-1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "budget must be nonnegative, got -1" in err
 
