@@ -10,7 +10,11 @@ Each host is enumerated once, into an alpha-free census (``host_census``):
 one record ``(mask, |E|, rc, lo, hi)`` per connected spanning subset. The
 welfare at alpha is ``2*alpha*|E| + rc`` and the state is stable exactly on
 the integer interval ``[lo, hi]``, so the optimum, the stable set, PoA and
-PoS at every alpha are read off the same records.
+PoS at every alpha are read off the same records. The readers of welfare
+extremes and stable counts (``sweep_host``, ``sweep_cell``, PoA and PoS, the
+poa-pos suite) group the records once into classes by ``(|E|, lo, hi)``
+(``_classes``), whose members every alpha treats alike, and read each alpha
+off the classes: K_6 has 42 of them for 26,704 records.
 
 The census is built in two passes over the lattice of edge subsets. Pass 1
 (``_census_sums``) walks the subset tree depth first over the high edges,
@@ -334,6 +338,12 @@ def _fold(lo, hi, before_u, before_v, sums_u, sums_v, valid, guard, top):
 CENSUS_BUDGET = 1 << 22
 
 
+def _check_subsets(host: HostGraph, budget: int) -> None:
+    """Raise BudgetExceededError if the host's 2^m edge subsets exceed the budget."""
+    if (1 << host.m) > budget:
+        raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
+
+
 def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
     """Alpha-free census of a host, in ascending mask order: one record
     ``(mask, |E|, rc, lo, hi)`` per connected spanning edge subset.
@@ -352,8 +362,7 @@ def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
     """
     if budget < 0:
         raise ParameterError(f"budget must be nonnegative, got {budget}")
-    if (1 << host.m) > budget:
-        raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
+    _check_subsets(host, budget)
     n, m = host.n, host.m
     k = min(m, _BLOCK_EDGES)
     block_lanes = _block_lanes(n, k)
@@ -419,13 +428,36 @@ def _optima(recs, a: Fraction):
     return Fraction(best, q), [rec for rec, key in zip(recs, keys) if key == best]
 
 
-def _read_census(recs, a: Fraction):
-    """The census at one alpha = p/q, every welfare scaled by q so that it is
-    an integer: q times the optimum welfare and q times the welfare of each
-    stable state, in mask order."""
+def _classes(recs) -> dict:
+    """The census records grouped by what a reader at any alpha tells apart:
+    ``{(|E|, lo, hi): (size, least rc, largest rc)}``. Records of one class
+    are stable at the same alphas, and at each alpha the welfare is
+    increasing in rc, so the class's extreme welfares are those of its
+    extreme rc (K_6: 42 classes for 26,704 records)."""
+    groups = {}
+    for _, cnt, rc, lo, hi in recs:
+        groups.setdefault((cnt, lo, hi), []).append(rc)
+    return {key: (len(rcs), min(rcs), max(rcs)) for key, rcs in groups.items()}
+
+
+def _read_census(classes, a: Fraction):
+    """The census at one alpha = p/q from its ``_classes``, every welfare
+    scaled by q so that it is an integer: ``(q * optimum welfare, number of
+    stable states, q * worst stable welfare, q * best stable welfare)``, the
+    last two None when no state is stable."""
     p, q = a.numerator, a.denominator
-    stable = [2 * p * cnt + q * rc for _, cnt, rc, lo, hi in recs if _in_interval(lo, hi, p, q)]
-    return max(2 * p * cnt + q * rc for _, cnt, rc, _, _ in recs), stable
+    opt = max(2 * p * cnt + q * most for (cnt, _, _), (_, _, most) in classes.items())
+    count = 0
+    worst = best = None
+    for (cnt, lo, hi), (size, least, most) in classes.items():
+        if _in_interval(lo, hi, p, q):
+            count += size
+            low, high = 2 * p * cnt + q * least, 2 * p * cnt + q * most
+            if worst is None or low < worst:
+                worst = low
+            if best is None or high > best:
+                best = high
+    return opt, count, worst, best
 
 
 def optimum_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> OptimumResult:
@@ -459,22 +491,22 @@ def enumerate_stable_states(host: HostGraph, alpha, budget: int = CENSUS_BUDGET)
     return EquilibriumAtlas(tuple(stable), tuple(welfares), len(recs))
 
 
-def _price(host: HostGraph, alpha, budget: int, pick) -> Fraction:
+def _price(host: HostGraph, alpha, budget: int, best: bool) -> Fraction:
     a = as_alpha(alpha)
-    opt, stable = _read_census(host_census(host, budget), a)
-    if not stable:
+    opt, count, worst, top = _read_census(_classes(host_census(host, budget)), a)
+    if not count:
         raise NoEquilibriumError(f"no pairwise stable state on this host at alpha={a}")
-    return Fraction(opt, pick(stable))
+    return Fraction(opt, top if best else worst)
 
 
 def poa_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> Fraction:
     """Optimum welfare over the worst stable welfare, exact."""
-    return _price(host, alpha, budget, min)
+    return _price(host, alpha, budget, best=False)
 
 
 def pos_exact(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> Fraction:
     """Optimum welfare over the best stable welfare, exact."""
-    return _price(host, alpha, budget, max)
+    return _price(host, alpha, budget, best=True)
 
 
 @dataclass(frozen=True)
@@ -710,21 +742,20 @@ def _approx(x) -> str:
 
 def sweep_cell(host: HostGraph, alpha, budget: int = CENSUS_BUDGET) -> dict:
     """One CSV row: optimum, stable extrema, PoA/PoS for (host, alpha)."""
-    return _sweep_row(host, as_alpha(alpha), host_census(host, budget))
+    return _sweep_row(host, as_alpha(alpha), _classes(host_census(host, budget)))
 
 
 def sweep_host(host: HostGraph, alphas, budget: int = CENSUS_BUDGET) -> list[dict]:
     """The rows of one host, in the order of ``alphas``, from one census."""
-    recs = host_census(host, budget)
-    return [_sweep_row(host, as_alpha(a), recs) for a in alphas]
+    classes = _classes(host_census(host, budget))
+    return [_sweep_row(host, as_alpha(a), classes) for a in alphas]
 
 
-def _sweep_row(host: HostGraph, a: Fraction, recs) -> dict:
-    opt, stable = _read_census(recs, a)
+def _sweep_row(host: HostGraph, a: Fraction, classes: dict) -> dict:
+    opt, count, low, high = _read_census(classes, a)
     q = a.denominator
     worst = best = poa = pos = None
-    if stable:
-        low, high = min(stable), max(stable)
+    if count:
         worst, best = Fraction(low, q), Fraction(high, q)
         poa, pos = Fraction(opt, low), Fraction(opt, high)
     return {
@@ -737,8 +768,8 @@ def _sweep_row(host: HostGraph, a: Fraction, recs) -> dict:
         "sw_best_stable": format_exact(best),
         "poa": format_exact(poa),
         "pos": format_exact(pos),
-        "stable_count": len(stable),
-        "states_examined": len(recs),
+        "stable_count": count,
+        "states_examined": sum(size for size, _, _ in classes.values()),
         "poa_approx": _approx(poa),
         "pos_approx": _approx(pos),
     }
@@ -859,6 +890,40 @@ def _suite_complete_optimum(seed: int) -> list[dict]:
     return claims
 
 
+def _unit_removals(st: GameState) -> list[int]:
+    """Per node u, the mask of u's neighbours v such that removing edge
+    (u, v) raises u's distance sum by exactly 1.
+
+    For a non-bridge (u, v), the removal puts v at distance 2 from u iff the
+    two share a neighbour, and farther otherwise. Any other node x moves away
+    from u iff v is u's sole first hop toward x, that is the one neighbour
+    of u at distance d(u, x) - 1 from x: another first hop w keeps its path
+    of that length to x, which cannot pass through u. So the rise is
+    exactly 1 iff u and v share a neighbour and v is no sole first hop of u.
+    A bridge's endpoints share no neighbour, so no bridge is in the masks.
+    The rows are the state's distance table, one ``_bfs`` row per node.
+    """
+    n = st.host.n
+    nbr = st.adjacency_masks
+    dist = st.table.dist
+    at = [[0] * n for _ in range(n)]  # at[x][d]: the nodes at distance d from x
+    for x, row in enumerate(dist):
+        for y, d in enumerate(row):
+            at[x][d] |= 1 << y
+    unit = []
+    for u, row in enumerate(dist):
+        sole = two = 0
+        for x, d in enumerate(row):
+            if d == 1:
+                two |= nbr[x]  # a neighbour v shares a neighbour with u iff it is in two
+            elif d:
+                hops = nbr[u] & at[x][d - 1]
+                if not hops & (hops - 1):
+                    sole |= hops
+        unit.append(nbr[u] & two & ~sole)
+    return unit
+
+
 def _suite_complete_stability(seed: int) -> list[dict]:
     claims = []
     for n in _COMPLETE_SIZES:
@@ -868,8 +933,13 @@ def _suite_complete_stability(seed: int) -> list[dict]:
         trees = {mask for mask, cnt, _, _, _ in recs if cnt == n - 1}
 
         def stable_set(a: Fraction) -> set[int]:
-            p, q = a.numerator, a.denominator
-            return {mask for mask, _, _, lo, hi in recs if _in_interval(lo, hi, p, q)}
+            # lo and hi are integers: lo <= a iff lo <= floor(a), a <= hi iff ceil(a) <= hi
+            floor, ceil = a.numerator // a.denominator, -(-a.numerator // a.denominator)
+            return {
+                mask
+                for mask, _, _, lo, hi in recs
+                if (lo is None or lo <= floor) and (hi is None or ceil <= hi)
+            }
 
         s_quarter = stable_set(Fraction(3, 4))
         ok = s_quarter == trees
@@ -887,7 +957,12 @@ def _suite_complete_stability(seed: int) -> list[dict]:
         bad = ""
         for mask in sorted(s_one - trees):
             st = GameState._from_mask(host, mask)
+            unit = _unit_removals(st)
             for u, v in st.active:
+                # by the lemma of _unit_removals, only an edge that fails this
+                # test needs its removal scanned: a bridge (None) or a failure
+                if unit[u] >> v & 1 and unit[v] >> u & 1:
+                    continue
                 inc = removal_increases(st, u, v)
                 if inc is not None and inc != (1, 1):
                     ok = False
@@ -936,9 +1011,10 @@ def _suite_complete_stability(seed: int) -> list[dict]:
         sample = rng.sample(recs, min(40, len(recs)))
         mismatch = ""
         for mask, _, _, lo, hi in sample:
-            st = GameState._from_mask(host, mask)
+            # one move scan per state answers all four alphas
+            scanned = stability_interval(GameState._from_mask(host, mask))
             for a in (Fraction(3, 4), a_one, a_path, a_big):
-                if is_pairwise_stable(st, a).stable != stable_in_interval((lo, hi), a):
+                if stable_in_interval(scanned, a) != stable_in_interval((lo, hi), a):
                     mismatch = f"mask {mask} alpha {a}"
                     break
             if mismatch:
@@ -1079,13 +1155,13 @@ def _suite_construction_stability(seed: int) -> list[dict]:
 
 def _suite_poa_pos(seed: int) -> list[dict]:
     claims = []
-    opt, stable = _read_census(_complete_census(6)[1], Fraction(1))
-    got = Fraction(opt, min(stable))
+    classes = {n: _classes(_complete_census(n)[1]) for n in _COMPLETE_SIZES}
+    opt, _, worst, _ = _read_census(classes[6], Fraction(1))
+    got = Fraction(opt, worst)
     claims.append(
         _claim("poa-k6-alpha-1", got == Fraction(4, 3), f"PoA(K_6, 1) = {got}, expected 4/3")
     )
     for n in _COMPLETE_SIZES:
-        host, recs = _complete_census(n)
         t = threshold_table(n)
         grid = (
             Fraction(1, 2),
@@ -1096,8 +1172,8 @@ def _suite_poa_pos(seed: int) -> list[dict]:
         )
         bad = ""
         for a in grid:
-            opt, stable = _read_census(recs, a)
-            if not stable or max(stable) != opt:
+            opt, count, _, best = _read_census(classes[n], a)
+            if not count or best != opt:
                 bad = bad or f"n={n} alpha={a}: PoS != 1"
         claims.append(
             _claim(

@@ -253,6 +253,9 @@ def _cmd_sweep(args):
             max_edges=args.max_edges,
         )
         print(f"# seed: {args.seed}", file=sys.stderr)
+    # every host's budget is checked before any census is built or any pool started
+    for h in hosts:
+        analysis._check_subsets(h, args.budget)
     # one task per host: its census is built once and answers every alpha
     tasks = [(h.n, h.edges, alphas, args.budget) for h in hosts]
     if args.workers > 1:

@@ -232,8 +232,9 @@ class TestHostCensus:
         # the K_n censuses outlive the suite that built them
         assert theorem_campaign("complete-optimum", seed=0)["passed"]
         monkeypatch.setattr(analysis, "host_census", _refuse)
-        opt, stable = analysis._read_census(analysis._complete_census(6)[1], Fraction(1))
-        assert Fraction(opt, min(stable)) == Fraction(4, 3)
+        classes = analysis._classes(analysis._complete_census(6)[1])
+        opt, _, worst, _ = analysis._read_census(classes, Fraction(1))
+        assert Fraction(opt, worst) == Fraction(4, 3)
 
     def test_campaign_builds_each_host_once(self, monkeypatch):
         # suites in campaign order: the K_n censuses are built once for all
@@ -433,6 +434,132 @@ class TestCensusBuilder:
         monkeypatch.setattr(analysis, "host_census", lambda *a, **k: fake)
         with pytest.raises(CertificateError, match=f"mask {full_mask}"):
             enumerate_stable_states(host, Fraction(1, 2), 1 << 8)
+
+
+def _lemma_hosts():
+    # K_3 to K_5, every state, and 30 random hosts with cycles to spare
+    rng = random.Random(24)
+    hosts = [clique(3), clique(4), clique(5)]
+    while len(hosts) < 33:
+        h = random_connected_host(rng.randint(5, 8), rng.uniform(0.2, 0.6), rng)
+        if 9 <= h.m <= 12:
+            hosts.append(h)
+    return hosts
+
+
+LEMMA_HOSTS = _lemma_hosts()
+
+
+class TestUnitRemovals:
+    @pytest.mark.parametrize(
+        "host", LEMMA_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(LEMMA_HOSTS)]
+    )
+    def test_matches_removal_scan_per_endpoint(self, host):
+        # the sole-first-hop test says "rise of exactly 1" for an endpoint iff
+        # the removal is legal and its BFS rise for that endpoint is 1
+        for mask, *_ in host_census(host):
+            st_ = GameState._from_mask(host, mask)
+            unit = analysis._unit_removals(st_)
+            for u, v in st_.active:
+                inc = game.removal_increases(st_, u, v)
+                assert bool(unit[u] >> v & 1) == (inc is not None and inc[0] == 1), (mask, u, v)
+                assert bool(unit[v] >> u & 1) == (inc is not None and inc[1] == 1), (mask, u, v)
+
+
+def _tampered_census(monkeypatch, n, change):
+    """Make the campaigns read K_n's census with ``change(recs)`` applied."""
+    real = analysis._complete_census
+
+    def fake(k):
+        host, recs = real(k)
+        return (host, change(recs)) if k == n else (host, recs)
+
+    monkeypatch.setattr(analysis, "_complete_census", fake)
+
+
+def _claim_detail(suite, cid):
+    (claim,) = [c for c in theorem_campaign(suite, seed=0)["claims"] if c["id"] == cid]
+    return claim["pass"], claim["detail"]
+
+
+class TestCompleteStabilityFailures:
+    def test_alpha_one_names_the_failing_removal(self, monkeypatch):
+        # the 5-cycle 0-1-2-3-4 (mask 665), claimed stable at alpha = 1 only
+        def five_cycle_at_one(recs):
+            return tuple(r[:3] + (1, 1) if r[0] == 665 else r for r in recs)
+
+        _tampered_census(monkeypatch, 5, five_cycle_at_one)
+        ok, detail = _claim_detail("complete-stability", "complete-stability-n5-alpha-one")
+        assert not ok
+        assert detail == "mask 665: removal (0,1) increases (4, 4), not (1,1)"
+
+    def test_crosscheck_names_the_shifted_record(self, monkeypatch):
+        # the first sampled tree, its interval shifted up by one: lo becomes 1,
+        # so the census calls it unstable at alpha = 3/4
+        host, recs = analysis._complete_census(4)
+        sample = random.Random(4).sample(recs, 38)  # seed 0 * 1009 + n
+        tree = next(r for r in sample if r[1] == 3)
+        assert tree[3] is None
+
+        def shift(recs):
+            return tuple(r[:3] + (1, r[4] + 1) if r is tree else r for r in recs)
+
+        _tampered_census(monkeypatch, 4, shift)
+        ok, detail = _claim_detail("complete-stability", "complete-stability-n4-crosscheck")
+        assert not ok
+        assert detail == f"mask {tree[0]} alpha 3/4"
+
+
+def _read_reference(recs, a):
+    """``_read_census`` record by record."""
+    p, q = a.numerator, a.denominator
+    keys = [2 * p * cnt + q * rc for _, cnt, rc, _, _ in recs]
+    stable = [
+        key
+        for key, (_, _, _, lo, hi) in zip(keys, recs)
+        if (lo is None or q * lo <= p) and (hi is None or p <= q * hi)
+    ]
+    return max(keys), len(stable), min(stable, default=None), max(stable, default=None)
+
+
+def _class_hosts():
+    rng = random.Random(5)
+    hosts = [clique(4), clique(5), clique(6)]
+    while len(hosts) < 15:
+        h = random_connected_host(rng.randint(3, 8), rng.uniform(0.1, 0.5), rng)
+        if h.m <= 12:
+            hosts.append(h)
+    return hosts
+
+
+CLASS_HOSTS = _class_hosts()
+
+
+class TestCensusClasses:
+    @pytest.mark.parametrize(
+        "host", CLASS_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(CLASS_HOSTS)]
+    )
+    def test_reader_matches_per_record_reference(self, host):
+        recs = host_census(host)
+        classes = analysis._classes(recs)
+        assert sum(size for size, _, _ in classes.values()) == len(recs)
+        n = host.n
+        for a in map(Fraction, ("1/4", "1/2", "1", "6/5", "3/2", "2", "5/2", f"{n}/3", "10")):
+            got = analysis._read_census(classes, a)
+            assert got == _read_reference(recs, a), a
+
+    def test_k6_class_count(self):
+        assert len(analysis._classes(analysis._complete_census(6)[1])) == 42
+
+    def test_no_stable_class(self, monkeypatch):
+        # one class of one state, stable only from alpha = 2 on
+        classes = {(2, 2, None): (1, 8, 8)}
+        assert analysis._read_census(classes, Fraction(1)) == (12, 0, None, None)
+        monkeypatch.setattr(analysis, "_classes", lambda recs: classes)
+        with pytest.raises(NoEquilibriumError):
+            poa_exact(path(3), 1, 1 << 8)
+        with pytest.raises(NoEquilibriumError):
+            pos_exact(path(3), 1, 1 << 8)
 
 
 class TestCompleteClosedForm:

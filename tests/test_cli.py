@@ -438,6 +438,21 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "--workers" in err
 
+    def test_over_budget_host_rejected_before_pool(self, capsys, monkeypatch, k4, k6):
+        # K_6's 2^15 subsets are refused before a census is built or a pool started
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached past the budget check")
+
+        monkeypatch.setattr(cli, "Pool", refuse)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(analysis, "host_census", refuse)
+        code, out, err = run(
+            capsys, "sweep", "--alpha", "1", "--input", k4, "--input", k6,
+            "--workers", "2", "--budget", "100",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: 2^15 subsets exceed budget 100\n"
+
     def test_edge_cap_below_every_host_exit_2(self):
         # every host on 4 or more nodes has at least 3 edges: resampling
         # could never end, so this runs in a child under a timeout
