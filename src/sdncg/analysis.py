@@ -17,32 +17,26 @@ poa-pos suite) group the records once into classes by ``(|E|, lo, hi)``
 off the classes: K_6 has 42 of them for 26,704 records.
 
 The census is built in two passes over the lattice of edge subsets. Pass 1
-(``_census_sums``) walks the subset tree depth first over the high edges,
-indices m - 1 down to k = min(m, 8), each left out before put in, so the
-prefixes (the masks of the high edges) come in ascending order. A prefix's
-distance matrix is its parent's plus one edge (Ausiello et al., J.
-Algorithms 1991), held as one integer of lanes (Lamport, CACM 1975): pair
-(x, y) owns the lane at bit w*(x*n + y), the top bit of each lane is a guard
-bit, w is the least width with 2n + 1 below it, and an unreachable pair
-holds the sentinel n. ``_add_edge`` inserts edge (u, v) in a fixed 28
-big-int operations, with no loop over rows: column u is masked out and
-copied along every row by one multiplication, row v masked out and copied
-down every row by another, and their sum is set against the same with u
-and v swapped; the smaller, plus one, is set against the old lane. Each
-lane-wise minimum subtracts one operand from the other with every guard bit
-set and keeps the lanes whose guard bit survives. Branches that cannot
-reach n - 1 edges or that isolate a node are skipped.
-
-The walk stops k edges above the leaves, and ``_block`` builds each
-surviving prefix's 2^k completions at once, bit-sliced across inputs
-(Biham, FSE 1997): one int per node pair holds that pair's distance in 2^k
-lanes of W bits, lane t being the completion whose low edges (indices 0 to
-k - 1) are the bits of t. The int starts as the prefix's distance in one
-lane; low edge j = (u, v) doubles it, and its upper 2^j lanes, the
-completions that hold edge j, take the same minimum as ``_add_edge``. A lane
-is connected iff no D[0][y] holds n; a node's sum adds its n - 1 pair ints
-and is zeroed in the other lanes. W is the least of 8, 16, 32, ... bits
-with n(n - 1)/2 below 2^(W-1) - 1, which gives the two lane bounds:
+(``_census_sums``) holds distances bit-sliced across subsets (Biham, FSE
+1997), in blocks: a block holds one int per node pair, that pair's distance
+in 2^k lanes of W bits, k = min(m, 8), lane t being the completion whose
+low edges (indices 0 to k - 1) are the bits of t; an unreachable pair holds
+the sentinel n. ``_insert`` adds edge (u, v) to every lane of a matrix at
+once (Ausiello et al., J. Algorithms 1991): D[x][y] becomes the least of
+D[x][y], D[x][u] + 1 + D[v][y] and D[x][v] + 1 + D[u][y], and each lane-wise
+minimum subtracts one operand from the other with every guard bit, the top
+bit of each lane, set and keeps the lanes whose guard bit survives
+(Lamport, CACM 1975). The root block, the 2^k completions of the empty
+prefix, is built once by doubling: low edge j doubles a matrix of 2^j
+lanes, and the upper 2^j lanes, the completions that hold edge j, are the
+lower ones with edge j inserted. A depth-first walk then decides the high
+edges, indices m - 1 down to k, each left out before put in, so the
+prefixes (the masks of the high edges) come in ascending order; an edge put
+in is inserted into all 2^k lanes of its parent's block. Branches that
+cannot reach n - 1 edges or that isolate a node are skipped. At a leaf, a
+lane is connected iff no D[0][y] holds n, and a node's sum adds its n - 1
+pair ints and is zeroed in the other lanes. W is the least of 8, 16, 32,
+... bits with n(n - 1)/2 below 2^(W-1) - 1, which gives the two lane bounds:
 
 - every candidate D[x][u] + 1 + D[v][y], at most 2n + 1, and every sum or
   rise of a connected lane, at most n(n - 1)/2, stays below the guard bit,
@@ -53,11 +47,10 @@ with n(n - 1)/2 below 2^(W-1) - 1, which gives the two lane bounds:
 
 So lanes are bytes up to n = 16 and 16 bits from n = 17 (n(n - 1)/2 = 136).
 k = 8 makes a block int 2^8 byte lanes, 2048 bits: one operation does the
-work of 256 subsets for a few times the cost of one on a small int, and K_6
-builds in about a quarter of the time it takes at k = 5. A larger k halves
-the blocks again, but a block builds every completion of its prefix,
-connected or not, so the lanes wasted on a sparse lattice double with each
-step.
+work of 256 subsets for a few times the cost of one on a small int. A
+larger k halves the blocks again, but a block holds every completion of its
+prefix, connected or not, so the lanes wasted on a sparse lattice double
+with each step.
 
 Pass 2 reads each pair (S - e, S) of connected states once, lane-wise: low
 edge j pairs lane t with lane t - 2^j of the same block (a shift by 2^j
@@ -79,7 +72,7 @@ several questions builds its census once and reads it as often as it needs
 (``sweep_host``, ``approximation_report``, the campaign suites). The one
 process-wide store is the per-n memo of the complete hosts' censuses
 (``_complete_census``), which three suites read and which the CLI runs as
-separate ``campaign`` calls; K_6's census alone takes 0.03 to 0.05 s to build.
+separate ``campaign`` calls; K_6's census alone takes 0.015 to 0.03 s to build.
 """
 
 from __future__ import annotations
@@ -198,36 +191,6 @@ def threshold_table(n: int) -> ThresholdTable:
     )
 
 
-def _lanes(n: int) -> tuple:
-    """The constants of the packed distance matrix on n nodes (see the module
-    docstring): the lane width W, the row stride W*n, the guard shift W - 1,
-    the masks of column 0 and of row 0, the multipliers that copy lane (x, 0)
-    along row x and row 0 down every row, the guard bit of every lane, and
-    2^(W-1) - 1 in every lane. W is the least width with 2n + 1 below the
-    guard bit."""
-    w = (2 * n + 1).bit_length() + 1
-    wn = w * n
-    lane = (1 << w) - 1
-    across = sum(1 << w * y for y in range(n))
-    down = sum(1 << wn * x for x in range(n))
-    ones = across * down
-    guard = ones << (w - 1)
-    return w, wn, w - 1, lane * down, lane * across, across, down, guard, guard - ones
-
-
-def _add_edge(d: int, u: int, v: int, lanes: tuple) -> int:
-    """The packed distance matrix after adding edge (u, v): lane by lane,
-    D[x][y] = min(D[x][y], D[x][u] + 1 + D[v][y], D[x][v] + 1 + D[u][y])."""
-    w, wn, top, col0, row0, across, down, guard, below = lanes
-    c = ((d >> w * u) & col0) * across + ((d >> wn * v) & row0) * down
-    t = (c | guard) - ((d >> w * v) & col0) * across - ((d >> wn * u) & row0) * down
-    g = t & guard  # guard bit set where D[x][u] + D[v][y] >= D[x][v] + D[u][y]
-    c -= t & (g - (g >> top))
-    t = d + below - c  # guard bit set where D[x][y] >= c + 1
-    g = t & guard
-    return d - (t & (g - (g >> top)))
-
-
 _BLOCK_EDGES = 8  # k, the low edges whose 2^k completions one block holds
 
 
@@ -246,74 +209,69 @@ def _block_lanes(n: int, k: int) -> tuple:
     return w, w - 1, guard, ones, halves
 
 
-def _block(d: int, n: int, low, lanes: tuple, block_lanes: tuple):
-    """The block of one prefix, from its packed matrix ``d`` (see the module
-    docstring): ``[guard bits of the connected lanes, per-node sums]``, each
-    an int of 2^k lanes, or None if no completion is connected."""
-    w0, wn0 = lanes[:2]
-    lane0 = (1 << w0) - 1
-    w, top, guard, ones, _ = block_lanes
-    D = [[(d >> wn0 * x + w0 * y) & lane0 for y in range(n)] for x in range(n)]
-    pairs = [(x, D[x], y) for x in range(n) for y in range(x + 1, n)]
-    one, g1, s = 1, 1 << top, w
-    for u, v in low:
-        cu = [row[u] for row in D]
-        cv = [row[v] for row in D]
-        cu1 = [c + one for c in cu]
-        cv1 = [c + one for c in cv]
-        for x, row, y in pairs:
-            a = cu1[x] + cv[y]
-            t = (a | g1) - cv1[x] - cu[y]
+def _insert(D: list, u: int, v: int, one: int, g1: int, top: int) -> list:
+    """The matrix D after adding edge (u, v), lane by lane (see the module
+    docstring): D[x][y] = min(D[x][y], D[x][u] + 1 + D[v][y], D[x][v] + 1 +
+    D[u][y]). ``one`` holds 1 and ``g1`` the guard bit in every lane of D's
+    ints; D is symmetric, so its rows u and v are its columns u and v."""
+    cu, cv = D[u], D[v]
+    cu1 = [c + one for c in cu]
+    cv1 = [c + one for c in cv]
+    E = [row.copy() for row in D]
+    for x, row in enumerate(E):
+        ax, bx = cu1[x], cv1[x]
+        for y in range(x + 1, len(E)):
+            a = ax + cv[y]
+            t = (a | g1) - bx - cu[y]
             g = t & g1  # guard bit set where D[x][u] + D[v][y] >= D[x][v] + D[u][y]
             a -= t & (g - (g >> top))
             dxy = row[y]
             t = (dxy | g1) - a
             g = t & g1  # guard bit set where D[x][y] >= a
-            row[y] = D[y][x] = dxy | (dxy - (t & (g - (g >> top)))) << s
-        one |= one << s
-        g1 |= g1 << s
-        s <<= 1
-    far = ((1 << top) - n) * ones  # lifts a lane that holds n to its guard bit
-    cut = 0
-    for dy in D[0][1:]:
-        cut |= dy + far
-    conn = guard & ~cut
-    if not conn:
-        return None
-    full = conn | (conn - (conn >> top))
-    return [conn, [sum(row) & full for row in D]]
+            row[y] = E[y][x] = dxy - (t & (g - (g >> top)))
+    return E
 
 
 def _census_sums(host: HostGraph, k: int, block_lanes: tuple) -> dict:
     """Census pass 1: ``{prefix: [connected lanes, per-node sums]}`` for
     every prefix (the mask of edges k to m - 1) with a connected
-    completion, in ascending prefix order (see ``_block`` and the module
-    docstring). The stack is explicit, since a self-recursive closure is a
-    reference cycle that would hold the result until the collector runs."""
+    completion, in ascending prefix order (see the module docstring). The
+    stack is explicit, since a self-recursive closure is a reference cycle
+    that would hold the result until the collector runs."""
     n = host.n
     need = n - 1
-    lanes = _lanes(n)
-    w, wn, _, _, _, across, down, _, _ = lanes
+    w, top, guard, ones, _ = block_lanes
     last = [0] * host.m  # per edge, the nodes whose last-decided edge it is
     for x, nbr in enumerate(host.adj_mask):
         last[host.edge_index[edge(x, (nbr & -nbr).bit_length() - 1)]] |= 1 << x
-    d = n * (across * down - sum(1 << (wn + w) * x for x in range(n)))  # n off the diagonal
-    low = host.edges[:k]
+    # the root block: the 2^k completions of the low edges, lane count doubled per edge
+    D = [[n * (x != y) for y in range(n)] for x in range(n)]
+    one, g1, s = 1, 1 << top, w
+    for u, v in host.edges[:k]:
+        E = _insert(D, u, v, one, g1, top)
+        D = [[d | e << s for d, e in zip(row, new)] for row, new in zip(D, E)]
+        one |= one << s
+        g1 |= g1 << s
+        s <<= 1
+    far = ((1 << top) - n) * ones  # lifts a lane that holds n to its guard bit
     blocks = {}
-    stack = [(host.m, 0, 0, d)]  # (undecided edges, mask, nodes it covers, matrix)
+    stack = [(host.m, 0, 0, D)]  # (undecided edges, mask, nodes it covers, block)
     while stack:
-        i, mask, covered, d = stack.pop()
+        i, mask, covered, D = stack.pop()
         if i == k:
-            block = _block(d, n, low, lanes, block_lanes)
-            if block is not None:
-                blocks[mask] = block
+            cut = 0
+            for dy in D[0][1:]:
+                cut |= dy + far
+            if conn := guard & ~cut:
+                full = conn | (conn - (conn >> top))
+                blocks[mask] = [conn, [sum(row) & full for row in D]]
             continue
         i -= 1
         u, v = host.edges[i]
-        stack.append((i, mask | 1 << i, covered | 1 << u | 1 << v, _add_edge(d, u, v, lanes)))
+        stack.append((i, mask | 1 << i, covered | 1 << u | 1 << v, _insert(D, u, v, ones, guard, top)))
         # leave edge i out only if n - 1 edges stay reachable and no node is isolated
         if mask.bit_count() + i >= need and not last[i] & ~covered:
-            stack.append((i, mask, covered, d))
+            stack.append((i, mask, covered, D))
     return blocks
 
 
@@ -336,6 +294,7 @@ def _fold(lo, hi, before_u, before_v, sums_u, sums_v, valid, guard, top):
 
 
 CENSUS_BUDGET = 1 << 22
+SWEEP_BUDGET = 1 << 16  # per host, the default of `sdncg sweep`
 
 
 def _check_subsets(host: HostGraph, budget: int) -> None:

@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--max-edges", type=int, default=13)
-    p.add_argument("--budget", type=int, default=1 << 16)
+    p.add_argument("--budget", type=int, default=analysis.SWEEP_BUDGET)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_sweep)

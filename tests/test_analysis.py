@@ -113,31 +113,24 @@ def _refuse(*args, **kwargs):
 
 
 @pytest.fixture
-def updates(monkeypatch):
-    """The (u, v) of every one-edge update the census builds make."""
+def inserts(monkeypatch):
+    """``(u, v, lanes)`` of every edge insertion the census builds make: the
+    root block's low edges go into 1, 2, 4, ... 2^(k-1) lanes, the walk's
+    high edges into all 2^k lanes of a block."""
     calls = []
-    update = analysis._add_edge
+    insert = analysis._insert
 
-    def counted(d, u, v, lanes):
-        calls.append((u, v))
-        return update(d, u, v, lanes)
+    def counted(D, u, v, one, *args):
+        calls.append((u, v, one.bit_count()))
+        return insert(D, u, v, one, *args)
 
-    monkeypatch.setattr(analysis, "_add_edge", counted)
+    monkeypatch.setattr(analysis, "_insert", counted)
     return calls
 
 
-@pytest.fixture
-def blocks(monkeypatch):
-    """The prefix matrix of every block of completions the census builds make."""
-    calls = []
-    build = analysis._block
-
-    def counted(d, *args):
-        calls.append(d)
-        return build(d, *args)
-
-    monkeypatch.setattr(analysis, "_block", counted)
-    return calls
+def _high(inserts, k):
+    """The (u, v) of the high-edge insertions, in walk order."""
+    return [(u, v) for u, v, lanes in inserts if lanes == 1 << k]
 
 
 class TestHostCensus:
@@ -219,14 +212,12 @@ class TestHostCensus:
         with pytest.raises(ParameterError):
             sweep_host(clique(3), [1], -1)
 
-    def test_census_keeps_no_state(self, updates, blocks):
-        # a second call builds the same census again, prefix update for
-        # update and block for block
+    def test_census_keeps_no_state(self, inserts):
+        # a second call builds the same census again, insertion for insertion
         first = host_census(clique(5), 1 << 10)
-        once, built = len(updates), len(blocks)
+        once = len(inserts)
         assert host_census(clique(5), 1 << 10) == first
-        assert once > 0 and updates == 2 * updates[:once]
-        assert built > 0 and blocks == 2 * blocks[:built]
+        assert len(_high(inserts[:once], 8)) == 3 and inserts == 2 * inserts[:once]
 
     def test_campaign_census_reused(self, monkeypatch):
         # the K_n censuses outlive the suite that built them
@@ -270,12 +261,12 @@ class TestHostCensus:
 
 
 TREE_HOST = HostGraph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])
+HUB_HOST = HostGraph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (2, 3), (4, 5), (5, 6)])
 
 
 def _lane_width_hosts():
-    # with the n = 2 host below, n = 3..10 spans every lane width of the
-    # prefix matrix, 4 to 6 bits; from n = 8 on the hosts are sparse, so the
-    # oracle's subsets stay few
+    # a cycle and two random hosts for every n from 3 to 10, dense up to
+    # n = 7 and sparse from n = 8 on, so the oracle's subsets stay few
     rng = random.Random(72)
     hosts = []
     for n in range(3, 11):
@@ -296,7 +287,7 @@ BUILDER_HOSTS = CENSUS_HOSTS + [
     TREE_HOST,
     cycle(6),
     HostGraph(2, [(0, 1)]),
-    HostGraph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (2, 3), (4, 5), (5, 6)]),
+    HUB_HOST,
     HostGraph(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (2, 5)]),
 ] + _lane_width_hosts()
 
@@ -334,6 +325,14 @@ def _oracle_census(host):
     return tuple(sorted(recs))
 
 
+def _split_hosts():
+    rng = random.Random(74)
+    h = random_connected_host(6, 0.5, rng)
+    while h.m != 9:
+        h = random_connected_host(6, 0.5, rng)
+    return [clique(5), TREE_HOST, cycle(12), HUB_HOST, h]
+
+
 class TestCensusBuilder:
     @pytest.mark.parametrize(
         "host", BUILDER_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(BUILDER_HOSTS)]
@@ -341,12 +340,12 @@ class TestCensusBuilder:
     def test_matches_per_state_oracle(self, host):
         assert host_census(host, 1 << host.m) == _oracle_census(host)
 
-    def test_k5_lattice_work(self, monkeypatch, updates, blocks):
-        # K_5: the walk decides the two high edges, 9 and 8, and builds the
-        # 2^8 completions of each prefix as one block: 3 prefix updates (edge
-        # 9 in, then edge 8 in under both) and 4 blocks stand where a walk to
-        # the leaves would need 2^10 - 1 updates; no move scan, no BFS and no
-        # distance row
+    def test_k5_lattice_work(self, monkeypatch, inserts):
+        # K_5: the root block takes the 8 low edges into 1, 2, 4, ... 128
+        # lanes; the walk decides the two high edges, 9 and 8, with 3
+        # insertions into all 256 lanes (edge 9 in, then edge 8 in under
+        # both) and keeps 4 blocks, where a walk to the leaves would need
+        # 2^10 - 1 insertions; no move scan, no BFS and no distance row
         host = clique(5)
 
         def refuse(*args, **kwargs):
@@ -365,32 +364,50 @@ class TestCensusBuilder:
             monkeypatch.setattr(mod, name, refuse)
         recs = host_census(host, 1 << 10)
         assert len(recs) == 728
-        assert updates == [host.edges[9], host.edges[8], host.edges[8]]
-        assert len(blocks) == 4
+        assert inserts == [(*e, 1 << j) for j, e in enumerate(host.edges[:8])] + [
+            host.edges[9] + (256,),
+            host.edges[8] + (256,),
+            host.edges[8] + (256,),
+        ]
+        assert len({mask >> 8 for mask, *_ in recs}) == 4
         # with blocks of 2^2 completions the walk decides edges 9 down to 2,
-        # and its pruning shows: of the 2^8 prefixes, 31 are never built, as
-        # they leave out (0, 4) or (0, 3), the last edge that could touch
+        # and its pruning shows: of the 2^8 prefixes, 31 are never reached,
+        # as they leave out (0, 4) or (0, 3), the last edge that could touch
         # node 4 or 3, while no edge above it in the prefix does, or leave
         # too few edges to reach 4. The 8 branches cut at (0, 4) each lose
-        # the update of (0, 3) below them, so 247 updates and 225 blocks
-        # stand where an unpruned walk makes 255 and 256; same records
-        updates.clear()
-        blocks.clear()
+        # the insertion of (0, 3) below them, so 247 insertions stand where
+        # an unpruned walk makes 255; of the 225 leaves, 224 keep a
+        # connected lane; same records
+        inserts.clear()
         monkeypatch.setattr(analysis, "_BLOCK_EDGES", 2)
         assert host_census(host, 1 << 10) == recs
-        assert len(updates) == (1 << 8) - 1 - 8 == 247
-        assert len(blocks) == (1 << 8) - 31 == 225
+        assert inserts[:2] == [(0, 1, 1), (0, 2, 2)]
+        assert len(_high(inserts, 2)) == len(inserts) - 2 == (1 << 8) - 1 - 8 == 247
+        assert len({mask >> 2 for mask, *_ in recs}) == (1 << 8) - 31 - 1 == 224
 
     @pytest.mark.parametrize("host", [TREE_HOST, path(20)], ids=["tree-n7", "path-n20"])
-    def test_tree_host_is_linear(self, updates, blocks, host):
+    def test_tree_host_is_linear(self, inserts, host):
         # a tree host has one state: every subtree that leaves a high edge
-        # out is skipped at once, so the walk makes one update per high edge
-        # and one block, not 2^m leaves
+        # out is skipped at once, so the walk inserts each high edge once
+        # into the root block and keeps one block, not 2^m leaves
         full = full_state(host)
         lo, hi = game.stability_interval(full)
         assert host_census(host) == ((full.mask, host.m, routing_cost(full), lo, hi),)
-        assert updates == list(reversed(host.edges[8:]))
-        assert len(blocks) == 1
+        k = min(host.m, 8)
+        assert _high(inserts, k) == list(reversed(host.edges[k:]))
+        assert len(inserts) == host.m
+
+    @pytest.mark.parametrize(
+        "host", _split_hosts(), ids=["K5", "tree-n7", "cycle-n12", "hub-n7", "random-n6-m9"]
+    )
+    def test_low_high_split(self, monkeypatch, host):
+        # every k from 1 to min(m, 10) puts other edges in the root block and
+        # in the walk: the doubled low-edge insertion and the whole-block
+        # high-edge insertion agree whichever edges are low
+        recs = host_census(host, 1 << host.m)
+        for k in range(1, min(host.m, 10) + 1):
+            monkeypatch.setattr(analysis, "_BLOCK_EDGES", k)
+            assert host_census(host, 1 << host.m) == recs, k
 
     @pytest.mark.parametrize("n", [2, 3, 6, 9, 16, 17])
     def test_path_sum_at_connectivity_bound(self, n):

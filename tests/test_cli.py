@@ -540,6 +540,15 @@ class TestCampaign:
         assert out.encode() == (GOLDEN / "campaign-seed0.txt").read_bytes()
         assert report.read_bytes() == (GOLDEN / "campaign-seed0.json").read_bytes()
 
+    def test_sweep_seed_three_matches_golden(self, capsys):
+        # the exactness contract covers the sweep CSV too: 25 random hosts
+        # at seven alphas, every census read
+        code, out, _ = run(
+            capsys, "sweep", "--seed", "3", "--count", "25", "--alpha", "1/4,1/2,1,6/5,2,5/2,10"
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / "sweep-seed3.csv").read_bytes()
+
     def test_unknown_suite_exit_2(self, capsys):
         code, _, err = run(capsys, "campaign", "--suite", "bogus")
         assert code == 2 and "unknown suite" in err
