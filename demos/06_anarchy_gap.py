@@ -14,7 +14,7 @@ from sdncg import (
     poa_exact,
     pos_exact,
     random_connected_host,
-    sweep_cell,
+    sweep_host,
     write_sweep_csv,
 )
 
@@ -29,7 +29,7 @@ print(f"  PoS = {pos_exact(host, alpha, 1 << 16)}   (the path itself is stable)"
 print("\nsweep over a few random hosts (CSV report):")
 rng = random.Random(12)
 hosts = [random_connected_host(rng.randint(4, 6), 0.5, rng) for _ in range(3)]
-rows = [sweep_cell(h, a, budget=1 << 16) for h in hosts for a in (Fraction(1, 2), Fraction(3))]
+rows = [row for h in hosts for row in sweep_host(h, (Fraction(1, 2), Fraction(3)), budget=1 << 16)]
 buf = io.StringIO()
 write_sweep_csv(rows, buf)
 print(buf.getvalue())

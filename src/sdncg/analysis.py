@@ -170,15 +170,38 @@ class ThresholdTable:
     clique_optimal: Fraction  # n/3: optimum flips from path to clique
     path_stable_limit: Fraction  # (n-1)/2: path stays stable up to here
     clique_unique: Fraction  # n/2: beyond this only the clique is stable
-    # The two general-host bounds below are claims that fail on some hosts:
-    # host_unique on some with 6 or 7 nodes (`sdncg campaign --suite
-    # host-uniqueness --seed 5` fails), host_optimal on some with 3 to 7
-    # (it is 5/8 on K_3, below clique_optimal).
-    host_unique: Fraction  # (n-1)^2/4: beyond this only the host is stable
+    host_unique: Fraction  # (n^2-5n+8)/2: beyond this only the host is stable
+    # host_optimal is a claim that fails on some hosts with 3 to 7 nodes (it
+    # is 5/8 on K_3, below clique_optimal)
     host_optimal: Fraction  # (n-2)n(n+2)/24: beyond this the host is optimal
 
 
 def threshold_table(n: int) -> ThresholdTable:
+    """The thresholds of ``ThresholdTable`` on n nodes.
+
+    ``host_unique`` is B(n) = (n^2 - 5n + 8)/2: for alpha > B(n) the host is
+    the only stable state, on every host with n nodes.
+
+    Proof. Let S be a connected spanning state, uv a host edge missing from
+    S, and D the degree of u in S, so 1 <= D <= n - 2. The D neighbours of
+    u are at distance 1. No BFS level from u up to the farthest node is
+    empty, so the i-th nearest of the other n - 1 - D nodes is at distance
+    at most i + 1, and d_S(u, V) <= D + (2 + 3 + ... + (n - D)) = D + (n -
+    D)(n - D + 1)/2 - 1. In S + uv, u has D + 1 neighbours and every other
+    node is at distance 2 or more, so d(u, V) >= 2n - 3 - D. Adding uv
+    therefore lowers u's sum by at most f(D) = (n - D)(n - D + 1)/2 + 2D -
+    2n + 2. As f(D + 1) - f(D) = D + 2 - n <= 0 for D <= n - 2, f is largest
+    at D = 1, where it is B(n). Removing an edge from a state raises each
+    endpoint's sum by exactly what adding it back to the smaller state
+    lowers it, and a legal removal leaves that state connected, so no
+    removal raises a sum by more than B(n) either. So for alpha > B(n)
+    every missing host edge is an improving addition and no removal
+    improves: only the host is stable.
+
+    The bound is tight for n = 3 to 6: over every connected host with n
+    nodes, the largest finite ``hi`` of a state other than the host is 1,
+    2, 4 and 7. On 7 nodes it is 10, below B(7) = 11.
+    """
     if n < 3:
         raise ParameterError(f"threshold table needs n >= 3, got {n}")
     return ThresholdTable(
@@ -186,7 +209,7 @@ def threshold_table(n: int) -> ThresholdTable:
         clique_optimal=Fraction(n, 3),
         path_stable_limit=Fraction(n - 1, 2),
         clique_unique=Fraction(n, 2),
-        host_unique=Fraction((n - 1) ** 2, 4),
+        host_unique=Fraction(n * n - 5 * n + 8, 2),
         host_optimal=Fraction((n - 2) * n * (n + 2), 24),
     )
 
@@ -1052,7 +1075,7 @@ def _suite_host_uniqueness(seed: int) -> list[dict]:
         _claim(
             "host-unique-above-threshold",
             not bad,
-            bad or f"{len(hosts)} hosts at alpha=(n-1)^2/4 + 1: stable set is exactly the host",
+            bad or f"{len(hosts)} hosts at alpha=(n^2-5n+8)/2 + 1: stable set is exactly the host",
         )
     ]
 

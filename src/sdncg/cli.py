@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from multiprocessing import Pool
 
 from . import analysis, constructions, game, graphio, spanning
 from .errors import GraphParseError, ParameterError, SdncgError, StructureError
@@ -226,11 +225,6 @@ def _cmd_cycle(args):
     return 0
 
 
-def _sweep_host_task(task):
-    n, edges, alphas, budget = task
-    return analysis.sweep_host(HostGraph(n, edges), alphas, budget)
-
-
 def _cmd_sweep(args):
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
@@ -256,13 +250,14 @@ def _cmd_sweep(args):
     # every host's budget is checked before any census is built or any pool started
     for h in hosts:
         analysis._check_subsets(h, args.budget)
-    # one task per host: its census is built once and answers every alpha
-    tasks = [(h.n, h.edges, alphas, args.budget) for h in hosts]
+    # one census per host answers every alpha
     if args.workers > 1:
+        from multiprocessing import Pool
+
         with Pool(args.workers) as pool:
-            per_host = pool.map(_sweep_host_task, tasks)
+            per_host = pool.starmap(analysis.sweep_host, [(h, alphas, args.budget) for h in hosts])
     else:
-        per_host = [_sweep_host_task(t) for t in tasks]
+        per_host = [analysis.sweep_host(h, alphas, args.budget) for h in hosts]
     buf = io.StringIO()
     analysis.write_sweep_csv([row for rows in per_host for row in rows], buf)
     _out(args, buf.getvalue())

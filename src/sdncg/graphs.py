@@ -140,9 +140,13 @@ class HostGraph:
         # too few edges to connect n nodes: refuse before allocating per-node data
         if len(norm) < n - 1:
             raise StructureError("host graph must be connected")
+        adj = [0] * n
+        for u, v in norm:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
         self.edges = tuple(norm)
-        self.adj_mask = tuple(_mask_adjacency(n, self.edges, (1 << len(norm)) - 1))
+        self.adj_mask = tuple(adj)
         self.edge_index = {e: i for i, e in enumerate(norm)}
         if _bfs(self.adj_mask, 1)[1] != (1 << n) - 1:
             raise StructureError("host graph must be connected")
@@ -198,13 +202,16 @@ class GameState:
     def __init__(self, host: HostGraph, active: Iterable) -> None:
         idx = host.edge_index
         mask = 0
+        nbr = [0] * host.n
         for u, v in active:
             e = edge(u, v)
             i = idx.get(e)
             if i is None:
                 raise StructureError(f"edge {e} not in host")
             mask |= 1 << i
-        nbr = _mask_adjacency(host.n, host.edges, mask)
+            a, b = e
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
         if _bfs(nbr, 1)[1] != (1 << host.n) - 1:
             raise StructureError("state must be connected and span all nodes")
         self.host = host
@@ -262,8 +269,10 @@ class GameState:
 
 
 def full_state(host: HostGraph) -> GameState:
-    """The state that activates every host edge."""
-    return GameState._from_mask(host, (1 << host.m) - 1)
+    """The state that activates every host edge; its adjacency is the host's."""
+    st = GameState._from_mask(host, (1 << host.m) - 1)
+    st.__dict__["adjacency_masks"] = host.adj_mask
+    return st
 
 
 def bfs_all_pairs(state: GameState) -> DistanceTable:

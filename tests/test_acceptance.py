@@ -47,7 +47,7 @@ def test_criterion_05_mrcst_optimality():
 
 
 def test_criterion_06_host_uniqueness():
-    _run(6, "host is the unique equilibrium above (n-1)^2/4", "host-uniqueness")
+    _run(6, "host is the unique equilibrium above (n^2-5n+8)/2", "host-uniqueness")
 
 
 def test_criterion_07_improving_cycle():

@@ -661,8 +661,29 @@ class TestThresholds:
     def test_values(self):
         t = threshold_table(10)
         assert t.host_optimal == 40
-        assert t.host_unique == Fraction(81, 4)
+        assert t.host_unique == 29
         assert threshold_table(3).clique_optimal == 1
+
+    def test_host_unique_is_tight_on_small_hosts(self):
+        # over every connected host with 3 to 6 nodes, no finite lo or hi
+        # exceeds B(n) = (n^2 - 5n + 8)/2, and some state other than the host
+        # reaches it: 1, 2, 4 and 7
+        nx = pytest.importorskip("networkx")
+        largest = Counter()
+        for g in nx.graph_atlas_g():
+            n = g.number_of_nodes()
+            if not 3 <= n <= 6 or not nx.is_connected(g):
+                continue
+            host = HostGraph(n, g.edges())
+            bound = threshold_table(n).host_unique
+            full = (1 << host.m) - 1
+            for mask, _, _, lo, hi in host_census(host):
+                assert lo is None or lo <= bound
+                assert hi is None or hi <= bound
+                if mask != full and hi is not None:
+                    largest[n] = max(largest[n], hi)
+        assert dict(largest) == {n: threshold_table(n).host_unique for n in (3, 4, 5, 6)}
+        assert dict(largest) == {3: 1, 4: 2, 5: 4, 6: 7}
 
     def test_ordering_from_n6(self):
         for n in range(6, 40):

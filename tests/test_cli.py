@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -250,6 +251,17 @@ class TestDynamics:
         assert code == 0
         assert out.startswith("# seed: 7\n")
 
+    def test_cycle_outcome_text(self, capsys, monkeypatch, k4):
+        # a two-state stub of the move scan: edge (0, 1) out, then back in
+        def toggle_first_edge(state, p, q, limit=None):
+            kind = game.REMOVE if state.mask & 1 else game.ADD
+            return ((Move(kind, 0, 1), state.mask ^ 1),)
+
+        monkeypatch.setattr(game, "_improving_arcs", toggle_first_edge)
+        code, out, _ = run(capsys, "dynamics", "--alpha", "1/2", "--input", k4)
+        assert code == 0
+        assert out == "terminal: cycle\nsteps: 2\ncycle_start: 0\n"
+
     def test_json_trajectory(self, capsys, k4):
         code, out, _ = run(capsys, "dynamics", "--alpha", "1/2", "--input", k4, "--format", "json")
         payload = json.loads(out)
@@ -430,7 +442,7 @@ class TestSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("reached past the --workers check")
 
-        monkeypatch.setattr(cli, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
         monkeypatch.setattr(cli.graphio, "load_graph", refuse)
         code, out, err = run(
             capsys, "sweep", "--alpha", "1", "--input", k4, "--workers", str(workers)
@@ -443,7 +455,7 @@ class TestSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("reached past the budget check")
 
-        monkeypatch.setattr(cli, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(analysis, "host_census", refuse)
         code, out, err = run(
@@ -452,6 +464,18 @@ class TestSweep:
         )
         assert code == 1 and out == ""
         assert err == "error: 2^15 subsets exceed budget 100\n"
+
+    def test_import_leaves_multiprocessing_out(self):
+        # only sweep --workers > 1 starts a pool, and only it imports one
+        code = "import sys, sdncg.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_edge_cap_below_every_host_exit_2(self):
         # every host on 4 or more nodes has at least 3 edges: resampling
@@ -509,7 +533,7 @@ class TestSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("reached past the --budget check")
 
-        monkeypatch.setattr(cli, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
         monkeypatch.setattr(cli.graphio, "load_graph", refuse)
         monkeypatch.setattr(analysis, "random_connected_host", refuse)
         source = ["--input", k4] if mode == "input" else ["--seed", "1"]
@@ -567,6 +591,31 @@ class TestErrors:
         bad.write_text("3 2\n0 1\nx y\n")
         code, _, err = run(capsys, "sw", "--alpha", "1", "--input", str(bad))
         assert code == 2 and "line 3" in err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("empty.txt", "", "line 1: expected header 'n m'"),
+            ("head.txt", "three 2\n0 1\n1 2\n", "line 1: non-integer header 'three 2'"),
+            ("fields.txt", "3 2\n0 1 2\n1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+            ("bad.json", "n = 4", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (
+                "cut.json",
+                '{"n": 4, "edges": [[0, 1], [0, 2], [1, 2]]}',
+                "invalid graph: host graph must be connected",
+            ),
+        ],
+    )
+    def test_unreadable_graph_exit_2(self, capsys, tmp_path, name, text, message):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run(capsys, "sw", "--alpha", "1", "--input", str(f))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unparsable_alpha_exit_2(self, capsys, k4):
+        code, out, err = run(capsys, "sw", "--alpha", "abc", "--input", k4)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse alpha 'abc': ")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "sw", "--alpha", "1", "--input", "/nonexistent.txt")

@@ -58,6 +58,14 @@ def random_state(host, rng):
     return GameState(host, chosen)
 
 
+def two_state_arcs(state, p, q, limit=None):
+    """A stand-in for ``game._improving_arcs`` whose only improving moves
+    toggle edge 0: removal from a state that has it, addition otherwise."""
+    u, v = state.host.edges[0]
+    kind = REMOVE if state.mask & 1 else ADD
+    return ((Move(kind, u, v), state.mask ^ 1),)
+
+
 class TestAlpha:
     def test_parse_fraction(self):
         assert parse_alpha("7/3") == Fraction(7, 3)
@@ -68,6 +76,11 @@ class TestAlpha:
             parse_alpha("2.5")
         with pytest.raises(ParameterError):
             parse_alpha("1e-3")
+
+    def test_rejects_non_numbers(self):
+        for bad in ("abc", "1/x", "1/2/3"):
+            with pytest.raises(ParameterError, match=f"^cannot parse alpha '{bad}': "):
+                parse_alpha(bad)
 
     def test_rejects_nonpositive(self):
         for bad in ("0", "-1", "0/5"):
@@ -353,6 +366,22 @@ class TestDynamics:
             st_ = apply_move(st_, mv)
         assert st_ == out.final_state
         assert out.terminal == "stable"
+
+    @pytest.mark.parametrize("policy", ["first", "best", "random"])
+    def test_revisit_ends_in_cycle(self, monkeypatch, policy):
+        # no start state of K_5 at alpha 5/2 cycles under first or best, so
+        # a two-state stub of the move scan drives one: drop edge (0, 1),
+        # then add it back
+        host = clique(4)
+        full = (1 << host.m) - 1
+        monkeypatch.setattr(game, "_improving_arcs", two_state_arcs)
+        out = run_dynamics(full_state(host), Fraction(1, 2), policy=policy, budget=10, seed=1)
+        assert out.terminal == "cycle" and out.cycle_start == 0
+        assert out.trajectory == (
+            ((host, full), Move(REMOVE, 0, 1)),
+            ((host, full ^ 1), Move(ADD, 0, 1)),
+        )
+        assert out.final_state == full_state(host)
 
     def test_trajectory_replays(self):
         out = run_dynamics(full_state(clique(4)), Fraction(1, 2), policy="first", budget=100)

@@ -38,6 +38,14 @@ def test_parse_error_names_line():
         parse_text("3 2\n1 0\n1 2\n")  # u < v required
     with pytest.raises(GraphParseError, match="line 1"):
         parse_text("nope\n")
+    with pytest.raises(GraphParseError, match="^line 1: expected header 'n m'$"):
+        parse_text("")
+    with pytest.raises(GraphParseError, match="^line 1: non-integer header 'three 2'$"):
+        parse_text("three 2\n0 1\n1 2\n")
+    with pytest.raises(GraphParseError, match="^line 2: expected 'u v', got '0 1 2'$"):
+        parse_text("3 2\n0 1 2\n1 2\n")
+    with pytest.raises(GraphParseError, match="^line 3: expected 'u v', got '2'$"):
+        parse_text("3 2\n0 1\n2\n")
 
 
 def test_edge_count_mismatch():
@@ -57,6 +65,11 @@ def test_json_validation():
         parse_json('{"n": 3}')
     with pytest.raises(GraphParseError, match="edge #1"):
         parse_json('{"n": 3, "edges": [[0, 1], [1]]}')
+    with pytest.raises(GraphParseError, match="^invalid JSON: "):
+        parse_json("n = 4")
+    # three edges pass the edge-count test, and the BFS finds node 3 cut off
+    with pytest.raises(GraphParseError, match="^invalid graph: host graph must be connected$"):
+        parse_json('{"n": 4, "edges": [[0, 1], [0, 2], [1, 2]]}')
 
 
 def test_json_refuses_booleans():
@@ -82,3 +95,4 @@ def test_load_graph_sniffs_extension(tmp_path):
 def test_load_graph_missing_file(tmp_path):
     with pytest.raises(GraphParseError, match="cannot read"):
         load_graph(str(tmp_path / "absent.txt"))
+

@@ -92,6 +92,52 @@ class TestHostGraph:
         assert h.n - 1 <= h.m <= h.n * (h.n - 1) // 2
 
 
+class TestOnePassAdjacency:
+    """A host's neighbour masks come from its edge list in the pass that
+    reads it, and a state built from edges, or from every host edge, gets
+    its own the same way: none of them walks an edge mask."""
+
+    FAMILIES = [
+        ("path", (5,)),
+        ("cycle", (5,)),
+        ("star", (5,)),
+        ("clique", (5,)),
+        ("hypercube", (3,)),
+        ("path-clique", (6, 3, 2)),
+        ("clique-network", (clique(4), (2, 2, 2, 2))),
+        ("star-of-cliques", (14, 2)),
+        ("hypercube-clique-network", (12,)),
+        ("path-of-cliques", (20, 4)),
+        ("wheel-clique-network", (10,)),
+    ]
+
+    @pytest.mark.parametrize("family, params", FAMILIES, ids=[f for f, _ in FAMILIES])
+    def test_no_mask_walk(self, monkeypatch, family, params):
+        from sdncg.constructions import _FAMILY_BUILDERS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("_mask_adjacency called")
+
+        monkeypatch.setattr(graphs, "_mask_adjacency", refuse)
+        host = _FAMILY_BUILDERS[family][0](*params)
+        full = full_state(host)
+        listed = GameState(host, host.edges)
+        assert full.adjacency_masks == listed.adjacency_masks == host.adj_mask
+        assert full.mask == listed.mask == (1 << host.m) - 1
+        assert full.table.total == listed.table.total
+
+    def test_matches_mask_walk(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            host = random_connected_host(rng.randint(2, 16), rng.random(), rng)
+            everything = (1 << host.m) - 1
+            assert list(host.adj_mask) == graphs._mask_adjacency(host.n, host.edges, everything)
+            # a spanning tree plus random host edges, some of them repeated
+            tree = oracles.random_spanning_tree(host.n, host.edges, rng)
+            st_ = GameState(host, list(tree) + [e for e in host.edges if rng.random() < 0.3])
+            assert list(st_.adjacency_masks) == graphs._mask_adjacency(host.n, host.edges, st_.mask)
+
+
 class TestGameState:
     def test_requires_subset(self):
         h = path(4)
@@ -198,6 +244,11 @@ class TestTreeScaffold:
     def test_rejects_non_tree(self):
         with pytest.raises(StructureError):
             TreeScaffold(full_state(cycle(4)))
+        # n - 1 edges that close a triangle and leave node 3 alone
+        host = clique(4)
+        triangle = sum(1 << host.edge_index[e] for e in ((0, 1), (0, 2), (1, 2)))
+        with pytest.raises(StructureError, match="^not a spanning tree: disconnected$"):
+            TreeScaffold(GameState._from_mask(host, triangle))
 
     def test_matches_bfs_on_all_spanning_trees(self):
         for host in (clique(5), cycle(6), random_connected_host(7, 0.5, random.Random(7))):

@@ -501,6 +501,24 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="swap-maximality|distance bound"):
             smrcst_certificates(fake, h)
 
+    def test_distance_bound_violation_named(self):
+        # the K_6 result is a Hamilton path (rc 70); a claimed seed path of
+        # 20 edges would need 9 * rc >= 6 * 20^2
+        h = clique(6)
+        r = smrcst(h)
+        fake = SmrcstResult(r.tree, 20, r.iterations, r.routing_cost)
+        with pytest.raises(CertificateError) as err:
+            smrcst_certificates(fake, h)
+        assert str(err.value) == "distance bound violated: 9*routing_cost = 630 < n*l^2 = 2400"
+
+    def test_iteration_bound_violation_named(self):
+        h = clique(6)
+        r = smrcst(h)
+        fake = SmrcstResult(r.tree, r.seed_path_length, 71, r.routing_cost)
+        with pytest.raises(CertificateError) as err:
+            smrcst_certificates(fake, h)
+        assert str(err.value) == "iteration bound violated: 71 > (n-1)n(n+1)/3 = 70"
+
     def test_host_mismatch_refused(self):
         # a tree of another host: a foreign edge, or a host missing a tree edge
         with pytest.raises(ParameterError, match="another host"):
