@@ -294,13 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, alpha=False, inp=False, budget=None):
+    def common(p, alpha=False, inp=False, budget=None, json_form=True):
+        # --format only where the command has a JSON form
         if alpha:
             p.add_argument("--alpha", required=True, help="exact rational, e.g. 7/3")
         if inp:
             p.add_argument("--input", required=True, help="graph file (text or .json)")
         p.add_argument("--output", help="write the result here instead of stdout")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if json_form:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         if budget is not None:
             p.add_argument("--budget", type=int, default=budget)
 
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("sw", help="social welfare of the graph as its own state")
-    common(p, alpha=True, inp=True)
+    common(p, alpha=True, inp=True, json_form=False)
     p.set_defaults(fn=_cmd_sw)
 
     p = sub.add_parser("stable", help="pairwise stability of the graph as its own state")
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_atlas)
 
     p = sub.add_parser("poa", help="exact price of anarchy")
-    common(p, alpha=True, inp=True, budget=analysis.CENSUS_BUDGET)
+    common(p, alpha=True, inp=True, budget=analysis.CENSUS_BUDGET, json_form=False)
     p.set_defaults(fn=_cmd_poa)
 
     p = sub.add_parser("cycle", help="search for an improving-move cycle on K_n")

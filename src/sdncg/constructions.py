@@ -15,11 +15,29 @@ from .errors import ParameterError
 from .game import as_alpha
 from .graphs import GameState, HostGraph
 
+# The largest host a family builds: hypercube(16), 65,536 nodes and 524,288
+# edges. Nodes are capped as well as edges, since each node's neighbour
+# bitmask is as wide as its largest neighbour label: a path on the edge cap's
+# 524,289 nodes would hold about 17 GB of masks.
+MAX_NODES = 1 << 16
+MAX_EDGES = 16 << 15
+
+
+def _check_size(family: str, n: int, m: int) -> None:
+    """Refuse a host above the cap from its closed-form node and edge
+    counts, before any list is built."""
+    if n > MAX_NODES or m > MAX_EDGES:
+        raise ParameterError(
+            f"{family} would have {n} nodes and {m} edges, "
+            f"above the cap of {MAX_NODES} nodes and {MAX_EDGES} edges"
+        )
+
 
 def path(n: int) -> HostGraph:
     """P_n: nodes 0..n-1 in a line."""
     if n < 2:
         raise ParameterError(f"path needs n >= 2, got {n}")
+    _check_size("path", n, n - 1)
     return HostGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -27,6 +45,7 @@ def cycle(n: int) -> HostGraph:
     """C_n: nodes 0..n-1 in a ring."""
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
+    _check_size("cycle", n, n)
     return HostGraph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
@@ -34,6 +53,7 @@ def star(n: int) -> HostGraph:
     """S_n: center 0 joined to leaves 1..n-1."""
     if n < 2:
         raise ParameterError(f"star needs n >= 2, got {n}")
+    _check_size("star", n, n - 1)
     return HostGraph(n, [(0, i) for i in range(1, n)])
 
 
@@ -41,12 +61,13 @@ def clique(n: int) -> HostGraph:
     """K_n: all pairs joined."""
     if n < 2:
         raise ParameterError(f"clique needs n >= 2, got {n}")
+    _check_size("clique", n, n * (n - 1) // 2)
     return HostGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def hypercube(d: int) -> HostGraph:
     """d-dimensional hypercube; node labels are the d-bit integers, edges at
-    Hamming distance 1."""
+    Hamming distance 1. d <= 16 is the size cap (``MAX_NODES``)."""
     if d < 1:
         raise ParameterError(f"hypercube needs d >= 1, got {d}")
     if d > 16:
@@ -81,6 +102,7 @@ def path_clique(n: int, k: int, c=None) -> HostGraph:
             f"need 2 <= c <= k connecting edges when 0 < k < n, got c={c}, k={k}"
         )
     p = n - k  # path nodes
+    _check_size("path_clique", n, p - 1 + k * (k - 1) // 2 + c)
     edges = [(i, i + 1) for i in range(p - 1)]
     edges += [(u, v) for u in range(p, n) for v in range(u + 1, n)]
     edges += [(p - 1, p + j) for j in range(c)]
@@ -101,6 +123,11 @@ def clique_network(base: HostGraph, sizes) -> HostGraph:
     for i, s in enumerate(sizes):
         if s < 2:
             raise ParameterError(f"clique sizes must be >= 2, block {i} has {s}")
+    _check_size(
+        "clique_network",
+        sum(sizes),
+        sum(s * (s - 1) // 2 for s in sizes) + sum(sizes[i] * sizes[j] for i, j in base.edges),
+    )
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)
@@ -138,6 +165,9 @@ def star_of_cliques(n: int, alpha) -> HostGraph:
             f"star_of_cliques needs n - 2 >= ceil(alpha) + 2 = {c}, got n={n}"
         )
     m_size = n - c * d  # always in [2, c+2)
+    # per ray: its clique, its pair, clique to pair, pair to center; then the center
+    ray = (c - 2) * (c - 3) // 2 + 1 + 2 * (c - 2) + 2 * m_size
+    _check_size("star_of_cliques", n, d * ray + m_size * (m_size - 1) // 2)
     # base spider: [K_1, pair_1, ..., K_d, pair_d, M]
     base_edges = []
     center = 2 * d
@@ -158,9 +188,18 @@ def hypercube_clique_network(n: int) -> HostGraph:
     if n < 8:
         raise ParameterError(f"hypercube_clique_network needs n >= 8, got {n}")
     d = n.bit_length() - 2  # floor(log2 n) - 1
-    base = hypercube(d)
     blocks = 1 << d
     q, r = divmod(n, blocks)
+    # the cliques, then q^2 per cube edge, q more per edge end below r, and 1
+    # more per cube edge with both ends below r: sum of popcount(i), i < r
+    below = sum((r >> b + 1 << b) + max(0, (r & (2 << b) - 1) - (1 << b)) for b in range(d))
+    cube = d << d - 1
+    _check_size(
+        "hypercube_clique_network",
+        n,
+        blocks * (q * (q - 1) // 2) + r * q + q * q * cube + q * d * r + below,
+    )
+    base = hypercube(d)
     sizes = [q + 1] * r + [q] * (blocks - r)
     return clique_network(base, sizes)
 
@@ -189,6 +228,11 @@ def path_of_cliques(n: int, d: int) -> HostGraph:
     second_sum = inner // 2
     r1 = first_sum - h * c
     r2 = second_sum - h * c
+    # the size list as runs (count, size): their cliques, then the products
+    # of neighbouring sizes within and between runs
+    runs = [(k, s) for k, s in ((h - r1, c), (r1, c + 1), (3, 2), (r2, c + 1), (h - r2, c)) if k]
+    m = sum(k * s * (s - 1) // 2 + (k - 1) * s * s for k, s in runs)
+    _check_size("path_of_cliques", n, m + sum(s * t for (_, s), (_, t) in zip(runs, runs[1:])))
     sizes_first = [c] * (h - r1) + [c + 1] * r1
     sizes_second = [c + 1] * r2 + [c] * (h - r2)
     sizes = sizes_first + [2, 2, 2] + sizes_second
@@ -210,11 +254,14 @@ def wheel_clique_network(n: int) -> HostGraph:
     if n < 8:
         raise ParameterError(f"wheel_clique_network needs n >= 8, got {n}")
     half = n // 2
+    hub = 2 + n % 2
+    # the cliques, then hub to rim and rim to rim
+    _check_size("wheel_clique_network", n, hub * (hub - 1) // 2 + (half - 1) * (1 + 2 * hub + 4))
     base_edges = [(0, i) for i in range(1, half)]
     base_edges += [(i, i + 1) for i in range(1, half - 1)]
     base_edges.append((1, half - 1))
     base = HostGraph(half, base_edges)
-    sizes = [2 + (n % 2)] + [2] * (half - 1)
+    sizes = [hub] + [2] * (half - 1)
     return clique_network(base, sizes)
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import ParameterError, StructureError
-from .graphs import GameState, _bfs, edge, is_bridge
+from .graphs import GameState, _bfs, _lane_width, edge, is_bridge
 
 ADD = "add"
 REMOVE = "remove"
@@ -129,24 +130,72 @@ def social_welfare(state: GameState, alpha) -> Fraction:
     return 2 * a * state.m + state.table.total
 
 
-def addition_decreases(state: GameState, u: int, v: int) -> tuple[int, int]:
-    """Exact drop of each endpoint's distance sum if edge (u, v) were added.
+_LANE_NODES = 12  # from this many nodes on, additions are scored on packed lanes
 
-    Uses d'(u, x) = min(d(u, x), 1 + d(v, x)); a single added edge is used at
-    most once on any new shortest path.
+
+@lru_cache(maxsize=16)
+def _lane_terms(n: int) -> tuple:
+    """The addition kernel's constants on n lanes of W = ``_lane_width(n)``
+    bits: the bias 2^(W-1) - 1 in every lane, twice that, the guard bit of
+    every lane, the guard shift W - 1, and 2^W - 1."""
+    w = _lane_width(n)
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+    guard = ones << (w - 1)
+    bias = guard - ones
+    return bias, 2 * bias, guard, w - 1, (1 << w) - 1
+
+
+def _decreases(table):
+    """``addition_decreases`` on one distance table, as a function of (u, v).
+
+    A single added edge is used at most once on any new shortest path, so
+    d'(u, x) = min(d(u, x), 1 + d(v, x)), and u's drop is the sum over x of
+    d(u, x) - d(v, x) - 1 where that is positive; v's likewise.
+
+    From ``_LANE_NODES`` nodes on, all n terms are taken at once on the rows
+    packed as ints (``DistanceTable.lanes``): lane x of d(u) - d(v) + bias,
+    with bias 2^(W-1) - 1, is 2^(W-1) + d(u, x) - d(v, x) - 1, which borrows
+    from no other lane and has its guard bit 2^(W-1) set exactly where the
+    term is at least 0. The guard bits mask the lanes to keep, and the kept
+    terms, whose sum is below 2^W - 1 (``_lane_width``), add up as the
+    int's remainder mod 2^W - 1. Lane x of 2*bias minus that int is v's
+    term plus the bias. Below ``_LANE_NODES`` nodes, where packing the rows
+    costs more than it saves, the terms are summed one by one.
     """
-    dist = state.table.dist
-    du = dist[u]
-    dv = dist[v]
-    dec_u = 0
-    dec_v = 0
-    for a, b in zip(du, dv):
-        d = a - b
-        if d > 1:
-            dec_u += d - 1
-        elif d < -1:
-            dec_v += -d - 1
-    return dec_u, dec_v
+    n = len(table.per_node_sum)
+    dist = table.dist
+    if n < _LANE_NODES:
+
+        def dec(u: int, v: int) -> tuple[int, int]:
+            dec_u = 0
+            dec_v = 0
+            for a, b in zip(dist[u], dist[v]):
+                d = a - b
+                if d > 1:
+                    dec_u += d - 1
+                elif d < -1:
+                    dec_v += -d - 1
+            return dec_u, dec_v
+
+        return dec
+    bias, bias2, guard, top, mod = _lane_terms(n)
+    rows = table.lanes
+
+    def dec(u: int, v: int) -> tuple[int, int]:
+        t = rows[u] - rows[v] + bias
+        g = t & guard
+        dec_u = (t & (g - (g >> top))) % mod
+        t = bias2 - t
+        g = t & guard
+        return dec_u, (t & (g - (g >> top))) % mod
+
+    return dec
+
+
+def addition_decreases(state: GameState, u: int, v: int) -> tuple[int, int]:
+    """Exact drop of each endpoint's distance sum if edge (u, v) were added,
+    read off the state's distance table (see ``_decreases``)."""
+    return _decreases(state.table)(u, v)
 
 
 def removal_increases(state: GameState, u: int, v: int):
@@ -167,6 +216,40 @@ def removal_increases(state: GameState, u: int, v: int):
     return sum_u - ps[u], sum_v - ps[v]
 
 
+def _unit_removals(st: GameState) -> list[int]:
+    """Per node u, the mask of u's neighbours v such that removing edge
+    (u, v) raises u's distance sum by exactly 1.
+
+    For a non-bridge (u, v), the removal puts v at distance 2 from u iff the
+    two share a neighbour, and farther otherwise. Any other node x moves away
+    from u iff v is u's sole first hop toward x, that is the one neighbour
+    of u at distance d(u, x) - 1 from x: another first hop w keeps its path
+    of that length to x, which cannot pass through u. So the rise is
+    exactly 1 iff u and v share a neighbour and v is no sole first hop of u.
+    A bridge's endpoints share no neighbour, so no bridge is in the masks.
+    The rows are the state's distance table.
+    """
+    n = st.host.n
+    nbr = st.adjacency_masks
+    dist = st.table.dist
+    at = [[0] * n for _ in range(n)]  # at[x][d]: the nodes at distance d from x
+    for x, row in enumerate(dist):
+        for y, d in enumerate(row):
+            at[x][d] |= 1 << y
+    unit = []
+    for u, row in enumerate(dist):
+        sole = two = 0
+        for x, d in enumerate(row):
+            if d == 1:
+                two |= nbr[x]  # a neighbour v shares a neighbour with u iff it is in two
+            elif d:
+                hops = nbr[u] & at[x][d - 1]
+                if not hops & (hops - 1):
+                    sole |= hops
+        unit.append(nbr[u] & two & ~sole)
+    return unit
+
+
 def _move_gains(state: GameState):
     """Every legal move of a state with its threshold, in (kind, u, v) order.
 
@@ -176,18 +259,31 @@ def _move_gains(state: GameState):
     it is the larger of the two endpoint increases: the removal improves iff
     ``gain > alpha``. Bridges are skipped, since removing one is illegal; a
     spanning tree (n-1 edges) is all bridges, so its removal scan is skipped.
-    This is the one move scan; every stability query filters it.
+    On a state that lacks some host edge, ``_unit_removals`` reads off the
+    table the additions built which removals raise both endpoints' sums by
+    exactly 1; those yield gain 1 with no BFS. A full state skips the lemma:
+    on a sparse host few of its edges lie on a triangle, and the lemma's
+    O(n^2) pass costs more than the BFS it saves. This is the one move
+    scan; every stability query filters it.
     """
     mask = state.mask
-    edges = state.host.edges
-    for i, (u, v) in enumerate(edges):
-        if not (mask >> i) & 1:
-            dec_u, dec_v = addition_decreases(state, u, v)
-            yield ADD, u, v, dec_u if dec_u >= dec_v else dec_v
-    if mask.bit_count() < state.host.n:
+    host = state.host
+    edges = host.edges
+    lacking = mask.bit_count() < host.m
+    if lacking:
+        dec = _decreases(state.table)
+        for i, (u, v) in enumerate(edges):
+            if not (mask >> i) & 1:
+                dec_u, dec_v = dec(u, v)
+                yield ADD, u, v, dec_u if dec_u >= dec_v else dec_v
+    if mask.bit_count() < host.n:
         return
+    unit = _unit_removals(state) if lacking else None
     for i, (u, v) in enumerate(edges):
         if (mask >> i) & 1:
+            if unit is not None and unit[u] >> v & 1 and unit[v] >> u & 1:
+                yield REMOVE, u, v, 1
+                continue
             inc = removal_increases(state, u, v)
             if inc is not None:
                 yield REMOVE, u, v, inc[0] if inc[0] >= inc[1] else inc[1]

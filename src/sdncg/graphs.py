@@ -10,16 +10,17 @@ Adjacency is kept as per-node bitmasks. Python integers are unbounded, so
 they are exact at every size; ``_bfs`` is the one traversal kernel behind
 connectivity, bridges, distance sums and the distance rows of states with
 cycles. A spanning tree's table needs no BFS: ``_rooted`` roots it once,
-and each row follows from its parent's row. A ``GameState`` stores its edge
-set once, as a bitmask over the host's sorted edge list; everything else
-about a state is derived from that mask.
+and each row follows from its parent's row. ``DistanceTable.lanes`` packs
+each row into one int, which the addition scan reads lane-wise. A
+``GameState`` stores its edge set once, as a bitmask over the host's sorted
+edge list; everything else about a state is derived from that mask.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import StructureError
@@ -44,6 +45,22 @@ def _mask_adjacency(n: int, edges, mask: int) -> list[int]:
         nbr[v] |= 1 << u
         mask ^= low
     return nbr
+
+
+def _lane_width(n: int) -> int:
+    """The least of 8, 16, 32, ... bits W with n(n - 1)/2 below 2^(W-1) - 1.
+
+    In lanes of W bits, every distance and every distance sum of a
+    connected state on n nodes stays below the lane's top (guard) bit, so
+    lane-wise subtractions with the guard bits set borrow across no lane.
+    """
+    w = 8
+    while n * (n - 1) // 2 >= (1 << w - 1) - 1:
+        w *= 2
+    return w
+
+
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes by lane width
 
 
 def _bfs(nbr, sources: int, row=None):
@@ -79,22 +96,16 @@ def _bfs(nbr, sources: int, row=None):
     return total, seen
 
 
-def _rooted(nbr, n: int):
-    """Root the tree in ``nbr`` at node 0: ``(parent, depth, order, size, sums)``.
+def _preorder(nbr, root: int, seen: int, parent: list, depth: list) -> list:
+    """Depth-first preorder of the tree part of ``nbr`` reached from ``root``
+    without entering the node mask ``seen``, which must hold ``root``.
 
-    ``order`` is a depth-first preorder, so node ``order[i]``'s subtree is
-    the slice ``order[i : i + size[order[i]]]``. ``sums`` are the per-node
-    distance sums: a child c is one step nearer than its parent to the
-    size[c] nodes of its subtree and one step farther from the others. The
-    preorder holds only the nodes reached from 0: on n - 1 edges that do
-    not connect all n nodes it is shorter than n, and the other lists are
-    then meaningless.
+    Writes each reached node's parent and depth (one more than its
+    parent's) into the lists. Children are pushed in ascending label order,
+    so they are visited in descending label order.
     """
-    parent = [0] * n
-    depth = [0] * n
     order = []
-    seen = 1
-    stack = [0]
+    stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
@@ -108,14 +119,43 @@ def _rooted(nbr, n: int):
             depth[w] = d
             stack.append(w)
             f ^= low
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
+    return order
+
+
+def _node_sums(n: int, parent, depth, order, size) -> tuple:
+    """Per-node distance sums of a rooted spanning tree: a child c is one
+    step nearer than its parent to the size[c] nodes of its subtree and one
+    step farther from the others."""
     sums = [0] * n
     sums[0] = sum(depth)
     for v in order[1:]:
         sums[v] = sums[parent[v]] + n - 2 * size[v]
-    return parent, depth, order, size, sums
+    return tuple(sums)
+
+
+def _rooted(nbr, n: int) -> tuple:
+    """Root the tree in ``nbr`` at node 0: ``(parent, depth, order, size, sums)``.
+
+    ``order`` is a depth-first preorder (``_preorder``), so node
+    ``order[i]``'s subtree is the slice ``order[i : i + size[order[i]]]``.
+    ``sums`` are the per-node distance sums (``_node_sums``). The preorder
+    holds only the nodes reached from 0: on n - 1 edges that do not connect
+    all n nodes it is shorter than n, and the other tuples are then
+    meaningless.
+    """
+    parent = [0] * n
+    depth = [0] * n
+    order = _preorder(nbr, 0, 1, parent, depth)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return (
+        tuple(parent),
+        tuple(depth),
+        tuple(order),
+        tuple(size),
+        _node_sums(n, parent, depth, order, size),
+    )
 
 
 class HostGraph:
@@ -188,6 +228,13 @@ class DistanceTable:
     per_node_sum: tuple
     total: int
 
+    @cached_property
+    def lanes(self) -> tuple:
+        """Each row as one int, d(u, x) in lane x of ``_lane_width(n)`` bits."""
+        n = len(self.dist)
+        pack = struct.Struct(f"<{n}{_LANE_FORMATS[_lane_width(n)]}").pack
+        return tuple(int.from_bytes(pack(*row), "little") for row in self.dist)
+
 
 class GameState:
     """A connected spanning subnetwork of a host, stored as an edge bitmask.
@@ -239,6 +286,11 @@ class GameState:
     def table(self) -> DistanceTable:
         return bfs_all_pairs(self)
 
+    @cached_property
+    def _rooting(self) -> tuple:
+        # a tree's rooting at 0 (``_rooted``), read by its scaffold and its table
+        return _rooted(self.adjacency_masks, self.host.n)
+
     @property
     def m(self) -> int:
         return self.mask.bit_count()
@@ -281,12 +333,13 @@ def bfs_all_pairs(state: GameState) -> DistanceTable:
     Defensive about disconnection even though validated states are always
     connected (unchecked fast-path constructions funnel through here). A
     state with n - 1 edges is connected only as a spanning tree, whose
-    table ``_tree_table`` builds without BFS.
+    table ``_tree_table`` builds without BFS from the state's rooting, the
+    one its ``TreeScaffold`` reads.
     """
     n = state.host.n
     nbr = state.adjacency_masks
     if state.is_tree:
-        return _tree_table(nbr, n)
+        return _tree_table(state._rooting)
     full = (1 << n) - 1
     rows = []
     sums = []
@@ -300,34 +353,37 @@ def bfs_all_pairs(state: GameState) -> DistanceTable:
     return DistanceTable(tuple(rows), tuple(sums), sum(sums))
 
 
-def _tree_table(nbr, n: int) -> DistanceTable:
-    """All-pairs distances of the spanning tree in ``nbr``, row from row.
+def _tree_table(rooting: tuple) -> DistanceTable:
+    """All-pairs distances of a spanning tree from its rooting, row from row.
 
-    Rooted at 0, a child c is one step nearer than its parent to every node
-    of its subtree and one step farther from every other node. Rows are
-    built in preorder coordinates, where c's subtree is one slice, and one
-    ``itemgetter`` puts each back in label order.
+    Rooted at 0 (``_rooted``), a child c is one step nearer than its parent
+    to every node of its subtree and one step farther from every other
+    node. Rows are built packed (``DistanceTable.lanes``): c's row is its
+    parent's plus 1 in every lane and minus 2 in the lanes of c's subtree,
+    whose lane mask the reverse preorder sums up. No lane goes below 0, so
+    nothing borrows across lanes, and each row unpacks to its tuple in one
+    call; the table keeps the packed rows.
     """
-    parent, depth, order, size, sums = _rooted(nbr, n)
+    parent, depth, order, size, sums = rooting
+    n = len(parent)
     if len(order) != n:
         raise StructureError("state is disconnected")
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    relabel = itemgetter(*pos)
-    rows = [None] * n
-    rows[0] = [depth[v] for v in order]
-    dist = [None] * n
-    dist[0] = relabel(rows[0])
-    for i in range(1, n):
-        c = order[i]
-        up = rows[parent[c]]
-        row = [x + 1 for x in up]
-        end = i + size[c]
-        row[i:end] = [x - 1 for x in up[i:end]]
-        rows[c] = row
-        dist[c] = relabel(row)
-    return DistanceTable(tuple(dist), tuple(sums), sum(sums))
+    w = _lane_width(n)
+    fmt = struct.Struct(f"<{n}{_LANE_FORMATS[w]}")
+    sub = [1 << w * x for x in range(n)]
+    for v in reversed(order[1:]):
+        sub[parent[v]] += sub[v]
+    ones = sub[0]
+    rows = [0] * n
+    rows[0] = int.from_bytes(fmt.pack(*depth), "little")
+    for c in order[1:]:
+        rows[c] = rows[parent[c]] + ones - 2 * sub[c]
+    width = n * w // 8
+    table = DistanceTable(
+        tuple([fmt.unpack(row.to_bytes(width, "little")) for row in rows]), sums, sum(sums)
+    )
+    table.__dict__["lanes"] = tuple(rows)
+    return table
 
 
 def routing_cost(state: GameState) -> int:
@@ -352,7 +408,10 @@ class TreeScaffold:
     Rooted at node 0. ``subtree_size``, ``down`` (distance sums within each
     subtree) and ``per_node_sum``, together with the tree's cached distance
     table, let a single-swap routing-cost delta be computed in O(1).
-    ``order`` is a preorder: every node comes after its parent.
+    ``order`` is a preorder: every node comes after its parent. The rooting
+    is the tree state's own (``GameState._rooting``), so the state's table
+    roots nothing again. ``_swapped`` gives the scaffold after one swap
+    without rooting the new tree from scratch.
     """
 
     __slots__ = (
@@ -367,24 +426,113 @@ class TreeScaffold:
     )
 
     def __init__(self, tree: GameState) -> None:
-        host = tree.host
-        n = host.n
+        n = tree.host.n
         if tree.m != n - 1:
             raise StructureError(f"not a spanning tree: {tree.m} edges on {n} nodes")
-        parent, depth, order, size, pns = _rooted(tree.adjacency_masks, n)
+        parent, _, order, size, _ = rooting = tree._rooting
         if len(order) != n:
             raise StructureError("not a spanning tree: disconnected")
         down = [0] * n
         for v in reversed(order[1:]):
             down[parent[v]] += down[v] + size[v]
+        self._fill(tree, rooting, tuple(down))
+
+    def _fill(self, tree: GameState, rooting: tuple, down: tuple) -> None:
         self.tree = tree
-        self.parent = tuple(parent)
-        self.depth = tuple(depth)
-        self.order = tuple(order)
-        self.subtree_size = tuple(size)
-        self.down = tuple(down)
-        self.per_node_sum = tuple(pns)
-        self.total = sum(pns)
+        self.parent, self.depth, self.order, self.subtree_size, self.per_node_sum = rooting
+        self.down = down
+        self.total = sum(self.per_node_sum)
+
+    def _swapped(self, e: Edge, f: Edge) -> "TreeScaffold":
+        """The scaffold of this tree minus tree edge ``e`` plus host edge
+        ``f``, which must cross e's cut, built from this one.
+
+        Only the subtree S below e moves: it is re-rooted at f's endpoint y
+        inside it and hung from the other endpoint x. Parents change only on
+        the tree path from y up to e's child b, which reverses; depths and
+        preorder only inside S; subtree sizes and ``down`` sums only on that
+        path and on the root paths from e's parent and from x. The preorder
+        is the old one with S's slice moved to its place among x's children,
+        which the rooting visits in descending label order. Per-node sums
+        change everywhere and are summed again from the root. The result
+        equals ``TreeScaffold`` of the swapped tree, field by field.
+        """
+        tree = self.tree
+        host = tree.host
+        n = host.n
+        parent = list(self.parent)
+        depth = list(self.depth)
+        size = list(self.subtree_size)
+        down = list(self.down)
+        a, b = e
+        if parent[b] != a:
+            a, b = b, a
+        x, y = f
+        c = y
+        while depth[c] > depth[b]:
+            c = parent[c]
+        if c != b:
+            x, y = y, x
+        moved = size[b]
+        # every node on the root path from a loses S, whose depths sum to far
+        far = down[b] + moved * depth[b]
+        w = a
+        while True:
+            size[w] -= moved
+            down[w] -= far - moved * depth[w]
+            if not w:
+                break
+            w = parent[w]
+        # the path y = p_0, ..., p_k = b reverses: from b down, each p_i
+        # loses its child p_(i-1) and gains p_(i+1), whose new terms carry
+        path = [y]
+        while path[-1] != b:
+            path.append(parent[path[-1]])
+        carry_size = carry_down = 0
+        for i in range(len(path) - 1, 0, -1):
+            v, c = path[i], path[i - 1]
+            size[v] += carry_size - size[c]
+            down[v] += carry_down - down[c] - size[c]
+            carry_size = size[v]
+            carry_down = down[v] + carry_size
+        size[y] = moved
+        down[y] += carry_down
+        nbr = list(tree.adjacency_masks)
+        nbr[a] ^= 1 << b
+        nbr[b] ^= 1 << a
+        nbr[x] ^= 1 << y
+        nbr[y] ^= 1 << x
+        depth[y] = depth[x] + 1
+        parent[y] = x
+        sub = _preorder(nbr, y, 1 << x | 1 << y, parent, depth)
+        # and every node on the root path from x gains it
+        far = down[y] + moved * depth[y]
+        w = x
+        while True:
+            size[w] += moved
+            down[w] += far - moved * depth[w]
+            if not w:
+                break
+            w = parent[w]
+        order = self.order
+        i = order.index(b)
+        rest = order[:i] + order[i + moved :]
+        at = rest.index(x) + 1
+        # x's children above y come before y's subtree
+        kids = (nbr[x] & ~(1 << parent[x])) >> (y + 1) << (y + 1)
+        while kids:
+            low = kids & -kids
+            at += size[low.bit_length() - 1]
+            kids ^= low
+        order = rest[:at] + tuple(sub) + rest[at:]
+        index = host.edge_index
+        st = GameState._from_mask(host, tree.mask ^ (1 << index[edge(a, b)]) ^ (1 << index[edge(x, y)]))
+        st.__dict__["adjacency_masks"] = tuple(nbr)
+        rooting = tuple(parent), tuple(depth), order, tuple(size), _node_sums(n, parent, depth, order, size)
+        st.__dict__["_rooting"] = rooting
+        nxt = TreeScaffold.__new__(TreeScaffold)
+        nxt._fill(st, rooting, tuple(down))
+        return nxt
 
     def __repr__(self):
         return f"TreeScaffold(n={self.tree.host.n}, cost={self.total})"

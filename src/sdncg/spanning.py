@@ -4,8 +4,11 @@ Three layers: a greedy long-path seed with a certified length guarantee, the
 swap-improvement loop that turns the seeded tree into a swap-maximal
 routing-cost spanning tree, and an exact enumeration oracle for the true
 maximum at bounded size. One explicit-stack walk on node-mask components,
-``_tree_walk``, lists spanning trees: all of them for the oracle, the first
-around the seed path. Both swap-delta formulas live here: the search
+``_tree_walk``, lists spanning trees for the oracle; the seed tree is the
+one that walk would reach first from the seed path's forest, which
+``extend_to_spanning_tree`` builds as the walk's first descent alone. The
+swap loop keeps one tree per run: each swap updates the scaffold instead of
+rooting the new tree again. Both swap-delta formulas live here: the search
 scores each pair along a non-tree edge's tree path, and the certificate
 rescores every pair by an independent formula per cut of the tree.
 """
@@ -116,8 +119,17 @@ def greedy_long_path(host: HostGraph) -> list[int]:
 
 def extend_to_spanning_tree(host: HostGraph, path) -> TreeScaffold:
     """Grow a spanning tree around a simple path, adding host edges in
-    lexicographic order whenever they join two components: the first tree
-    of ``_tree_walk`` from the path's forest."""
+    lexicographic order whenever they join two components: the tree that
+    ``_tree_walk`` would list first if it started from the path's forest.
+
+    The walk reaches that tree without backtracking: it puts in every edge
+    that joins two components, and on a connected host the edges after any
+    point still join what is left. So only that descent is followed here,
+    with each component one member list shared by its nodes and the smaller
+    merged into the larger in place, so a node changes lists at most
+    log2(n) times, where the walk builds a new n-entry component list per
+    edge it puts in.
+    """
     nodes = list(path)
     if len(set(nodes)) != len(nodes):
         raise StructureError("path repeats a node")
@@ -130,9 +142,22 @@ def extend_to_spanning_tree(host: HostGraph, path) -> TreeScaffold:
         if e not in host.edge_index:
             raise StructureError(f"path edge {e} not in host")
         mask |= 1 << host.edge_index[e]
-    span = sum(1 << v for v in nodes)
-    comp = [span if span >> x & 1 else 1 << x for x in range(host.n)]
-    mask = next(_tree_walk(host, mask, comp, host.n - mask.bit_count()))
+    comp = [[x] for x in range(host.n)]
+    for v in nodes:
+        comp[v] = nodes
+    k = host.n - mask.bit_count()
+    for i, (u, v) in enumerate(host.edges):
+        if k == 1:
+            break
+        cu, cv = comp[u], comp[v]
+        if cu is not cv:
+            if len(cu) < len(cv):
+                cu, cv = cv, cu
+            cu += cv
+            for x in cv:
+                comp[x] = cu
+            mask |= 1 << i
+            k -= 1
     return TreeScaffold(GameState._from_mask(host, mask))
 
 
@@ -152,9 +177,13 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
         2 * [o*(P[x] - o*(j+1)) + s*(P[y] - s*(k-j)) - n*(P[parent c] - s)]
 
     and the edges on y's side of the ancestor swap x and y. As a quadratic
-    in s this is 2 * [s*(c1 - s*(k+1)) + r[c] - t], where c1 and t depend
-    only on f and the side, and r[c] = n*((n - 2s)*depth[c] + s - P[parent c])
-    only on c. A pass costs the total tree-path length of the non-tree edges.
+    in s this is 2 * [s*(c1 - s*(k+1)) + r[c] - t], where
+    r[c] = n*((n - 2s)*depth[c] + s - P[parent c]) depends only on c, and
+    t = n*(n*(depth[x] + 1) - P[x]) and c1 = P[y] + 2n*(depth[x] + 1) - P[x]
+    only on the side: t and c1 - P[y] are terms of x alone. Those two terms
+    and each node's step up, one tuple (parent-edge index, s, r[c], parent),
+    are built once per pass. A pass costs the total tree-path length of the
+    non-tree edges.
 
     ``best`` takes the largest change and ``first`` the smallest (e, f) with
     a positive one; ties go to the smallest (e, f). Host edges are sorted, so
@@ -166,11 +195,14 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
     n = host.n
     parent = scaffold.parent
     depth = scaffold.depth
-    size = scaffold.subtree_size
     pns = scaffold.per_node_sum
-    edge_index = host.edge_index
-    up = [-1] + [edge_index[edge(c, parent[c])] for c in range(1, n)]
-    r = [n * ((n - 2 * size[c]) * depth[c] + size[c] - pns[parent[c]]) for c in range(n)]
+    index = host.edge_index
+    step = [
+        (index[(c, p) if c < p else (p, c)] if c else -1, s, n * ((n - 2 * s) * d + s - pns[p]), p)
+        for c, (p, d, s) in enumerate(zip(parent, depth, scaffold.subtree_size))
+    ]
+    t_of = [n * (n * (d + 1) - p) for d, p in zip(depth, pns)]
+    c_of = [2 * n * (d + 1) - p for d, p in zip(depth, pns)]
     anc = [0] * n
     for v in scaffold.order:
         anc[v] = anc[parent[v]] | (1 << v)
@@ -184,17 +216,16 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
             continue
         x, y = f
         dl = (anc[x] & anc[y]).bit_count() - 1
-        k1 = depth[x] + depth[y] - 2 * dl + 1
-        for near, far in ((x, y), (y, x)):
-            j1 = depth[near] + 1
-            t = n * (n * j1 - pns[near])
-            c1 = pns[far] - pns[near] + 2 * n * j1
+        dx, dy = depth[x], depth[y]
+        k1 = dx + dy - 2 * dl + 1
+        for near, c1, steps in ((x, pns[y], dx - dl), (y, pns[x], dy - dl)):
+            t = t_of[near]
+            c1 += c_of[near]
             c = near
-            for _ in range(depth[near] - dl):
-                e = up[c]
+            for _ in range(steps):
+                e, s, r, up = step[c]
                 if e < limit:
-                    s = size[c]
-                    delta = s * (c1 - s * k1) + r[c]
+                    delta = s * (c1 - s * k1) + r
                     if delta > t:
                         delta = 1 if first else delta - t
                         if delta > best_delta or (delta == best_delta and e < best_e):
@@ -203,7 +234,7 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
                             best_f = f
                             if first:
                                 limit = e
-                c = parent[c]
+                c = up
     if best_f is None:
         return None
     return host.edges[best_e], best_f
@@ -217,7 +248,9 @@ def smrcst(host: HostGraph, pivot: str = BEST_SWAP) -> SmrcstResult:
     applied swap raises the routing cost by at least 1, which bounds the
     iteration count by the path cost (n-1)n(n+1)/3. A swap that does not
     raise it is refused with CertificateError, since the loop could
-    otherwise run forever.
+    otherwise run forever. One tree is kept per run: each swap derives the
+    next scaffold from the current one (``TreeScaffold._swapped``), and the
+    final tree's distance table is built from its scaffold's rooting.
     """
     if pivot not in PIVOTS:
         raise ParameterError(f"unknown pivot {pivot!r}; pick one of {PIVOTS}")
@@ -229,8 +262,7 @@ def smrcst(host: HostGraph, pivot: str = BEST_SWAP) -> SmrcstResult:
         if swap is None:
             break
         e, f = swap
-        flip = (1 << host.edge_index[e]) | (1 << host.edge_index[f])
-        nxt = TreeScaffold(GameState._from_mask(host, scaffold.tree.mask ^ flip))
+        nxt = scaffold._swapped(e, f)
         if nxt.total <= scaffold.total:
             raise CertificateError(
                 f"swap ({e}, {f}) does not raise the routing cost: "
@@ -269,18 +301,19 @@ def _spanning_tree_count(host: HostGraph) -> int:
     return mat[-1][-1]
 
 
-def _tree_walk(host: HostGraph, mask: int, comp: list, k: int) -> Iterator[int]:
-    """Edge masks of every spanning tree that contains the forest ``mask``.
+def _tree_walk(host: HostGraph) -> Iterator[int]:
+    """Edge masks of every spanning tree of the host.
 
     Include/exclude backtracking (Read & Tarjan 1975) over ascending edge
     indices, depth first, each edge put in before it is left out, so the
-    trees come in ascending order of their sorted edge lists. ``comp[x]`` is
-    the node mask of x's component and ``k`` the component count. Edge i is
-    left out only while the m - i - 1 edges after it can still join the k
-    components. The stack is explicit: no input size limits its depth.
+    trees come in ascending order of their sorted edge lists. Each stack
+    entry holds its forest's mask, ``comp`` (per node x, the node mask of
+    x's component) and ``k``, the component count. Edge i is left out only
+    while the m - i - 1 edges after it can still join the k components. The
+    stack is explicit: no input size limits its depth.
     """
-    edges, m = host.edges, host.m
-    stack = [(0, mask, comp, k)]
+    edges, m, n = host.edges, host.m, host.n
+    stack = [(0, 0, [1 << x for x in range(n)], n)]
     while stack:
         i, mask, comp, k = stack.pop()
         if k == 1:
@@ -313,7 +346,7 @@ def enumerate_spanning_trees(host: HostGraph, budget: int = TREE_BUDGET) -> Iter
         raise ParameterError(f"budget must be nonnegative, got {budget}")
     if math.comb(host.m, n - 1) > budget and _spanning_tree_count(host) > budget:
         raise BudgetExceededError(f"spanning tree count exceeds budget {budget}")
-    for mask in _tree_walk(host, 0, [1 << x for x in range(n)], n):
+    for mask in _tree_walk(host):
         yield TreeScaffold(GameState._from_mask(host, mask))
 
 
@@ -346,13 +379,16 @@ def _crossing_sets(scaffold: TreeScaffold) -> list[int]:
     return cross
 
 
-def _cut_swap_deltas(scaffold: TreeScaffold, b: int, crossing: int):
-    """Routing-cost change of every swap at one cut of the tree.
+def _cut_swap(scaffold: TreeScaffold, b: int, crossing: int, floor: int = 0):
+    """The first swap at one cut of the tree that changes the routing cost
+    by more than ``floor``: ``(j, delta)`` for the lowest such index j in
+    ``crossing``, or None. No validation.
 
     The cut removes the tree edge from child ``b`` up to its parent a;
     ``crossing`` is the bitmask of the host edges (by index) with exactly
-    one endpoint in b's subtree. Yields ``(j, delta)`` for each of them in
-    ascending j, with no validation.
+    one endpoint in b's subtree, scored in ascending j in one loop. With
+    ``floor = -scaffold.total`` it returns the first pair's change, since
+    every swapped tree has a positive routing cost.
 
     Distances inside each of the two components of the cut tree are
     unchanged by a swap, so only the cross terms move; those reduce to two
@@ -368,7 +404,8 @@ def _cut_swap_deltas(scaffold: TreeScaffold, b: int, crossing: int):
     where P is the per-node distance sum and d the tree's distance table
     (built once per tree, on first use). Everything but P[u], P[v] and the
     two distances is a term of the cut, read once. A node x lies on b's side
-    iff d(x, b) < d(x, a).
+    iff d(x, b) < d(x, a). Deltas are even, so delta > floor iff
+    delta/2 > floor // 2.
     """
     tree = scaffold.tree
     n = tree.host.n
@@ -383,14 +420,17 @@ def _cut_swap_deltas(scaffold: TreeScaffold, b: int, crossing: int):
     da, db = dist[a], dist[b]
     # delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b)) - base
     base = len_b * len_b + len_a * len_a + n * (s_a_a + s_b_b)
+    bar = base + floor // 2
     while crossing:
         low = crossing & -crossing
-        j = low.bit_length() - 1
         crossing ^= low
-        u, v = edges[j]
+        u, v = edges[low.bit_length() - 1]
         if db[u] < da[u]:
             u, v = v, u
-        yield j, 2 * (len_b * (pns[u] - len_b * da[u]) + len_a * (pns[v] - len_a * db[v]) - base)
+        half = len_b * (pns[u] - len_b * da[u]) + len_a * (pns[v] - len_a * db[v])
+        if half > bar:
+            return low.bit_length() - 1, 2 * (half - base)
+    return None
 
 
 def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
@@ -404,8 +444,8 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     ``analysis.approximation_report``'s check.
 
     The rescan visits only the crossing pairs: ``_crossing_sets`` gives
-    every cut's crossing edges in one bottom-up XOR pass, and
-    ``_cut_swap_deltas`` scores them from terms read once per cut and the
+    every cut's crossing edges in one bottom-up XOR pass, and ``_cut_swap``
+    scores a cut's pairs in one loop from terms read once per cut and the
     tree's distance table, independently of the search loop. That
     table is the state's cached one, built once row from row without BFS,
     and a later stability check of the tree reads the same table. Tree
@@ -439,11 +479,11 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
         if not (mask >> i) & 1:
             continue
         child = u if depth[u] > depth[v] else v
-        for j, delta in _cut_swap_deltas(scaffold, child, cross[child]):
-            if delta > 0:
-                raise CertificateError(
-                    f"swap-maximality violated: improving swap ({edges[i]}, {edges[j]})"
-                )
+        found = _cut_swap(scaffold, child, cross[child])
+        if found is not None:
+            raise CertificateError(
+                f"swap-maximality violated: improving swap ({edges[i]}, {edges[found[0]]})"
+            )
     return {
         "n": n,
         "m": m,

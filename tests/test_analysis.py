@@ -476,7 +476,7 @@ class TestUnitRemovals:
         # the removal is legal and its BFS rise for that endpoint is 1
         for mask, *_ in host_census(host):
             st_ = GameState._from_mask(host, mask)
-            unit = analysis._unit_removals(st_)
+            unit = game._unit_removals(st_)
             for u, v in st_.active:
                 inc = game.removal_increases(st_, u, v)
                 assert bool(unit[u] >> v & 1) == (inc is not None and inc[0] == 1), (mask, u, v)
@@ -867,6 +867,14 @@ class TestApproximationReport:
             assert rep["ratio_mrcst"] == opt / social_welfare(mr, a)
             assert rep["ratio_smrcst"] == opt / social_welfare(sm, a)
             assert rep["ratio_bound"] == Fraction(12, 7) + 1
+
+    def test_campaign_alphas_reach_ratios_above_one(self):
+        # at alpha 1/2 and 1 every ratio is 1, so only the larger alphas
+        # give mrcst-approximation-bound something to refute
+        reports = [approximation_report(h, analysis._APPROXIMATION_ALPHAS) for h in analysis._optimum_hosts(0)]
+        top = [max(reps[i]["ratio_mrcst"] for reps in reports) for i in range(4)]
+        assert top == [1, 1, Fraction(32, 25), Fraction(57, 40)]
+        assert all(rep["ratio_mrcst"] <= rep["ratio_bound"] for reps in reports for rep in reps)
 
     def test_unswapped_seed_tree_refused(self, monkeypatch, k26):
         # on K_2,6 the greedy seed's tree still has an improving swap

@@ -624,6 +624,14 @@ class TestErrors:
     def test_usage_error_exit_2(self, capsys):
         assert main(["sw"]) == 2  # missing required flags
 
+    @pytest.mark.parametrize("command", ["sw", "poa"])
+    def test_format_refused_without_json_form(self, capsys, k4, command):
+        # sw and poa print one value and have no JSON form to choose
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, command, "--alpha", "1", "--input", k4, "--format", fmt)
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: --format" in err
+
     @pytest.mark.parametrize(
         "exc", [errors.SdncgError, *errors.SdncgError.__subclasses__()], ids=lambda c: c.__name__
     )

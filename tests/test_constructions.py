@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +68,87 @@ class TestElementaryFamilies:
         h = hypercube(3)
         for u, v in h.edges:
             assert bin(u ^ v).count("1") == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestSizeCap:
+    """Every family checks its closed-form node and edge counts against one
+    cap, the size of hypercube(16), before it builds any list."""
+
+    BUILDS = [
+        (path, (2,)), (path, (9,)), (cycle, (3,)), (cycle, (10,)), (star, (2,)), (star, (7,)),
+        (clique, (2,)), (clique, (9,)), (path_clique, (9, 4, 2)), (path_clique, (12, 5, 5)),
+        (clique_network, (path(3), (2, 3, 4))), (clique_network, (cycle(4), (2, 2, 5, 3))),
+        *[(star_of_cliques, (n, a)) for n in (6, 14, 29, 40) for a in (Fraction(3, 2), 2, Fraction(5, 2))
+          if a * a <= n and n - 2 >= -(-a.numerator // a.denominator) + 2],
+        *[(hypercube_clique_network, (n,)) for n in range(8, 200, 7)],
+        *[(path_of_cliques, (n, d)) for n in (10, 17, 20, 37, 64) for d in (2, 4, 6) if n - 6 >= 2 * d],
+        *[(wheel_clique_network, (n,)) for n in range(8, 30)],
+    ]
+
+    @pytest.mark.parametrize("build, args", BUILDS, ids=lambda x: getattr(x, "__name__", ""))
+    def test_counts_match_the_built_host(self, monkeypatch, build, args):
+        seen = []
+        check = constructions._check_size
+        monkeypatch.setattr(constructions, "_check_size", lambda f, n, m: seen.append((f, n, m)) or check(f, n, m))
+        host = build(*args)
+        assert (build.__name__, host.n, host.m) in seen
+
+    def test_boundaries(self, monkeypatch):
+        assert (constructions.MAX_NODES, constructions.MAX_EDGES) == (1 << 16, 16 << 15)  # hypercube(16)
+        with monkeypatch.context() as patch:
+            patch.setattr(constructions, "HostGraph", lambda n, edges: (n, len(edges)))
+            assert clique(1024) == (1024, 523_776)  # the largest clique under the cap
+        refused = [
+            lambda: clique(1025),
+            lambda: path(constructions.MAX_NODES + 1),
+            lambda: cycle(10**12),
+            lambda: star(10**12),
+            lambda: path_clique(10**6, 10**5, 2),
+            lambda: clique_network(path(2), (10**6, 2)),
+            lambda: star_of_cliques(10**12, 2),
+            lambda: hypercube_clique_network(10**6),
+            lambda: hypercube_clique_network(70_000),
+            lambda: path_of_cliques(10**12, 2),
+            lambda: path_of_cliques(60_000, 2),
+            lambda: wheel_clique_network(10**12),
+        ]
+        for build in refused:
+            with pytest.raises(ParameterError, match="above the cap of 65536 nodes and 524288 edges"):
+                build()
+
+    def test_cli_refuses_in_bounded_memory(self):
+        # a child process with 1 GiB of address space: a family that builds
+        # its edge list before checking dies there with MemoryError
+        script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from sdncg.cli import main
+runs = [
+    ["--family", "clique", "--n", "100000"],
+    ["--family", "path", "--n", "10000000"],
+    ["--family", "cycle", "--n", "10000000"],
+    ["--family", "star", "--n", "10000000"],
+    ["--family", "path-clique", "--n", "1000000", "--k", "100000", "--c", "2"],
+    ["--family", "star-of-cliques", "--n", "100000000", "--alpha", "2"],
+    ["--family", "hypercube-clique-network", "--n", "1000000"],
+    ["--family", "path-of-cliques", "--n", "10000000", "--d", "2"],
+    ["--family", "wheel-clique-network", "--n", "10000000"],
+]
+for argv in runs:
+    try:
+        print(main(["gen", *argv]))
+    except MemoryError:
+        print("MemoryError")
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SRC)], capture_output=True, text=True, timeout=120
+        )
+        assert proc.stdout.split() == ["2"] * 9, proc.stdout + proc.stderr
+        assert proc.stderr.count("above the cap") == 9
 
 
 class TestPathClique:

@@ -268,6 +268,114 @@ class TestTreeScan:
                 assert stable_in_interval((lo, hi), a) == (not want)
 
 
+def zip_decreases(dist, u, v):
+    """The reference: each endpoint's drop, term by term over the rows."""
+    dec_u = sum(max(0, a - b - 1) for a, b in zip(dist[u], dist[v]))
+    dec_v = sum(max(0, b - a - 1) for a, b in zip(dist[u], dist[v]))
+    return dec_u, dec_v
+
+
+class TestAdditionKernels:
+    """Both kernels of ``addition_decreases``, the term loop and the packed
+    lanes, against the reference on the same tables, across the crossover
+    and the lane-width switches."""
+
+    @pytest.mark.parametrize("n", [2, 5, 11, 12, 16, 17, 127, 128, 256, 257])
+    @pytest.mark.parametrize("lanes_from", [2, 10**9])
+    def test_kernel_matches_reference(self, monkeypatch, n, lanes_from):
+        monkeypatch.setattr(game, "_LANE_NODES", lanes_from)
+        rng = random.Random(n)
+        # a path has the largest distances and sums; a random tree and a
+        # denser state have others
+        states = [full_state(path(n))]
+        host = random_connected_host(n, min(1.0, 4 / n), rng)
+        states.append(GameState(host, oracles.random_spanning_tree(n, host.edges, rng)))
+        if n <= 40:
+            states.append(random_state(host, rng))
+        for st_ in states:
+            dist = st_.table.dist
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for u, v in rng.sample(pairs, min(len(pairs), 300)) + [(0, n - 1)]:
+                assert game.addition_decreases(st_, u, v) == zip_decreases(dist, u, v), (u, v)
+
+    def test_drops_match_bfs_on_the_added_edge(self):
+        # at n = 12 to 14 the lanes score every missing host edge
+        rng = random.Random(5)
+        for n in (12, 13, 14):
+            host = random_connected_host(n, 0.4, rng)
+            st_ = random_state(host, rng)
+            before = oracles.distance_sums(n, st_.active)[0]
+            for u, v in host.edges:
+                if (u, v) not in st_.active:
+                    after = oracles.distance_sums(n, st_.active | {(u, v)})[0]
+                    assert game.addition_decreases(st_, u, v) == (before[u] - after[u], before[v] - after[v])
+
+
+class TestUnitRemovalScan:
+    """The scan's removal half reads the sole-first-hop lemma
+    (``game._unit_removals``) on states that lack some host edge."""
+
+    ALPHAS = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 2))
+
+    def states(self):
+        rng = random.Random(71)
+        out = []
+        for n in (5, 8, 12, 14):
+            dense = clique(n)
+            sparse = random_connected_host(n, 3 / n, rng)
+            for host in (dense, sparse):
+                out.append(full_state(host))
+                out += [random_state(host, rng) for _ in range(3)]
+        out.append(full_state(cycle(9)))
+        return out
+
+    def test_scan_matches_oracle(self):
+        kinds = set()
+        for st_ in self.states():
+            n = st_.host.n
+            for a in self.ALPHAS:
+                want = oracles.improving_moves(n, st_.host.edges, st_.active, a)
+                got = [(m.kind, m.u, m.v) for m in improving_moves(st_, a)]
+                assert got == want, (st_.host, st_.mask, a)
+                kinds |= {k for k, _, _ in want}
+            lo, hi = stability_interval(st_)
+            for a in self.ALPHAS:
+                assert stable_in_interval((lo, hi), a) == (not oracles.improving_moves(n, st_.host.edges, st_.active, a))
+        assert kinds == {ADD, REMOVE}
+
+    def test_lemma_only_where_the_table_is_built(self, monkeypatch):
+        lemma = game._unit_removals
+        removal = game.removal_increases
+        calls = {"lemma": 0, "bfs": 0}
+
+        def counted_lemma(st_):
+            calls["lemma"] += 1
+            return lemma(st_)
+
+        def counted_removal(st_, u, v):
+            calls["bfs"] += 1
+            return removal(st_, u, v)
+
+        monkeypatch.setattr(game, "_unit_removals", counted_lemma)
+        monkeypatch.setattr(game, "removal_increases", counted_removal)
+        host = clique(6)
+        # full: no addition builds the table, so every removal runs its BFS
+        stability_interval(full_state(host))
+        assert calls == {"lemma": 0, "bfs": host.m}
+        # a tree: no removal at all
+        calls.update(lemma=0, bfs=0)
+        stability_interval(GameState(host, [(0, v) for v in range(1, 6)]))
+        assert calls == {"lemma": 0, "bfs": 0}
+        # K_6 minus one edge: the lemma settles every edge with a unit rise
+        # at both ends, and only the others are scanned
+        calls.update(lemma=0, bfs=0)
+        st_ = GameState(host, host.edges[1:])
+        unit = lemma(st_)
+        both = sum(1 for u, v in st_.active if unit[u] >> v & 1 and unit[v] >> u & 1)
+        assert stability_interval(st_) == (1, 1)
+        assert calls == {"lemma": 1, "bfs": st_.m - both} and both > 0
+
+
 class TestStabilityInterval:
     @given(st.integers(0, 10**6), st.integers(3, 6))
     @settings(max_examples=25, deadline=None)

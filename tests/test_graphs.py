@@ -25,7 +25,7 @@ from sdncg import (
     star,
 )
 from sdncg import graphs
-from sdncg.spanning import _cut_swap_deltas
+from sdncg.spanning import _cut_swap
 
 
 def host_strategy(n_max=7):
@@ -274,6 +274,88 @@ class TestTreeScaffold:
                 assert all(at[sc.parent[w]] < at[w] for w in block if w != v)
 
 
+SCAFFOLD_FIELDS = ("parent", "depth", "order", "subtree_size", "down", "per_node_sum", "total")
+
+
+def assert_same_scaffold(got, want):
+    """Field by field, plus the tree state's mask, adjacency and rooting."""
+    for name in SCAFFOLD_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.tree.mask == want.tree.mask
+    host = want.tree.host
+    assert list(got.tree.adjacency_masks) == graphs._mask_adjacency(host.n, host.edges, want.tree.mask)
+    assert got.tree._rooting == graphs._rooted(want.tree.adjacency_masks, host.n)
+
+
+class TestSwappedScaffold:
+    """``TreeScaffold._swapped`` against the scaffold rooted from scratch."""
+
+    def test_random_crossing_swaps(self):
+        rng = random.Random(61)
+        swaps = 0
+        for _ in range(150):
+            n = rng.randint(2, 30)
+            host = random_connected_host(n, rng.uniform(0.1, 0.9), rng)
+            tree_edges = oracles.random_spanning_tree(n, host.edges, rng)
+            sc = TreeScaffold(GameState(host, tree_edges))
+            for _ in range(8):
+                tree_edges = sc.tree.active
+                e = rng.choice(sorted(tree_edges))
+                side = oracles.child_side(n, tree_edges, e)
+                crossing = [f for f in host.edges if f not in tree_edges and (f[0] in side) != (f[1] in side)]
+                if not crossing:
+                    continue
+                f = rng.choice(crossing)
+                # either orientation of either edge
+                e, f = (e if rng.random() < 0.5 else e[::-1]), (f if rng.random() < 0.5 else f[::-1])
+                got = sc._swapped(e, f)
+                flip = (1 << host.edge_index[edge(*e)]) | (1 << host.edge_index[edge(*f)])
+                assert_same_scaffold(got, TreeScaffold(GameState._from_mask(host, sc.tree.mask ^ flip)))
+                sc = got
+                swaps += 1
+        assert swaps >= 500
+
+    def test_moves_at_the_root_and_the_leaves(self):
+        # on a star every swap re-roots one leaf; on a path every swap moves a tail
+        for host, tree in ((clique(6), [(0, v) for v in range(1, 6)]), (clique(6), [(v, v + 1) for v in range(5)])):
+            sc = TreeScaffold(GameState(host, tree))
+            for e in sorted(sc.tree.active):
+                side = oracles.child_side(host.n, sc.tree.active, e)
+                for f in host.edges:
+                    if f not in sc.tree.active and (f[0] in side) != (f[1] in side):
+                        flip = (1 << host.edge_index[e]) | (1 << host.edge_index[f])
+                        want = TreeScaffold(GameState._from_mask(host, sc.tree.mask ^ flip))
+                        assert_same_scaffold(sc._swapped(e, f), want)
+
+    def test_table_reads_the_scaffold_rooting(self, monkeypatch):
+        # the swapped tree's distance table roots nothing again
+        host = clique(7)
+        sc = TreeScaffold(GameState(host, [(v, v + 1) for v in range(6)]))
+        nxt = sc._swapped((2, 3), (0, 6))
+
+        def refuse(*args):
+            raise AssertionError("tree rooted again")
+
+        monkeypatch.setattr(graphs, "_rooted", refuse)
+        assert nxt.tree.table.dist == tuple(map(tuple, oracles.floyd_warshall(7, nxt.tree.active)))
+        assert nxt.tree.table.total == nxt.total
+
+
+class TestLaneRows:
+    @pytest.mark.parametrize("n", [2, 16, 17, 127, 128, 256, 257])
+    def test_rows_unpack_to_the_table(self, n):
+        # lanes of 8 bits up to n = 16, 16 bits up to 256, 32 bits from 257
+        w = graphs._lane_width(n)
+        assert w == (8 if n <= 16 else 16 if n <= 256 else 32)
+        assert n * (n - 1) // 2 < (1 << w - 1) - 1
+        # a tree's table is built packed; a cycle's rows are packed on first use
+        for state in [full_state(path(n))] + ([full_state(cycle(n))] if n > 2 else []):
+            table = state.table
+            for row, packed in zip(table.dist, table.lanes):
+                assert [packed >> (w * x) & ((1 << w) - 1) for x in range(n)] == list(row)
+                assert packed >> (w * n) == 0
+
+
 class TestTreeTable:
     """Tree tables (built without BFS) against Floyd-Warshall."""
 
@@ -333,17 +415,33 @@ class TestTreeTable:
 
 
 class TestSwapDelta:
-    """``spanning._cut_swap_deltas``, the certificate's per-cut formula,
-    against distance sums recomputed by BFS on the swapped tree."""
+    """``spanning._cut_swap``, the certificate's per-cut formula, against
+    distance sums recomputed by BFS on the swapped tree."""
 
     @staticmethod
     def cut(sc, rem, crossing):
         """``[(added edge, delta)]`` for the host edges ``crossing`` at the
-        cut of tree edge ``rem``, in the order the formula yields them."""
+        cut of tree edge ``rem``, in the order the formula scores them: each
+        is the first pair above a floor that every change exceeds, once the
+        edges before it are dropped from the mask."""
         host = sc.tree.host
         child = max(rem, key=sc.depth.__getitem__)
         mask = sum(1 << host.edge_index[f] for f in crossing)
-        return [(host.edges[j], delta) for j, delta in _cut_swap_deltas(sc, child, mask)]
+        out = []
+        while mask:
+            j, delta = _cut_swap(sc, child, mask, -sc.total)
+            out.append((host.edges[j], delta))
+            mask &= ~(1 << j)
+        return out
+
+    @staticmethod
+    def first_above(sc, rem, crossing, floor):
+        """``_cut_swap`` on the whole crossing set, as the certificate asks."""
+        host = sc.tree.host
+        child = max(rem, key=sc.depth.__getitem__)
+        mask = sum(1 << host.edge_index[f] for f in crossing)
+        found = _cut_swap(sc, child, mask, floor)
+        return found and (host.edges[found[0]], found[1])
 
     def test_path_to_star(self):
         sc = TreeScaffold(GameState(clique(4), [(0, 1), (1, 2), (2, 3)]))
@@ -367,7 +465,11 @@ class TestSwapDelta:
                         for add in host.edges
                         if add not in tree_edges and (add[0] in side) != (add[1] in side)
                     ]
-                    assert self.cut(sc, rem, [add for add, _ in want]) == want
+                    crossing = [add for add, _ in want]
+                    assert self.cut(sc, rem, crossing) == want
+                    for floor in {-sc.total, -1, 0, 1} | {delta for _, delta in want}:
+                        above = [(add, d) for add, d in want if d > floor]
+                        assert self.first_above(sc, rem, crossing, floor) == (above[0] if above else None)
 
     def test_200_random_swaps_match_from_scratch(self):
         rng = random.Random(321)

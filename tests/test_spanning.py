@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -51,9 +52,11 @@ def crossing_swaps(scaffold):
 
 def swap_delta(scaffold, e, f):
     """Routing-cost change of ``tree - e + f`` by the certificate's cut
-    formula, ``spanning._cut_swap_deltas``, asked for the one pair."""
+    formula, ``spanning._cut_swap``, asked for the one pair with a floor
+    every change exceeds."""
     child = max(e, key=scaffold.depth.__getitem__)
-    [(_, delta)] = spanning._cut_swap_deltas(scaffold, child, 1 << scaffold.tree.host.edge_index[f])
+    j = scaffold.tree.host.edge_index[f]
+    _, delta = spanning._cut_swap(scaffold, child, 1 << j, -scaffold.total)
     return delta
 
 
@@ -185,6 +188,39 @@ class TestExtendToSpanningTree:
         assert extend_to_spanning_tree(path(1500), []).tree.m == 1499
         assert time.perf_counter() - start < 5
 
+    @staticmethod
+    def lines_run(host, path_nodes):
+        """Line events in ``spanning``'s frames during one call: a work
+        count that does not depend on the machine."""
+        count = 0
+
+        def tracer(frame, event, arg):
+            nonlocal count
+            if frame.f_code.co_filename != spanning.__file__:
+                return None
+            if event == "line":
+                count += 1
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            extend_to_spanning_tree(host, path_nodes)
+        finally:
+            sys.settrace(previous)
+        return count
+
+    def test_work_is_near_linear(self):
+        # four times the nodes may cost at most six times the lines: n log n
+        # merges read about 4.8 times as many, a per-edge copy of the
+        # component list 16 times
+        rng = random.Random(67)
+        small, large = path(300), path(1200)
+        assert self.lines_run(large, []) <= 6 * self.lines_run(small, [])
+        small = host_with_m_edges(300, 900, rng)
+        large = host_with_m_edges(1200, 3600, rng)
+        assert self.lines_run(large, [0]) <= 6 * self.lines_run(small, [0])
+
 
 class TestSmrcst:
     def test_tree_host_is_fixed_point(self):
@@ -313,6 +349,38 @@ class TestFindSwapAgainstDelta:
             want = smrcst(h, pivot)
             assert (r.tree.tree.mask, r.iterations) == (want.tree.tree.mask, want.iterations)
         assert sum(r.iterations for r in got) >= 20
+
+
+class TestSwapLoopScaffolds:
+    def test_every_swap_matches_rebuilt_scaffold(self, monkeypatch):
+        # each scaffold the loop derives by a swap, field by field against the
+        # tree rooted from scratch, on poly-shaped hosts (m = 3n) and on the
+        # campaign's optimum corpus
+        from sdncg.analysis import _optimum_hosts
+        from test_graphs import assert_same_scaffold
+
+        rng = random.Random(59)
+        hosts = [host_with_m_edges(n, 3 * n, rng) for n in (40, 50, 60, 70)]
+        hosts += _optimum_hosts(0)
+        derive = TreeScaffold._swapped
+        checked = []
+
+        def checked_swap(sc, e, f):
+            got = derive(sc, e, f)
+            h = sc.tree.host
+            flip = (1 << h.edge_index[e]) | (1 << h.edge_index[f])
+            assert_same_scaffold(got, TreeScaffold(GameState._from_mask(h, sc.tree.mask ^ flip)))
+            checked.append(e)
+            return got
+
+        monkeypatch.setattr(TreeScaffold, "_swapped", checked_swap)
+        for h in hosts:
+            for pivot in ("best", "first"):
+                before = len(checked)
+                res = smrcst(h, pivot)
+                assert len(checked) - before == res.iterations
+                assert res.routing_cost == oracles.distance_sums(h.n, res.tree.tree.active)[1]
+        assert len(checked) >= 100
 
 
 class TestCrossingSets:
