@@ -884,13 +884,8 @@ def _suite_complete_stability(seed: int) -> list[dict]:
         trees = {mask for mask, cnt, _, _, _ in recs if cnt == n - 1}
 
         def stable_set(a: Fraction) -> set[int]:
-            # lo and hi are integers: lo <= a iff lo <= floor(a), a <= hi iff ceil(a) <= hi
-            floor, ceil = a.numerator // a.denominator, -(-a.numerator // a.denominator)
-            return {
-                mask
-                for mask, _, _, lo, hi in recs
-                if (lo is None or lo <= floor) and (hi is None or ceil <= hi)
-            }
+            p, q = a.numerator, a.denominator
+            return {mask for mask, _, _, lo, hi in recs if _in_interval(lo, hi, p, q)}
 
         s_quarter = stable_set(Fraction(3, 4))
         ok = s_quarter == trees

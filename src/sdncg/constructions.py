@@ -13,19 +13,12 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .game import as_alpha
-from .graphs import GameState, HostGraph
-
-# The largest host a family builds: hypercube(16), 65,536 nodes and 524,288
-# edges. Nodes are capped as well as edges, since each node's neighbour
-# bitmask is as wide as its largest neighbour label: a path on the edge cap's
-# 524,289 nodes would hold about 17 GB of masks.
-MAX_NODES = 1 << 16
-MAX_EDGES = 16 << 15
+from .graphs import MAX_EDGES, MAX_NODES, GameState, HostGraph
 
 
 def _check_size(family: str, n: int, m: int) -> None:
-    """Refuse a host above the cap from its closed-form node and edge
-    counts, before any list is built."""
+    """Refuse a host above ``HostGraph``'s cap from its closed-form node and
+    edge counts, before any list is built."""
     if n > MAX_NODES or m > MAX_EDGES:
         raise ParameterError(
             f"{family} would have {n} nodes and {m} edges, "

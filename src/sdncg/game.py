@@ -195,16 +195,22 @@ def _decreases(table):
 def addition_decreases(state: GameState, u: int, v: int) -> tuple[int, int]:
     """Exact drop of each endpoint's distance sum if edge (u, v) were added,
     read off the state's distance table (see ``_decreases``)."""
+    n = state.host.n
+    if not (0 <= u < n and 0 <= v < n):
+        raise StructureError(f"pair ({u}, {v}) out of range for n={n}")
     return _decreases(state.table)(u, v)
 
 
 def removal_increases(state: GameState, u: int, v: int):
     """Exact rise of each endpoint's distance sum if (u, v) were removed.
 
-    Returns ``None`` when the edge is a bridge (removal illegal).
+    Returns ``None`` when the edge is a bridge (removal illegal), and raises
+    StructureError when (u, v) is not an active edge.
     """
     n = state.host.n
     nbr = list(state.adjacency_masks)
+    if not (0 <= u < n and 0 <= v < n and nbr[u] >> v & 1):
+        raise StructureError(f"edge ({u}, {v}) not active")
     nbr[u] ^= 1 << v
     nbr[v] ^= 1 << u
     full = (1 << n) - 1

@@ -10,7 +10,9 @@ Adjacency is kept as per-node bitmasks. Python integers are unbounded, so
 they are exact at every size; ``_bfs`` is the one traversal kernel behind
 connectivity, bridges, distance sums and the distance rows of states with
 cycles. A spanning tree's table needs no BFS: ``_rooted`` roots it once,
-and each row follows from its parent's row. ``DistanceTable.lanes`` packs
+and each row follows from its parent's row. A ``TreeScaffold`` holds that
+same rooting and the tree's total and nothing else, so a swap that yields a
+new tree roots it once. ``DistanceTable.lanes`` packs
 each row into one int, which the addition scan reads lane-wise. A
 ``GameState`` stores its edge set once, as a bitmask over the host's sorted
 edge list; everything else about a state is derived from that mask.
@@ -26,6 +28,13 @@ from typing import Iterable
 from .errors import StructureError
 
 Edge = tuple[int, int]
+
+# The largest host: hypercube(16), 65,536 nodes and 524,288 edges. Nodes are
+# capped as well as edges, since each node's neighbour bitmask is as wide as
+# its largest neighbour label: a path on the edge cap's 524,289 nodes would
+# hold about 17 GB of masks.
+MAX_NODES = 1 << 16
+MAX_EDGES = 16 << 15
 
 
 def edge(u: int, v: int) -> Edge:
@@ -96,16 +105,22 @@ def _bfs(nbr, sources: int, row=None):
     return total, seen
 
 
-def _preorder(nbr, root: int, seen: int, parent: list, depth: list) -> list:
-    """Depth-first preorder of the tree part of ``nbr`` reached from ``root``
-    without entering the node mask ``seen``, which must hold ``root``.
+def _rooted(nbr, n: int) -> tuple:
+    """Root the tree in ``nbr`` at node 0: ``(parent, depth, order, size, sums)``.
 
-    Writes each reached node's parent and depth (one more than its
-    parent's) into the lists. Children are pushed in ascending label order,
-    so they are visited in descending label order.
+    ``order`` is a depth-first preorder with children pushed in ascending
+    label order, so node ``order[i]``'s subtree is the slice ``order[i : i +
+    size[order[i]]]``. ``sums`` are the per-node distance sums: a child c is
+    one step nearer than its parent to the size[c] nodes of its subtree and
+    one step farther from the others. The preorder holds only the nodes
+    reached from 0: on n - 1 edges that do not connect all n nodes it is
+    shorter than n, and the other tuples are then meaningless.
     """
+    parent = [0] * n
+    depth = [0] * n
     order = []
-    stack = [root]
+    seen = 1
+    stack = [0]
     while stack:
         v = stack.pop()
         order.append(v)
@@ -119,50 +134,23 @@ def _preorder(nbr, root: int, seen: int, parent: list, depth: list) -> list:
             depth[w] = d
             stack.append(w)
             f ^= low
-    return order
-
-
-def _node_sums(n: int, parent, depth, order, size) -> tuple:
-    """Per-node distance sums of a rooted spanning tree: a child c is one
-    step nearer than its parent to the size[c] nodes of its subtree and one
-    step farther from the others."""
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
     sums = [0] * n
     sums[0] = sum(depth)
     for v in order[1:]:
         sums[v] = sums[parent[v]] + n - 2 * size[v]
-    return tuple(sums)
-
-
-def _rooted(nbr, n: int) -> tuple:
-    """Root the tree in ``nbr`` at node 0: ``(parent, depth, order, size, sums)``.
-
-    ``order`` is a depth-first preorder (``_preorder``), so node
-    ``order[i]``'s subtree is the slice ``order[i : i + size[order[i]]]``.
-    ``sums`` are the per-node distance sums (``_node_sums``). The preorder
-    holds only the nodes reached from 0: on n - 1 edges that do not connect
-    all n nodes it is shorter than n, and the other tuples are then
-    meaningless.
-    """
-    parent = [0] * n
-    depth = [0] * n
-    order = _preorder(nbr, 0, 1, parent, depth)
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    return (
-        tuple(parent),
-        tuple(depth),
-        tuple(order),
-        tuple(size),
-        _node_sums(n, parent, depth, order, size),
-    )
+    return tuple(parent), tuple(depth), tuple(order), tuple(size), tuple(sums)
 
 
 class HostGraph:
     """Immutable connected undirected graph: the universe of permitted edges.
 
     Instances compare and hash by their labeled edge set, so they can key
-    dictionaries (state keys pair a host with an edge bitmask).
+    dictionaries (state keys pair a host with an edge bitmask). A host above
+    ``MAX_NODES`` nodes or ``MAX_EDGES`` edges is refused before any
+    per-node mask is built.
     """
 
     __slots__ = ("n", "edges", "adj_mask", "edge_index", "_hash")
@@ -180,6 +168,11 @@ class HostGraph:
         # too few edges to connect n nodes: refuse before allocating per-node data
         if len(norm) < n - 1:
             raise StructureError("host graph must be connected")
+        if n > MAX_NODES or len(norm) > MAX_EDGES:
+            raise StructureError(
+                f"{n} nodes and {len(norm)} edges are above the cap of "
+                f"{MAX_NODES} nodes and {MAX_EDGES} edges"
+            )
         adj = [0] * n
         for u, v in norm:
             adj[u] |= 1 << v
@@ -405,134 +398,44 @@ def is_bridge(state: GameState, e) -> bool:
 class TreeScaffold:
     """Rooted spanning tree with the cached data that makes swap evaluation fast.
 
-    Rooted at node 0. ``subtree_size``, ``down`` (distance sums within each
-    subtree) and ``per_node_sum``, together with the tree's cached distance
-    table, let a single-swap routing-cost delta be computed in O(1).
-    ``order`` is a preorder: every node comes after its parent. The rooting
-    is the tree state's own (``GameState._rooting``), so the state's table
-    roots nothing again. ``_swapped`` gives the scaffold after one swap
-    without rooting the new tree from scratch.
+    Rooted at node 0. ``subtree_size`` and ``per_node_sum``, together with
+    the tree's cached distance table, let a single-swap routing-cost delta
+    be computed in O(1). ``order`` is a preorder: every node comes after its
+    parent. The rooting is the tree state's own (``GameState._rooting``), so
+    the state's table roots nothing again, and a scaffold depends only on
+    its tree.
     """
 
-    __slots__ = (
-        "tree",
-        "parent",
-        "depth",
-        "order",
-        "subtree_size",
-        "down",
-        "per_node_sum",
-        "total",
-    )
+    __slots__ = ("tree", "parent", "depth", "order", "subtree_size", "per_node_sum", "total")
 
     def __init__(self, tree: GameState) -> None:
         n = tree.host.n
         if tree.m != n - 1:
             raise StructureError(f"not a spanning tree: {tree.m} edges on {n} nodes")
-        parent, _, order, size, _ = rooting = tree._rooting
-        if len(order) != n:
+        rooting = tree._rooting
+        if len(rooting[2]) != n:
             raise StructureError("not a spanning tree: disconnected")
-        down = [0] * n
-        for v in reversed(order[1:]):
-            down[parent[v]] += down[v] + size[v]
-        self._fill(tree, rooting, tuple(down))
-
-    def _fill(self, tree: GameState, rooting: tuple, down: tuple) -> None:
         self.tree = tree
         self.parent, self.depth, self.order, self.subtree_size, self.per_node_sum = rooting
-        self.down = down
         self.total = sum(self.per_node_sum)
 
     def _swapped(self, e: Edge, f: Edge) -> "TreeScaffold":
         """The scaffold of this tree minus tree edge ``e`` plus host edge
-        ``f``, which must cross e's cut, built from this one.
-
-        Only the subtree S below e moves: it is re-rooted at f's endpoint y
-        inside it and hung from the other endpoint x. Parents change only on
-        the tree path from y up to e's child b, which reverses; depths and
-        preorder only inside S; subtree sizes and ``down`` sums only on that
-        path and on the root paths from e's parent and from x. The preorder
-        is the old one with S's slice moved to its place among x's children,
-        which the rooting visits in descending label order. Per-node sums
-        change everywhere and are summed again from the root. The result
-        equals ``TreeScaffold`` of the swapped tree, field by field.
-        """
+        ``f``, which must cross e's cut (else StructureError). The new
+        tree's adjacency is this one's with the four bits of e and f
+        flipped; the new tree is rooted from scratch."""
         tree = self.tree
         host = tree.host
-        n = host.n
-        parent = list(self.parent)
-        depth = list(self.depth)
-        size = list(self.subtree_size)
-        down = list(self.down)
-        a, b = e
-        if parent[b] != a:
-            a, b = b, a
-        x, y = f
-        c = y
-        while depth[c] > depth[b]:
-            c = parent[c]
-        if c != b:
-            x, y = y, x
-        moved = size[b]
-        # every node on the root path from a loses S, whose depths sum to far
-        far = down[b] + moved * depth[b]
-        w = a
-        while True:
-            size[w] -= moved
-            down[w] -= far - moved * depth[w]
-            if not w:
-                break
-            w = parent[w]
-        # the path y = p_0, ..., p_k = b reverses: from b down, each p_i
-        # loses its child p_(i-1) and gains p_(i+1), whose new terms carry
-        path = [y]
-        while path[-1] != b:
-            path.append(parent[path[-1]])
-        carry_size = carry_down = 0
-        for i in range(len(path) - 1, 0, -1):
-            v, c = path[i], path[i - 1]
-            size[v] += carry_size - size[c]
-            down[v] += carry_down - down[c] - size[c]
-            carry_size = size[v]
-            carry_down = down[v] + carry_size
-        size[y] = moved
-        down[y] += carry_down
+        (a, b), (x, y) = edge(*e), edge(*f)
+        index = host.edge_index
+        st = GameState._from_mask(host, tree.mask ^ (1 << index[a, b]) ^ (1 << index[x, y]))
         nbr = list(tree.adjacency_masks)
         nbr[a] ^= 1 << b
         nbr[b] ^= 1 << a
         nbr[x] ^= 1 << y
         nbr[y] ^= 1 << x
-        depth[y] = depth[x] + 1
-        parent[y] = x
-        sub = _preorder(nbr, y, 1 << x | 1 << y, parent, depth)
-        # and every node on the root path from x gains it
-        far = down[y] + moved * depth[y]
-        w = x
-        while True:
-            size[w] += moved
-            down[w] += far - moved * depth[w]
-            if not w:
-                break
-            w = parent[w]
-        order = self.order
-        i = order.index(b)
-        rest = order[:i] + order[i + moved :]
-        at = rest.index(x) + 1
-        # x's children above y come before y's subtree
-        kids = (nbr[x] & ~(1 << parent[x])) >> (y + 1) << (y + 1)
-        while kids:
-            low = kids & -kids
-            at += size[low.bit_length() - 1]
-            kids ^= low
-        order = rest[:at] + tuple(sub) + rest[at:]
-        index = host.edge_index
-        st = GameState._from_mask(host, tree.mask ^ (1 << index[edge(a, b)]) ^ (1 << index[edge(x, y)]))
         st.__dict__["adjacency_masks"] = tuple(nbr)
-        rooting = tuple(parent), tuple(depth), order, tuple(size), _node_sums(n, parent, depth, order, size)
-        st.__dict__["_rooting"] = rooting
-        nxt = TreeScaffold.__new__(TreeScaffold)
-        nxt._fill(st, rooting, tuple(down))
-        return nxt
+        return TreeScaffold(st)
 
     def __repr__(self):
         return f"TreeScaffold(n={self.tree.host.n}, cost={self.total})"

@@ -7,8 +7,8 @@ maximum at bounded size. One explicit-stack walk on node-mask components,
 ``_tree_walk``, lists spanning trees for the oracle; the seed tree is the
 one that walk would reach first from the seed path's forest, which
 ``extend_to_spanning_tree`` builds as the walk's first descent alone. The
-swap loop keeps one tree per run: each swap updates the scaffold instead of
-rooting the new tree again. Both swap-delta formulas live here: the search
+swap loop roots each swapped tree once, and that rooting is also the one its
+distance table is built from. Both swap-delta formulas live here: the search
 scores each pair along a non-tree edge's tree path, and the certificate
 rescores every pair by an independent formula per cut of the tree.
 """
@@ -248,9 +248,9 @@ def smrcst(host: HostGraph, pivot: str = BEST_SWAP) -> SmrcstResult:
     applied swap raises the routing cost by at least 1, which bounds the
     iteration count by the path cost (n-1)n(n+1)/3. A swap that does not
     raise it is refused with CertificateError, since the loop could
-    otherwise run forever. One tree is kept per run: each swap derives the
-    next scaffold from the current one (``TreeScaffold._swapped``), and the
-    final tree's distance table is built from its scaffold's rooting.
+    otherwise run forever. Each swap gives the next scaffold
+    (``TreeScaffold._swapped``), which roots the swapped tree once, and the
+    final tree's distance table is built from that rooting.
     """
     if pivot not in PIVOTS:
         raise ParameterError(f"unknown pivot {pivot!r}; pick one of {PIVOTS}")
@@ -402,10 +402,16 @@ def _cut_swap(scaffold: TreeScaffold, b: int, crossing: int, floor: int = 0):
         delta   = 2 * [L_b*(S(a, u) - S(a, a)) + L_a*(S(b, v) - S(b, b))]
 
     where P is the per-node distance sum and d the tree's distance table
-    (built once per tree, on first use). Everything but P[u], P[v] and the
-    two distances is a term of the cut, read once. A node x lies on b's side
-    iff d(x, b) < d(x, a). Deltas are even, so delta > floor iff
-    delta/2 > floor // 2.
+    (built once per tree, on first use). The within-component sums enter
+    only as S(a, a) + S(b, b) = P[a] - L_b, since each of the L_b nodes on
+    b's side is one step farther from a than from b:
+
+        delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b))
+                  - L_b^2 - L_a^2 - n*(P[a] - L_b)
+
+    Everything but P[u], P[v] and the two distances is a term of the cut,
+    read once. A node x lies on b's side iff d(x, b) < d(x, a). Deltas are
+    even, so delta > floor iff delta/2 > floor // 2.
     """
     tree = scaffold.tree
     n = tree.host.n
@@ -414,12 +420,9 @@ def _cut_swap(scaffold: TreeScaffold, b: int, crossing: int, floor: int = 0):
     len_b = scaffold.subtree_size[b]
     len_a = n - len_b
     pns = scaffold.per_node_sum
-    s_b_b = scaffold.down[b]
-    s_a_a = pns[a] - len_b - s_b_b
     dist = tree.table.dist
     da, db = dist[a], dist[b]
-    # delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b)) - base
-    base = len_b * len_b + len_a * len_a + n * (s_a_a + s_b_b)
+    base = len_b * len_b + len_a * len_a + n * (pns[a] - len_b)
     bar = base + floor // 2
     while crossing:
         low = crossing & -crossing

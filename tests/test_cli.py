@@ -612,6 +612,34 @@ class TestErrors:
         code, out, err = run(capsys, "sw", "--alpha", "1", "--input", str(f))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_graph_over_the_cap_exit_2_in_bounded_memory(self, tmp_path):
+        # a child process with 1 GiB of address space: the masks of a
+        # 200,000-node path would take about 2.5 GB, so the host must be
+        # refused before they are built
+        n = 200_000
+        text = tmp_path / "long.txt"
+        text.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+        js = tmp_path / "long.json"
+        js.write_text(json.dumps({"n": n, "edges": [[v, v + 1] for v in range(n - 1)]}))
+        script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from sdncg.cli import main
+for f in sys.argv[2:]:
+    try:
+        print(main(["sw", "--alpha", "1", "--input", f]))
+    except MemoryError:
+        print("MemoryError")
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SRC), str(text), str(js)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.split() == ["2", "2"], proc.stdout + proc.stderr
+        message = f"error: invalid graph: {n} nodes and {n - 1} edges are above the cap of 65536 nodes and 524288 edges\n"
+        assert proc.stderr == 2 * message
+
     def test_unparsable_alpha_exit_2(self, capsys, k4):
         code, out, err = run(capsys, "sw", "--alpha", "abc", "--input", k4)
         assert (code, out) == (2, "")

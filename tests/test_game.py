@@ -13,6 +13,7 @@ from sdncg import (
     Move,
     ParameterError,
     StructureError,
+    addition_decreases,
     apply_move,
     clique,
     cycle,
@@ -23,6 +24,7 @@ from sdncg import (
     parse_alpha,
     path,
     random_connected_host,
+    removal_increases,
     run_dynamics,
     smrcst,
     social_welfare,
@@ -108,6 +110,33 @@ class TestUtility:
     def test_out_of_range(self):
         with pytest.raises(StructureError):
             utility(full_state(path(3)), 9, 1)
+
+
+class TestMoveKernelPairs:
+    """``removal_increases`` takes only active edges and both kernels only
+    nodes in range, refused with StructureError as ``utility`` and
+    ``is_bridge`` refuse them."""
+
+    def test_removal_refuses_inactive_pairs(self):
+        st_ = full_state(path(4))
+        # (0, 2) is no edge: the removal would have added it
+        for u, v in ((0, 2), (2, 0), (0, 3), (1, 1)):
+            with pytest.raises(StructureError, match=rf"^edge \({u}, {v}\) not active$"):
+                removal_increases(st_, u, v)
+        # a host edge that the state leaves out
+        with pytest.raises(StructureError, match="not active"):
+            removal_increases(GameState(clique(4), [(0, 1), (1, 2), (2, 3)]), 0, 3)
+        assert removal_increases(st_, 1, 2) is None
+        assert removal_increases(full_state(cycle(4)), 1, 0) == (2, 2)
+
+    def test_nodes_out_of_range(self):
+        st_ = full_state(path(4))
+        for u, v in ((0, 4), (4, 0), (-1, 2), (2, -1)):
+            with pytest.raises(StructureError, match="not active"):
+                removal_increases(st_, u, v)
+            with pytest.raises(StructureError, match=rf"^pair \({u}, {v}\) out of range for n=4$"):
+                addition_decreases(st_, u, v)
+        assert addition_decreases(st_, 0, 3) == (2, 2)
 
 
 class TestSocialWelfare:

@@ -57,6 +57,18 @@ class TestHostGraph:
         with pytest.raises(StructureError):
             HostGraph(3, [(0, 1), (1, 0), (1, 2)])
 
+    def test_size_cap(self):
+        # nodes and edges are capped at hypercube(16)'s size, the largest host
+        assert (graphs.MAX_NODES, graphs.MAX_EDGES) == (1 << 16, 16 << 15)
+        cap = "above the cap of 65536 nodes and 524288 edges"
+        star_edges = [(0, v) for v in range(1, graphs.MAX_NODES)]
+        assert HostGraph(graphs.MAX_NODES, star_edges).m == graphs.MAX_NODES - 1
+        with pytest.raises(StructureError, match=f"^65537 nodes and 65536 edges are {cap}$"):
+            HostGraph(graphs.MAX_NODES + 1, star_edges + [(0, graphs.MAX_NODES)])
+        # K_1025 has 524,800 edges on few nodes
+        with pytest.raises(StructureError, match=f"^1025 nodes and 524800 edges are {cap}$"):
+            HostGraph(1025, ((u, v) for u in range(1025) for v in range(u + 1, 1025)))
+
     def test_rejects_disconnected(self):
         with pytest.raises(StructureError):
             HostGraph(4, [(0, 1), (2, 3)])
@@ -274,7 +286,7 @@ class TestTreeScaffold:
                 assert all(at[sc.parent[w]] < at[w] for w in block if w != v)
 
 
-SCAFFOLD_FIELDS = ("parent", "depth", "order", "subtree_size", "down", "per_node_sum", "total")
+SCAFFOLD_FIELDS = ("parent", "depth", "order", "subtree_size", "per_node_sum", "total")
 
 
 def assert_same_scaffold(got, want):

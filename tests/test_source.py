@@ -114,3 +114,51 @@ def reader(mod):
 """,
     }
     assert unreferenced_privates(sources) == [("a.py", "_self_only"), ("a.py", "_Imported")]
+
+
+def unread_imports(sources):
+    """``(file, name)`` of every name that a module-level import binds in a
+    file of ``sources`` and that no code in that file reads. ``__future__``
+    imports are compiler directives and ``__init__.py`` imports are the
+    package's exports, so neither counts."""
+    found = []
+    for file, text in sources.items():
+        if file == "__init__.py":
+            continue
+        tree = ast.parse(text, file)
+        reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for d in tree.body:
+            if isinstance(d, ast.Import) or (isinstance(d, ast.ImportFrom) and d.module != "__future__"):
+                for alias in d.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in reads:
+                        found.append((file, name))
+    return found
+
+
+def test_every_import_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_imports(sources) == []
+
+
+def test_detects_unread_imports():
+    sources = {
+        "a.py": """
+from __future__ import annotations
+
+import os
+import os.path
+import json as js
+from typing import Iterable, Optional
+from .b import helper as _helper
+
+def f(xs: Iterable) -> None:
+    return _helper(os.sep, xs)
+
+def g():
+    import struct
+    return struct
+""",
+        "__init__.py": "from .a import f\n",
+    }
+    assert unread_imports(sources) == [("a.py", "js"), ("a.py", "Optional")]
