@@ -23,7 +23,7 @@ print(f"  optimum flips path->clique at n/3        = {t.clique_optimal}")
 print(f"  path stays stable up to (n-1)/2          = {t.path_stable_limit}")
 print(f"  only the clique is stable beyond n/2     = {t.clique_unique}")
 print(f"  only the host is stable beyond (n^2-5n+8)/2 = {t.host_unique}")
-print(f"  the host is optimal beyond (n-2)n(n+2)/24 = {t.host_optimal}")
+print(f"  the host is the only optimum beyond n(n-1)(n-2)/6 = {t.host_optimal}")
 
 for alpha in (Fraction(3, 4), Fraction(1), Fraction(2), Fraction(11, 4)):
     atlas = enumerate_stable_states(host, alpha, budget=1 << 12)

@@ -172,9 +172,7 @@ class ThresholdTable:
     path_stable_limit: Fraction  # (n-1)/2: path stays stable up to here
     clique_unique: Fraction  # n/2: beyond this only the clique is stable
     host_unique: Fraction  # (n^2-5n+8)/2: beyond this only the host is stable
-    # host_optimal is a claim that fails on some hosts with 3 to 7 nodes (it
-    # is 5/8 on K_3, below clique_optimal)
-    host_optimal: Fraction  # (n-2)n(n+2)/24: beyond this the host is optimal
+    host_optimal: Fraction  # n(n-1)(n-2)/6: beyond this the host is the only optimum
 
 
 def threshold_table(n: int) -> ThresholdTable:
@@ -202,6 +200,26 @@ def threshold_table(n: int) -> ThresholdTable:
     The bound is tight for n = 3 to 6: over every connected host with n
     nodes, the largest finite ``hi`` of a state other than the host is 1,
     2, 4 and 7. On 7 nodes it is 10, below B(7) = 11.
+
+    ``host_optimal`` is C(n, 3) = n(n - 1)(n - 2)/6: for alpha > C(n, 3)
+    the host is the only optimum, on every host with n nodes.
+
+    Proof. The welfare at alpha is 2*alpha*|E| + rc. Let S be a connected
+    spanning state of a host H with m edges, lacking k >= 1 of them. S
+    has a spanning tree, whose routing cost is at least rc(S), and the
+    path has the largest routing cost of all trees, so rc(S) <= (n^3 -
+    n)/3. In H the m adjacent pairs are at distance 1 and every other pair
+    at distance 2 or more, so, over ordered pairs, rc(H) >= 2m + 4(n(n -
+    1)/2 - m) = 2n(n - 1) - 2m. S reaches H's welfare only if 2*alpha*k <=
+    rc(S) - rc(H), and rc(S) - rc(H) >= 0 as S lacks edges, so only if
+    alpha <= (rc(S) - rc(H))/2 <= (n^3 - n)/6 - n(n - 1) + m. With m <=
+    n(n - 1)/2 the right side is at most C(n, 3). Since C(n, 3) >= B(n)
+    for n >= 3, above it the host is also the only stable state, so PoA =
+    PoS = 1 there.
+
+    The bound is tight for n = 3: over every connected host with n nodes,
+    the largest alpha at which a state other than the host reaches the
+    host's welfare is 1, 2, 5 and 9 for n = 3 to 6 (16 on 7 nodes).
     """
     if n < 3:
         raise ParameterError(f"threshold table needs n >= 3, got {n}")
@@ -211,7 +229,7 @@ def threshold_table(n: int) -> ThresholdTable:
         path_stable_limit=Fraction(n - 1, 2),
         clique_unique=Fraction(n, 2),
         host_unique=Fraction(n * n - 5 * n + 8, 2),
-        host_optimal=Fraction((n - 2) * n * (n + 2), 24),
+        host_optimal=Fraction(n * (n - 1) * (n - 2), 6),
     )
 
 
@@ -1139,7 +1157,7 @@ def _suite_poa_pos(seed: int) -> list[dict]:
         _claim(
             "poa-one-above-host-optimal",
             not bad,
-            bad or f"{len(hosts)} hosts at alpha = (n-2)n(n+2)/24 + 1: PoA = 1",
+            bad or f"{len(hosts)} hosts at alpha = n(n-1)(n-2)/6 + 1: PoA = 1",
         )
     )
     return claims

@@ -194,10 +194,13 @@ def _decreases(table):
 
 def addition_decreases(state: GameState, u: int, v: int) -> tuple[int, int]:
     """Exact drop of each endpoint's distance sum if edge (u, v) were added,
-    read off the state's distance table (see ``_decreases``)."""
+    read off the state's distance table (see ``_decreases``). A self-pair
+    is refused as ``apply_move`` refuses it."""
     n = state.host.n
     if not (0 <= u < n and 0 <= v < n):
         raise StructureError(f"pair ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise StructureError(f"self-loop at node {u}")
     return _decreases(state.table)(u, v)
 
 

@@ -12,7 +12,7 @@ import json
 import os
 
 from .errors import GraphParseError, StructureError
-from .graphs import HostGraph
+from .graphs import HostGraph, _check_cap
 
 
 def dump_text(graph: HostGraph) -> str:
@@ -22,16 +22,21 @@ def dump_text(graph: HostGraph) -> str:
 
 
 def parse_text(text: str) -> HostGraph:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    """Parse the text format. The header is read before the rest of the
+    text is split, and a header above the size cap is refused there."""
+    end = text.find("\n")
+    first = (text if end < 0 else text[:end]).splitlines()
+    if not first or not first[0].strip():
         raise GraphParseError("line 1: expected header 'n m'")
-    head = lines[0].split()
+    head = first[0].split()
     if len(head) != 2:
-        raise GraphParseError(f"line 1: expected header 'n m', got {lines[0]!r}")
+        raise GraphParseError(f"line 1: expected header 'n m', got {first[0]!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphParseError(f"line 1: non-integer header {lines[0]!r}") from None
+        raise GraphParseError(f"line 1: non-integer header {first[0]!r}") from None
+    _refuse_oversized(n, m)
+    lines = text.splitlines()
     edges = []
     lineno = 1
     for raw in lines[1:]:
@@ -75,6 +80,7 @@ def parse_json(text: str) -> HostGraph:
     # type() and not isinstance(): JSON true and false load as bools, which are ints
     if type(n) is not int or not isinstance(edges, list):
         raise GraphParseError("'n' must be an integer and 'edges' an array")
+    _refuse_oversized(n, len(edges))
     pairs = []
     for i, item in enumerate(edges):
         if (
@@ -86,6 +92,14 @@ def parse_json(text: str) -> HostGraph:
         pairs.append((item[0], item[1]))
     try:
         return HostGraph(n, pairs)
+    except StructureError as exc:
+        raise GraphParseError(f"invalid graph: {exc}") from None
+
+
+def _refuse_oversized(n: int, m: int) -> None:
+    # before any edge tuple is built
+    try:
+        _check_cap(n, m)
     except StructureError as exc:
         raise GraphParseError(f"invalid graph: {exc}") from None
 

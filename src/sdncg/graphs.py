@@ -37,6 +37,14 @@ MAX_NODES = 1 << 16
 MAX_EDGES = 16 << 15
 
 
+def _check_cap(n: int, m: int) -> None:
+    """Refuse a host above ``MAX_NODES`` nodes or ``MAX_EDGES`` edges."""
+    if n > MAX_NODES or m > MAX_EDGES:
+        raise StructureError(
+            f"{n} nodes and {m} edges are above the cap of {MAX_NODES} nodes and {MAX_EDGES} edges"
+        )
+
+
 def edge(u: int, v: int) -> Edge:
     """Normalize an unordered node pair to ``(min, max)`` form."""
     if u == v:
@@ -168,11 +176,7 @@ class HostGraph:
         # too few edges to connect n nodes: refuse before allocating per-node data
         if len(norm) < n - 1:
             raise StructureError("host graph must be connected")
-        if n > MAX_NODES or len(norm) > MAX_EDGES:
-            raise StructureError(
-                f"{n} nodes and {len(norm)} edges are above the cap of "
-                f"{MAX_NODES} nodes and {MAX_EDGES} edges"
-            )
+        _check_cap(n, len(norm))
         adj = [0] * n
         for u, v in norm:
             adj[u] |= 1 << v

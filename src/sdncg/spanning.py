@@ -8,15 +8,20 @@ maximum at bounded size. One explicit-stack walk on node-mask components,
 one that walk would reach first from the seed path's forest, which
 ``extend_to_spanning_tree`` builds as the walk's first descent alone. The
 swap loop roots each swapped tree once, and that rooting is also the one its
-distance table is built from. Both swap-delta formulas live here: the search
-scores each pair along a non-tree edge's tree path, and the certificate
-rescores every pair by an independent formula per cut of the tree.
+distance table is built from. Both swap-delta formulas live here: the
+search's, from depths and distance sums, and the certificate's, per cut
+from the tree's distance table. Both score one packed int per side of a
+non-tree edge, one W-bit lane per cut of the tree (``_lane_blocks``); the
+search walks tree paths instead on hosts where that was measured faster.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter, mul
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, CertificateError, ParameterError, StructureError
@@ -161,35 +166,152 @@ def extend_to_spanning_tree(host: HostGraph, path) -> TreeScaffold:
     return TreeScaffold(GameState._from_mask(host, mask))
 
 
+LANE_BLOCK = 128
+
+
+def _swap_lane_width(n: int) -> int:
+    """Width W of the swap lanes: 32 bits while 4n^3 + n^2 < 2^30, else 64.
+
+    Every lane of ``_find_swap`` and ``smrcst_certificates`` holds a v with
+    |v| <= 4n^3 + n^2 (see their docstrings), below 2^62 at
+    ``graphs.MAX_NODES`` = 2^16. Biased by 2^(W-1) - 1 it stays in [0, 2^W),
+    as does each packed term, so no lane spills into a neighbour, and its
+    top bit is set iff v > 0.
+    """
+    return 32 if 4 * n**3 + n * n < 1 << 30 else 64
+
+
+@lru_cache(maxsize=64)
+def _lane_kit(lanes: int, w: int):
+    """``(pack, ones, top)`` for a block of W-bit lanes, built once per
+    (block length, W): ``pack`` puts values[k] at 2^(Wk) in one struct pack,
+    which refuses a value outside [0, 2^W), and ``ones`` and ``top`` hold 1
+    and the top bit in every lane."""
+    fmt = struct.Struct(f"<{lanes}{'I' if w == 32 else 'Q'}").pack
+    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
+    return lambda values: int.from_bytes(fmt(*values), "little"), ones, ones << w - 1
+
+
+def _chords(scaffold: TreeScaffold) -> list:
+    """The host edges off the tree, in index order."""
+    mask = scaffold.tree.mask
+    return [f for i, f in enumerate(scaffold.tree.host.edges) if not (mask >> i) & 1]
+
+
+def _lane_blocks(scaffold: TreeScaffold, w: int):
+    """A tree's lanes, lane k the cut of its k-th edge in host-index order,
+    in max(1, (n - 1) // LANE_BLOCK) blocks of near-equal length, under
+    2 * LANE_BLOCK lanes and, for n >= 3, at least two.
+
+    Each yields ``(block, lanc, pack, ones, top)``: the children naming its
+    cuts in lane order and ``lanc[v]``, the top bits of the block's lanes of
+    v and its ancestors, so a block takes O(n * LANE_BLOCK) words. The
+    block's cuts that a non-tree edge (x, y) crosses with x below are
+    ``lanc[x] ^ (lanc[x] & lanc[y])``.
+    """
+    parent, order = scaffold.parent, scaffold.order
+    index = scaffold.tree.host.edge_index
+    nodes = sorted(order[1:], key=lambda c: index[(c, parent[c]) if c < parent[c] else (parent[c], c)])
+    blocks = max(1, len(nodes) // LANE_BLOCK)
+    for b in range(blocks):
+        block = nodes[len(nodes) * b // blocks : len(nodes) * (b + 1) // blocks]
+        lanc = [0] * len(order)
+        for k, c in enumerate(block):
+            lanc[c] = 1 << w * k + w - 1
+        for v in order[1:]:
+            lanc[v] |= lanc[parent[v]]
+        yield (block, lanc, *_lane_kit(len(block), w))
+
+
 def _find_swap(scaffold: TreeScaffold, pivot: str):
     """Best (or first) strictly improving swap, or None when swap-maximal.
 
     Removing tree edge e and adding host edge f leaves a tree exactly when e
-    lies on the tree path of f, so each non-tree edge f = (x, y) walks its
-    path up to the lowest common ancestor and scores each tree edge on it in
-    O(1). The ancestor's depth is read off ``anc``, the node masks of each
-    node and its ancestors: x and y share exactly the ancestors of their
-    lowest common one. For the edge from c up to its parent, with x in c's
-    subtree, s = size[c], o = n - s, j = depth[x] - depth[c], k the tree
-    distance from x to y and P the per-node distance sums, the routing-cost
-    change is
+    lies on the tree path of f. For the edge from c up to its parent, with
+    s = size[c], x in c's subtree and y outside it, k the tree distance from
+    x to y, d the depths and P the per-node distance sums, the swap changes
+    the routing cost by 2v, where
 
-        2 * [o*(P[x] - o*(j+1)) + s*(P[y] - s*(k-j)) - n*(P[parent c] - s)]
+        v = s*(P[y] - P[x]) + n*(P[x] - P[parent c])
+            + n*(n - 2s)*(d[c] - d[x] - 1) - s^2*(k + 1) + n*s.
 
-    and the edges on y's side of the ancestor swap x and y. As a quadratic
-    in s this is 2 * [s*(c1 - s*(k+1)) + r[c] - t], where
-    r[c] = n*((n - 2s)*depth[c] + s - P[parent c]) depends only on c, and
-    t = n*(n*(depth[x] + 1) - P[x]) and c1 = P[y] + 2n*(depth[x] + 1) - P[x]
-    only on the side: t and c1 - P[y] are terms of x alone. Those two terms
-    and each node's step up, one tuple (parent-edge index, s, r[c], parent),
-    are built once per pass. A pass costs the total tree-path length of the
-    non-tree edges.
+    With one lane per c (``_lane_blocks``), v is far[y] + near[x] - s^2*(k
+    + 1) lane by lane, far[y] = s*P[y] and near[x] = (n - s)*P[x] - n*(n -
+    2s)*(d[x] + 1) + r[c], r[c] = n*((n - 2s)*d[c] + s - P[parent c]), plus
+    the lane bias. These rows are packed once per pass for the ends of
+    non-tree edges; then an edge costs one multiply, k being its count of
+    crossed lanes, and each side two adds and one AND, which leaves the top
+    bit set in exactly the crossed lanes whose swap raises the cost. Each
+    term of v is at most n^3 in size, for any x, y and c, as |P[u] - P[w]|
+    <= n^2 and |n - 2s|, |d[c] - d[x] - 1| and k + 1 are at most n.
+
+    The lanes cost n lanes per end where ``_walk_swap`` costs each non-tree
+    edge's tree path. They were measured faster where the tree fits one
+    block and the host has at least n non-tree edges (m >= 2n - 1, as on
+    ``poly``'s m = 3n hosts), slower on sparser or larger hosts, which walk.
 
     ``best`` takes the largest change and ``first`` the smallest (e, f) with
-    a positive one; ties go to the smallest (e, f). Host edges are sorted, so
-    f arrives in increasing order and only e needs comparing. Once ``first``
-    holds a pick, only tree edges below it can win, so it scores no other;
-    a pass that finds nothing scores every pair.
+    a positive one; ties go to the smallest (e, f). Lanes follow e and host
+    edges are sorted, so only lanes need comparing, and only flagged lanes
+    are decoded. ``first`` masks out every lane at or above its pick, so it
+    decodes at most one lane per side and skips an edge with none below.
+    """
+    n = scaffold.tree.host.n
+    chords = _chords(scaffold)
+    if len(chords) < n or n > 2 * LANE_BLOCK:
+        return _walk_swap(scaffold, pivot, chords) if chords else None
+    ends = {v for f in chords for v in f}
+    parent, depth, size, pns = scaffold.parent, scaffold.depth, scaffold.subtree_size, scaffold.per_node_sum
+    w = _swap_lane_width(n)
+    nodes, lanc, pack, ones, top = next(_lane_blocks(scaffold, w))
+    bias, lane_mask = (1 << w - 1) - 1, (1 << w) - 1
+    s = pack([size[c] for c in nodes])
+    s2 = pack([size[c] * size[c] for c in nodes])
+    r = pack([n * ((n - 2 * size[c]) * depth[c] + size[c] - pns[parent[c]]) + bias for c in nodes])
+    rest = n * ones - s
+    n2s = n * (rest - s)
+    far = {v: s * pns[v] for v in ends}
+    near = {v: rest * pns[v] - n2s * (depth[v] + 1) + r for v in ends}
+    first = pivot == FIRST_SWAP
+    best_delta, best_lane, best_f, below = 0, n, None, top
+    for f in chords:
+        x, y = f
+        lx, ly = lanc[x], lanc[y]
+        cut = lx ^ ly
+        if not cut & below:
+            continue
+        sk = s2 * (cut.bit_count() + 1)
+        vx = far[y] + near[x] - sk
+        vy = far[x] + near[y] - sk
+        hits = (vx & lx | vy & ly) & cut & below
+        if first and hits:
+            low = hits & -hits
+            best_lane, best_f = low.bit_length() // w - 1, f
+            below = top & (low - 1)
+            continue
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            k = low.bit_length() // w - 1
+            delta = ((vx if low & lx else vy) >> w * k & lane_mask) - bias
+            if delta > best_delta or (delta == best_delta and k < best_lane):
+                best_delta, best_lane, best_f = delta, k, f
+    if best_f is None:
+        return None
+    c = nodes[best_lane]
+    return edge(c, parent[c]), best_f
+
+
+def _walk_swap(scaffold: TreeScaffold, pivot: str, chords):
+    """``_find_swap`` by walking each non-tree edge's tree path.
+
+    Each non-tree edge f = (x, y) walks up to the lowest common ancestor of
+    x and y, whose depth is read off ``anc``, the node masks of each node
+    and its ancestors, and scores each tree edge on the way in O(1). In
+    ``_find_swap``'s v, written as a quadratic in s, v = s*(c1 - s*(k+1)) +
+    r[c] - t, where t = n*(n*(d[x] + 1) - P[x]) and c1 = P[y] + 2n*(d[x] +
+    1) - P[x] depend only on the side. Once ``first`` holds a pick, only
+    tree edges below it can win, so it scores no other.
     """
     host = scaffold.tree.host
     n = host.n
@@ -207,13 +329,10 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
     for v in scaffold.order:
         anc[v] = anc[parent[v]] | (1 << v)
     first = pivot == FIRST_SWAP
-    tree_mask = scaffold.tree.mask
     best_delta = 0
     best_e = limit = host.m
     best_f = None
-    for i, f in enumerate(host.edges):
-        if (tree_mask >> i) & 1:
-            continue
+    for f in chords:
         x, y = f
         dl = (anc[x] & anc[y]).bit_count() - 1
         dx, dy = depth[x], depth[y]
@@ -357,85 +476,6 @@ def mrcst_exact(host: HostGraph, budget: int = TREE_BUDGET) -> TreeScaffold:
     return max(enumerate_spanning_trees(host, budget), key=lambda sc: (sc.total, -sc.tree.mask))
 
 
-def _crossing_sets(scaffold: TreeScaffold) -> list[int]:
-    """Per node c, the bitmask of non-tree host edges (by index) with exactly
-    one endpoint in c's subtree: the crossing set of the cut above c.
-
-    Each node starts with its non-tree incidence mask, and children fold
-    into parents by XOR, in reverse preorder. The fold is the XOR over c's
-    subtree, in which an edge with both endpoints inside cancels.
-    """
-    host = scaffold.tree.host
-    mask = scaffold.tree.mask
-    parent = scaffold.parent
-    cross = [0] * host.n
-    for i, (x, y) in enumerate(host.edges):
-        if not (mask >> i) & 1:
-            bit = 1 << i
-            cross[x] ^= bit
-            cross[y] ^= bit
-    for c in reversed(scaffold.order[1:]):
-        cross[parent[c]] ^= cross[c]
-    return cross
-
-
-def _cut_swap(scaffold: TreeScaffold, b: int, crossing: int, floor: int = 0):
-    """The first swap at one cut of the tree that changes the routing cost
-    by more than ``floor``: ``(j, delta)`` for the lowest such index j in
-    ``crossing``, or None. No validation.
-
-    The cut removes the tree edge from child ``b`` up to its parent a;
-    ``crossing`` is the bitmask of the host edges (by index) with exactly
-    one endpoint in b's subtree, scored in ascending j in one loop. With
-    ``floor = -scaffold.total`` it returns the first pair's change, since
-    every swapped tree has a positive routing cost.
-
-    Distances inside each of the two components of the cut tree are
-    unchanged by a swap, so only the cross terms move; those reduce to two
-    within-component distance sums. In a tree every path from the far side
-    enters a component through the cut edge, so for the new edge (u, v),
-    u on a's side and v on b's, with L the component sizes and S the
-    within-component sums,
-
-        S(a, u) = P[u] - L_b*(d(u, a) + 1) - S(b, b)
-        S(b, v) = P[v] - L_a*(d(v, b) + 1) - S(a, a)
-        delta   = 2 * [L_b*(S(a, u) - S(a, a)) + L_a*(S(b, v) - S(b, b))]
-
-    where P is the per-node distance sum and d the tree's distance table
-    (built once per tree, on first use). The within-component sums enter
-    only as S(a, a) + S(b, b) = P[a] - L_b, since each of the L_b nodes on
-    b's side is one step farther from a than from b:
-
-        delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b))
-                  - L_b^2 - L_a^2 - n*(P[a] - L_b)
-
-    Everything but P[u], P[v] and the two distances is a term of the cut,
-    read once. A node x lies on b's side iff d(x, b) < d(x, a). Deltas are
-    even, so delta > floor iff delta/2 > floor // 2.
-    """
-    tree = scaffold.tree
-    n = tree.host.n
-    edges = tree.host.edges
-    a = scaffold.parent[b]
-    len_b = scaffold.subtree_size[b]
-    len_a = n - len_b
-    pns = scaffold.per_node_sum
-    dist = tree.table.dist
-    da, db = dist[a], dist[b]
-    base = len_b * len_b + len_a * len_a + n * (pns[a] - len_b)
-    bar = base + floor // 2
-    while crossing:
-        low = crossing & -crossing
-        crossing ^= low
-        u, v = edges[low.bit_length() - 1]
-        if db[u] < da[u]:
-            u, v = v, u
-        half = len_b * (pns[u] - len_b * da[u]) + len_a * (pns[v] - len_a * db[v])
-        if half > bar:
-            return low.bit_length() - 1, 2 * (half - base)
-    return None
-
-
 def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     """Re-verify every guarantee attached to a swap-maximal tree.
 
@@ -446,14 +486,23 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     another host. The welfare ratio against the optimum is
     ``analysis.approximation_report``'s check.
 
-    The rescan visits only the crossing pairs: ``_crossing_sets`` gives
-    every cut's crossing edges in one bottom-up XOR pass, and ``_cut_swap``
-    scores a cut's pairs in one loop from terms read once per cut and the
-    tree's distance table, independently of the search loop. That
-    table is the state's cached one, built once row from row without BFS,
-    and a later stability check of the tree reads the same table. Tree
-    edges, then crossing edges, go in ascending index order, and the first
-    improving pair is named.
+    The rescan scores every crossing pair by the cut's own formula, apart
+    from the search: its distances d come from the tree's distance table
+    (cached on the state, and read again by a later stability check), not
+    from depths. Distances inside each side of a cut do not change, and
+    every path from the far side enters a side through the cut edge, so for
+    the cut from child c up to a, with s = size[c], x on c's side and y on
+    a's, the swap raises the routing cost iff
+
+        s*(P[y] - s*d(y, a)) + (n - s)*(P[x] - (n - s)*d(x, c))
+            > s^2 + (n - s)^2 + n*(P[a] - s).
+
+    On ``_lane_blocks``'s layout, two rows per end v of a non-tree edge,
+    s^2*d(v, a) and (n - s)^2*d(v, c), are packed once per block; then each
+    side of a non-tree edge costs one add and one AND, and a flagged lane is
+    a violation. For any x, y and lane the left side less the right lies in
+    [-3n^3/2, n^3/2 + n^2], within ``_swap_lane_width``'s bound. The
+    error names the smallest (tree edge, host edge) pair by index.
     """
     scaffold = result.tree
     if scaffold.tree.host != host:
@@ -474,18 +523,33 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
         raise CertificateError(
             f"iteration bound violated: {result.iterations} > (n-1)n(n+1)/3 = {iteration_bound}"
         )
-    edges = host.edges
-    mask = scaffold.tree.mask
-    depth = scaffold.depth
-    cross = _crossing_sets(scaffold)
-    for i, (u, v) in enumerate(edges):
-        if not (mask >> i) & 1:
-            continue
-        child = u if depth[u] > depth[v] else v
-        found = _cut_swap(scaffold, child, cross[child])
-        if found is not None:
+    chords = _chords(scaffold)
+    ends = {v for f in chords for v in f}
+    parent, pns, size_of = scaffold.parent, scaffold.per_node_sum, scaffold.subtree_size
+    w = _swap_lane_width(n)
+    for block, lanc, pack, ones, top in _lane_blocks(scaffold, w) if chords else ():
+        dist = scaffold.tree.table.dist
+        size, ups = [size_of[c] for c in block], [parent[c] for c in block]
+        sq, rest_sq = [t * t for t in size], [(n - t) ** 2 for t in size]
+        s = pack(size)
+        rest = n * ones - s
+        bias = top - ones - pack([q + r + n * (pns[a] - t) for q, r, a, t in zip(sq, rest_sq, ups, size)])
+        at_a, at_c = itemgetter(*ups), itemgetter(*block)
+        far = {v: s * pns[v] - pack(map(mul, sq, at_a(dist[v]))) for v in ends}
+        near = {v: rest * pns[v] - pack(map(mul, rest_sq, at_c(dist[v]))) + bias for v in ends}
+        below, bad = top, None
+        for x, y in chords:
+            lx, ly = lanc[x], lanc[y]
+            cut = lx ^ ly
+            hits = ((far[y] + near[x]) & lx & cut | (far[x] + near[y]) & ly & cut) & below
+            if hits:
+                low = hits & -hits
+                below = top & (low - 1)
+                bad = block[low.bit_length() // w - 1], (x, y)
+        if bad:
+            c, f = bad
             raise CertificateError(
-                f"swap-maximality violated: improving swap ({edges[i]}, {edges[found[0]]})"
+                f"swap-maximality violated: improving swap ({edge(c, parent[c])}, {f})"
             )
     return {
         "n": n,

@@ -158,6 +158,45 @@ def reference_find_swap(scaffold, pivot):
     return best
 
 
+def cut_swap(scaffold, b, crossing, floor=0):
+    """The first swap at one cut of the tree that changes the routing cost
+    by more than ``floor``: ``(j, delta)`` for the lowest host-edge index j
+    in the bitmask ``crossing``, or None; one pair at a time.
+
+    The cut removes the tree edge from child ``b`` up to its parent a, and
+    ``crossing`` holds host edges with exactly one endpoint in b's subtree.
+    With ``floor = -scaffold.total`` it returns the first pair's change,
+    since every swapped tree has a positive routing cost. Distances inside
+    each side of the cut are unchanged by a swap, and every path from the
+    far side enters a side through the cut edge, so for the new edge (u, v),
+    u on a's side and v on b's, with L the side sizes, P the per-node
+    distance sums and d the tree's distance table,
+
+        delta/2 = L_b*(P[u] - L_b*d(u, a)) + L_a*(P[v] - L_a*d(v, b))
+                  - L_b^2 - L_a^2 - n*(P[a] - L_b).
+
+    A node x lies on b's side iff d(x, b) < d(x, a).
+    """
+    n = scaffold.tree.host.n
+    edges = scaffold.tree.host.edges
+    a = scaffold.parent[b]
+    len_b = scaffold.subtree_size[b]
+    len_a = n - len_b
+    pns = scaffold.per_node_sum
+    dist = scaffold.tree.table.dist
+    da, db = dist[a], dist[b]
+    base = len_b * len_b + len_a * len_a + n * (pns[a] - len_b)
+    for j, (u, v) in enumerate(edges):
+        if not (crossing >> j) & 1:
+            continue
+        if db[u] < da[u]:
+            u, v = v, u
+        delta = 2 * (len_b * (pns[u] - len_b * da[u]) + len_a * (pns[v] - len_a * db[v]) - base)
+        if delta > floor:
+            return j, delta
+    return None
+
+
 def spanning_trees_brute(n, edges):
     """All labeled spanning trees via size-(n-1) subsets + connectivity."""
     out = []

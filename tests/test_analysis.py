@@ -652,7 +652,7 @@ class TestPoaPos:
         rng = random.Random(59)
         for _ in range(4):
             h = random_connected_host(rng.randint(3, 6), rng.uniform(0.3, 0.8), rng)
-            a = Fraction((h.n - 2) * h.n * (h.n + 2), 24) + 1
+            a = Fraction(h.n * (h.n - 1) * (h.n - 2), 6) + 1
             assert poa_exact(h, a, 1 << 16) == 1
             assert pos_exact(h, a, 1 << 16) == 1
 
@@ -660,7 +660,7 @@ class TestPoaPos:
 class TestThresholds:
     def test_values(self):
         t = threshold_table(10)
-        assert t.host_optimal == 40
+        assert t.host_optimal == 120
         assert t.host_unique == 29
         assert threshold_table(3).clique_optimal == 1
 
@@ -684,6 +684,39 @@ class TestThresholds:
                     largest[n] = max(largest[n], hi)
         assert dict(largest) == {n: threshold_table(n).host_unique for n in (3, 4, 5, 6)}
         assert dict(largest) == {3: 1, 4: 2, 5: 4, 6: 7}
+
+    def test_host_optimal_bounds_the_exact_threshold(self):
+        # over every connected host with 3 to 6 nodes, the largest alpha at
+        # which a state other than the host reaches the host's welfare is
+        # 1, 2, 5 and 9, at most C(n, 3) and equal to it at n = 3
+        nx = pytest.importorskip("networkx")
+        largest = Counter()
+        for g in nx.graph_atlas_g():
+            n = g.number_of_nodes()
+            if not 3 <= n <= 6 or not nx.is_connected(g):
+                continue
+            host = HostGraph(n, g.edges())
+            records = host_census(host)
+            full = (1 << host.m) - 1
+            [rc_host] = [rc for mask, _, rc, _, _ in records if mask == full]
+            for mask, size, rc, _, _ in records:
+                if mask != full:
+                    largest[n] = max(largest[n], Fraction(rc - rc_host, 2 * (host.m - size)))
+        assert dict(largest) == {3: 1, 4: 2, 5: 5, 6: 9}
+        for n, value in largest.items():
+            assert value <= threshold_table(n).host_optimal
+        assert threshold_table(3).host_optimal == 1
+
+    def test_host_optimal_above_host_unique(self):
+        # so above host_optimal only the host is stable, and PoA = 1 is a theorem
+        assert threshold_table(3).host_optimal == threshold_table(3).host_unique
+        for n in range(4, 200):
+            t = threshold_table(n)
+            assert t.host_unique < t.host_optimal == Fraction(n * (n - 1) * (n - 2), 6)
+
+    def test_poa_pos_suite_at_seed_18(self):
+        # the old threshold (n-2)n(n+2)/24 gave PoA = 1126/1111 on an n = 7 host here
+        assert theorem_campaign("poa-pos", seed=18)["passed"]
 
     def test_ordering_from_n6(self):
         for n in range(6, 40):

@@ -612,6 +612,22 @@ class TestErrors:
         code, out, err = run(capsys, "sw", "--alpha", "1", "--input", str(f))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "name, text, n, m",
+        [
+            ("nodes.txt", "65537 3\n", 65537, 3),
+            ("edges.txt", "10 524289\n", 10, 524289),
+            ("nodes.json", '{"n": 65537, "edges": []}', 65537, 0),
+        ],
+    )
+    def test_header_over_the_cap_exit_2(self, capsys, tmp_path, name, text, n, m):
+        # refused from the header alone, before any edge line is read
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run(capsys, "sw", "--alpha", "1", "--input", str(f))
+        message = f"invalid graph: {n} nodes and {m} edges are above the cap of 65536 nodes and 524288 edges"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_graph_over_the_cap_exit_2_in_bounded_memory(self, tmp_path):
         # a child process with 1 GiB of address space: the masks of a
         # 200,000-node path would take about 2.5 GB, so the host must be

@@ -113,9 +113,10 @@ class TestUtility:
 
 
 class TestMoveKernelPairs:
-    """``removal_increases`` takes only active edges and both kernels only
-    nodes in range, refused with StructureError as ``utility`` and
-    ``is_bridge`` refuse them."""
+    """``removal_increases`` takes only active edges, ``addition_decreases``
+    no self-pair, and both kernels only nodes in range, refused with
+    StructureError as ``utility``, ``is_bridge`` and ``apply_move`` refuse
+    them."""
 
     def test_removal_refuses_inactive_pairs(self):
         st_ = full_state(path(4))
@@ -137,6 +138,15 @@ class TestMoveKernelPairs:
             with pytest.raises(StructureError, match=rf"^pair \({u}, {v}\) out of range for n=4$"):
                 addition_decreases(st_, u, v)
         assert addition_decreases(st_, 0, 3) == (2, 2)
+
+    def test_addition_refuses_self_pairs(self):
+        # the same error as the move itself, for every node
+        st_ = full_state(path(4))
+        for v in range(4):
+            with pytest.raises(StructureError, match=rf"^self-loop at node {v}$"):
+                addition_decreases(st_, v, v)
+            with pytest.raises(StructureError, match=rf"^self-loop at node {v}$"):
+                apply_move(st_, Move("add", v, v))
 
 
 class TestSocialWelfare:

@@ -25,7 +25,6 @@ from sdncg import (
     star,
 )
 from sdncg import graphs
-from sdncg.spanning import _cut_swap
 
 
 def host_strategy(n_max=7):
@@ -427,8 +426,8 @@ class TestTreeTable:
 
 
 class TestSwapDelta:
-    """``spanning._cut_swap``, the certificate's per-cut formula, against
-    distance sums recomputed by BFS on the swapped tree."""
+    """``oracles.cut_swap``, the certificate's per-cut formula one pair at a
+    time, against distance sums recomputed by BFS on the swapped tree."""
 
     @staticmethod
     def cut(sc, rem, crossing):
@@ -441,18 +440,18 @@ class TestSwapDelta:
         mask = sum(1 << host.edge_index[f] for f in crossing)
         out = []
         while mask:
-            j, delta = _cut_swap(sc, child, mask, -sc.total)
+            j, delta = oracles.cut_swap(sc, child, mask, -sc.total)
             out.append((host.edges[j], delta))
             mask &= ~(1 << j)
         return out
 
     @staticmethod
     def first_above(sc, rem, crossing, floor):
-        """``_cut_swap`` on the whole crossing set, as the certificate asks."""
+        """``oracles.cut_swap`` on the whole crossing set."""
         host = sc.tree.host
         child = max(rem, key=sc.depth.__getitem__)
         mask = sum(1 << host.edge_index[f] for f in crossing)
-        found = _cut_swap(sc, child, mask, floor)
+        found = oracles.cut_swap(sc, child, mask, floor)
         return found and (host.edges[found[0]], found[1])
 
     def test_path_to_star(self):
@@ -464,7 +463,7 @@ class TestSwapDelta:
         assert self.cut(sc, (0, 3), [(1, 3)]) == [((1, 3), 2)]
 
     def test_every_swap_of_every_tree_matches_bfs(self):
-        # each cut's whole crossing set in one call, as the certificate asks
+        # each cut's whole crossing set in one call
         for host in (clique(5), cycle(6), random_connected_host(7, 0.5, random.Random(7))):
             n = host.n
             for sc in enumerate_spanning_trees(host):

@@ -1,9 +1,11 @@
 import json
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,11 +54,11 @@ def crossing_swaps(scaffold):
 
 def swap_delta(scaffold, e, f):
     """Routing-cost change of ``tree - e + f`` by the certificate's cut
-    formula, ``spanning._cut_swap``, asked for the one pair with a floor
-    every change exceeds."""
+    formula, ``oracles.cut_swap``, asked for the one pair with a floor every
+    change exceeds."""
     child = max(e, key=scaffold.depth.__getitem__)
     j = scaffold.tree.host.edge_index[f]
-    _, delta = spanning._cut_swap(scaffold, child, 1 << j, -scaffold.total)
+    _, delta = oracles.cut_swap(scaffold, child, 1 << j, -scaffold.total)
     return delta
 
 
@@ -288,19 +290,43 @@ class TestFindSwapAgainstDelta:
                 for e2, f2 in crossing_swaps(sc):
                     assert swap_delta(sc, e2, f2) <= best
 
-    def test_both_pivots_match_reference_search(self):
-        # every swap rescored by BFS on the new tree, in (tree edge, host edge) order
+    def test_both_pivots_match_reference_search(self, monkeypatch):
+        # every swap rescored by BFS on the new tree, in (tree edge, host edge)
+        # order, by the lanes on hosts with at least n non-tree edges and by
+        # the path walk on the others
+        walks = []
+        walk = spanning._walk_swap
+        monkeypatch.setattr(spanning, "_walk_swap", lambda *args: walks.append(1) or walk(*args))
         rng = random.Random(37)
         picked = {"best": 0, "first": 0}
+        walked = 0
         for _ in range(300):
             n = rng.randint(2, 12)
             h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
             sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
+            walked += 2 * (0 < h.m - n + 1 < n)
             for pivot in ("best", "first"):
                 want = oracles.reference_find_swap(sc, pivot)
                 assert _find_swap(sc, pivot) == want
                 picked[pivot] += want is not None
         assert min(picked.values()) >= 100
+        assert len(walks) == walked and 100 <= walked <= 500
+
+    def test_lanes_and_walk_agree_at_the_block_edge(self, monkeypatch):
+        # 2 * LANE_BLOCK nodes is the largest tree the lanes take; one node
+        # more and the search walks, with the same picks either way
+        walks = []
+        walk = spanning._walk_swap
+        monkeypatch.setattr(spanning, "_walk_swap", lambda *args: walks.append(1) or walk(*args))
+        rng = random.Random(83)
+        for n in (2 * spanning.LANE_BLOCK, 2 * spanning.LANE_BLOCK + 1):
+            h = host_with_m_edges(n, 3 * n, rng)
+            sc = TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng)))
+            chords = spanning._chords(sc)
+            for pivot in ("best", "first"):
+                calls = len(walks)
+                assert _find_swap(sc, pivot) == walk(sc, pivot, chords) is not None
+                assert len(walks) - calls == (n > 2 * spanning.LANE_BLOCK)
 
     def test_both_pivots_match_delta_scan_on_large_trees(self):
         # the certificate's evaluator over every crossing pair, at n up to 70
@@ -351,6 +377,61 @@ class TestFindSwapAgainstDelta:
         assert sum(r.iterations for r in got) >= 20
 
 
+SEQUENCE_GOLDEN = Path(__file__).resolve().parent / "golden" / "smrcst-seq.json"
+
+
+def sequence_hosts():
+    """The hosts ``tests/golden/smrcst-seq.json`` pins: eight with n = 40 to
+    70 and m = 3n; for each n = 3 to 8 two with each m of n, n + 1, n + 2,
+    2n and 3n that n admits; and two-sided hosts on 5 to 8 nodes, whose
+    greedy seed is often not swap-maximal."""
+    rng = random.Random(3101)
+    hosts = [host_with_m_edges(n, 3 * n, rng) for n in (40, 44, 49, 53, 58, 62, 66, 70)]
+    for n in range(3, 9):
+        for m in sorted({min(k, n * (n - 1) // 2) for k in (n, n + 1, n + 2, 2 * n, 3 * n)}):
+            hosts += [host_with_m_edges(n, m, rng) for _ in range(2)]
+    for a, b in ((2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (2, 6), (3, 5)):
+        hosts.append(HostGraph(a + b, [
+            (u, a + v) for u in range(a) for v in range(b) if 0 in (u, v) or rng.random() < 0.7
+        ]))
+    return hosts
+
+
+def swap_sequence(h, pivot):
+    """One ``smrcst`` run as a record: every swap in order, the final tree,
+    the iteration count and the routing cost."""
+    sc = extend_to_spanning_tree(h, greedy_long_path(h))
+    swaps = []
+    while (swap := _find_swap(sc, pivot)) is not None:
+        swaps.append([list(e) for e in swap])
+        sc = sc._swapped(*swap)
+    res = smrcst(h, pivot)
+    assert (res.tree.tree.mask, res.iterations) == (sc.tree.mask, len(swaps))
+    return {
+        "n": h.n,
+        "m": h.m,
+        "pivot": pivot,
+        "swaps": swaps,
+        "tree": [list(e) for e in sorted(res.tree.tree.active)],
+        "iterations": res.iterations,
+        "routing_cost": res.routing_cost,
+    }
+
+
+def sequence_text():
+    """The golden's text, one record per line; regenerate with
+    PYTHONPATH=src:tests python -c \
+        "import test_spanning; print(test_spanning.sequence_text(), end='')" > tests/golden/smrcst-seq.json
+    """
+    records = [swap_sequence(h, pivot) for h in sequence_hosts() for pivot in ("best", "first")]
+    return "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
+
+
+class TestSwapSequenceGolden:
+    def test_matches_golden(self):
+        assert sequence_text() == SEQUENCE_GOLDEN.read_text()
+
+
 class TestSwapLoopScaffolds:
     def test_every_swap_matches_rebuilt_scaffold(self, monkeypatch):
         # each scaffold the loop derives by a swap, field by field against the
@@ -384,24 +465,180 @@ class TestSwapLoopScaffolds:
 
 
 class TestCrossingSets:
-    def test_parity_matches_child_side(self):
-        # cross[c] holds exactly the non-tree edges with one endpoint below c
+    def test_parity_matches_child_side(self, monkeypatch):
+        # lane k is the k-th tree edge in host-index order, cut into
+        # max(1, (n - 1) // LANE_BLOCK) blocks of 2 to 2 * LANE_BLOCK - 1
+        # lanes; in a block, lanc[x] ^ (lanc[x] & lanc[y]) flags exactly the
+        # cuts with x below and y above them
         rng = random.Random(47)
-        for _ in range(30):
-            n = rng.randint(2, 70)
+        for size in (spanning.LANE_BLOCK, 2, 5):
+            monkeypatch.setattr(spanning, "LANE_BLOCK", size)
+            for _ in range(10):
+                n = rng.randint(3, 70)
+                h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
+                tree_edges = oracles.random_spanning_tree(n, h.edges, rng)
+                sc = TreeScaffold(GameState(h, tree_edges))
+                w = spanning._swap_lane_width(n)
+                chords = spanning._chords(sc)
+                assert chords == [f for f in h.edges if f not in tree_edges]
+                blocks = list(spanning._lane_blocks(sc, w))
+                nodes = [c for block, *_ in blocks for c in block]
+                assert len(blocks) == max(1, (n - 1) // size)
+                assert all(2 <= len(block) < 2 * size for block, *_ in blocks)
+                assert [graphs.edge(c, sc.parent[c]) for c in nodes] == sorted(tree_edges)
+                for block, lanc, _, _, top in blocks:
+                    for k, c in enumerate(block):
+                        side = oracles.child_side(n, tree_edges, graphs.edge(c, sc.parent[c]))
+                        flag = 1 << w * k + w - 1
+                        for x, y in chords:
+                            below = bool(lanc[x] & ~lanc[y] & flag), bool(lanc[y] & ~lanc[x] & flag)
+                            assert below == (x in side and y not in side, y in side and x not in side)
+                    for x in range(n):
+                        want = sum(1 << w * k + w - 1 for k, c in enumerate(block) if c in ancestors(sc, x))
+                        assert lanc[x] & top == lanc[x] == want
+
+
+def ancestors(scaffold, x):
+    """x and every node above it in the rooted tree."""
+    out = {x}
+    while x:
+        x = scaffold.parent[x]
+        out.add(x)
+    return out
+
+
+def certificate_verdict(scaffold):
+    """``smrcst_certificates``'s verdict on a tree: True, or its message."""
+    try:
+        return smrcst_certificates(SmrcstResult(scaffold, 1, 0, scaffold.total), scaffold.tree.host)["swap_maximal"]
+    except CertificateError as err:
+        return str(err)
+
+
+def edge_case_trees():
+    """Stars (centre at the root or at a leaf), paths (in label order and
+    relabeled) and every spanning tree of K_3, as scaffolds on cliques."""
+    rng = random.Random(61)
+    trees = []
+    for n in range(2, 10):
+        h = clique(n)
+        for centre in {0, n - 1}:
+            trees.append(GameState(h, [(centre, v) for v in range(n) if v != centre]))
+        for order in (list(range(n)), list(range(n - 1, -1, -1)), rng.sample(range(n), n)):
+            trees.append(GameState(h, zip(order, order[1:])))
+    trees += [GameState(clique(3), t) for t in oracles.spanning_trees_brute(3, clique(3).edges)]
+    return [TreeScaffold(t) for t in trees]
+
+
+class TestLaneEdgeCases:
+    def test_stars_paths_and_k3_match_reference_search(self):
+        # cuts at the root's children and at leaves, one-lane trees (n = 2)
+        # and every cut of K_3
+        picked = 0
+        for sc in edge_case_trees():
+            for pivot in ("best", "first"):
+                want = oracles.reference_find_swap(sc, pivot)
+                assert _find_swap(sc, pivot) == want, (sc.tree.active, pivot)
+                picked += want is not None
+            scan = [(e, f) for e, f in crossing_swaps(sc) if swap_delta(sc, e, f) > 0]
+            want = f"swap-maximality violated: improving swap {scan[0]}" if scan else True
+            assert certificate_verdict(sc) == want
+        assert picked >= 20
+
+    def test_64_bit_lanes_agree_with_32(self, monkeypatch):
+        # the same picks and verdicts with the width chooser forced to 64
+        rng = random.Random(67)
+        scaffolds = edge_case_trees()
+        for _ in range(60):
+            n = rng.randint(2, 16)
             h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
-            tree_edges = oracles.random_spanning_tree(n, h.edges, rng)
-            sc = TreeScaffold(GameState(h, tree_edges))
-            cross = spanning._crossing_sets(sc)
-            assert cross[0] == 0
-            for a, b in tree_edges:
-                side = oracles.child_side(n, tree_edges, (a, b))
-                child = a if a in side else b
-                want = 0
-                for j, (x, y) in enumerate(h.edges):
-                    if (x, y) not in tree_edges and (x in side) != (y in side):
-                        want |= 1 << j
-                assert cross[child] == want
+            scaffolds.append(TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng))))
+        assert {spanning._swap_lane_width(sc.tree.host.n) for sc in scaffolds} == {32}
+
+        def outcomes():
+            return [(_find_swap(sc, "best"), _find_swap(sc, "first"), certificate_verdict(sc)) for sc in scaffolds]
+
+        narrow = outcomes()
+        monkeypatch.setattr(spanning, "_swap_lane_width", lambda n: 64)
+        assert outcomes() == narrow
+        assert sum(isinstance(v, str) for _, _, v in narrow) >= 20
+
+    def test_width_bound(self):
+        # 32 bits up to n = 644; the bound 4n^3 + n^2 stays below 2^62 at the node cap
+        assert spanning._swap_lane_width(644) == 32
+        assert spanning._swap_lane_width(645) == 64
+        assert 4 * 644**3 + 644**2 < 1 << 30 <= 4 * 645**3 + 645**2
+        assert 4 * graphs.MAX_NODES**3 + graphs.MAX_NODES**2 < 1 << 62
+
+    def test_blocked_lanes_agree_with_one_block(self, monkeypatch):
+        # the same picks and verdicts with LANE_BLOCK at 2, 3 and 5: the
+        # certificate scores its lanes in blocks of 2 to 9, and the search
+        # walks tree paths on trees of more than 2 * LANE_BLOCK nodes
+        rng = random.Random(67)
+        scaffolds = edge_case_trees()
+        for _ in range(60):
+            n = rng.randint(2, 16)
+            h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
+            scaffolds.append(TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng))))
+        assert max(sc.tree.host.n for sc in scaffolds) < spanning.LANE_BLOCK
+
+        def outcomes():
+            return [(_find_swap(sc, "best"), _find_swap(sc, "first"), certificate_verdict(sc)) for sc in scaffolds]
+
+        whole = outcomes()
+        for size in (2, 3, 5):
+            monkeypatch.setattr(spanning, "LANE_BLOCK", size)
+            assert outcomes() == whole
+        assert sum(isinstance(v, str) for _, _, v in whole) >= 20
+
+    def test_large_sparse_hosts_in_bounded_memory(self):
+        # 20,000-node hosts with 0, 1 and 3 edges off a Hamiltonian path, both
+        # pivots, in a child process with 1 GiB of address space: lanes for
+        # all n cuts would take n^2 * 64 bits per row, about 3.2 GB, so such
+        # trees are searched by the walk
+        script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from sdncg import HostGraph, cycle, path, smrcst
+n = 20_000
+chorded = HostGraph(n, cycle(n).edges + ((0, n // 2), (n // 4, 3 * n // 4)))
+for host in (path(n), cycle(n), chorded):
+    for pivot in ("best", "first"):
+        res = smrcst(host, pivot)
+        print(res.iterations, res.routing_cost)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(spanning.__file__).parents[1])],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        n = 20_000
+        assert proc.stdout.split("\n") == [f"0 {(n - 1) * n * (n + 1) // 3}"] * 6 + [""]
+
+    def test_every_lane_within_the_bound(self):
+        # the half change of every (cut, x, y), crossed or not: the search's
+        # at most 4n^3 + n^2 in size, the certificate's between -(3n^3/2) and
+        # n^3/2 + n^2
+        rng = random.Random(71)
+        scaffolds = edge_case_trees()
+        for n in (12, 20):
+            h = host_with_m_edges(n, 3 * n, rng)
+            scaffolds += [TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng))) for _ in range(3)]
+        for sc in scaffolds:
+            n = sc.tree.host.n
+            P, d, size, parent = sc.per_node_sum, sc.depth, sc.subtree_size, sc.parent
+            dist = sc.tree.table.dist
+            for c in range(n):
+                s, a = size[c], parent[c]
+                base = s * s + (n - s) ** 2 + n * (P[a] - s)
+                for x in range(n):
+                    for y in range(n):
+                        v = (s * (P[y] - P[x]) + n * (P[x] - P[a]) + n * (n - 2 * s) * (d[c] - d[x] - 1)
+                             - s * s * (dist[x][y] + 1) + n * s)
+                        assert abs(v) <= 4 * n**3 + n * n
+                        v = s * (P[y] - s * dist[y][a]) + (n - s) * (P[x] - (n - s) * dist[x][c]) - base
+                        assert -3 * n**3 <= 2 * v <= n**3 + 2 * n * n
 
 
 class TestEnumeration:
