@@ -35,8 +35,10 @@ prefixes (the masks of the high edges) come in ascending order; an edge put
 in is inserted into all 2^k lanes of its parent's block. Branches that
 cannot reach n - 1 edges or that isolate a node are skipped. At a leaf, a
 lane is connected iff no D[0][y] holds n, and a node's sum adds its n - 1
-pair ints and is zeroed in the other lanes. W is the least of 8, 16, 32,
-... bits with n(n - 1)/2 below 2^(W-1) - 1, which gives the two lane bounds:
+pair ints and is zeroed in the other lanes. W is ``graphs._lane_width``
+of n(n - 1)/2, the least of 8, 16, 32 and 64 bits with n(n - 1)/2 below
+2^(W-1) - 1, the width rule of every packed lane, and the lane constants
+come from ``graphs._lane_kit``. That gives the two lane bounds:
 
 - every candidate D[x][u] + 1 + D[v][y], at most 2n + 1, and every sum or
   rise of a connected lane, at most n(n - 1)/2, stays below the guard bit,
@@ -61,11 +63,12 @@ lowers it, so one difference bounds S's ``lo`` and S - e's ``hi``:
 and into ``hi(S - e)`` by lane-wise min. No rise borrows, since no sum falls
 and the other lanes hold 0, and a rise is at least 1, so ``lo`` is 0 and
 ``hi`` n(n - 1)/2 + 1 in a lane no pair reaches. No S - e means e is a
-bridge of S. Then the records are decoded block by block, in ascending mask
-order, with ``itertools.compress`` over the connected lanes; ``rc`` adds
-the n sums in lanes of 2W bits. No move is scanned and no BFS runs. The
-blocks are held until the records are decoded: n + 3 ints of 2^k lanes per
-surviving prefix (K_6: 128 blocks).
+bridge of S. Then the records are decoded block by block, in ascending
+mask order, with ``itertools.compress`` over the connected lanes, each
+block int unpacked by the kit; ``rc`` adds the n sums in lanes of 2W bits.
+No move is scanned and no BFS runs. The blocks are held until the records
+are decoded: n + 3 ints of 2^k lanes per surviving prefix (K_6: 128
+blocks).
 
 ``host_census`` keeps nothing between calls: a caller that asks one host
 several questions builds its census once and reads it as often as it needs
@@ -79,7 +82,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,7 +111,7 @@ from .game import (
     stability_interval,
     stable_in_interval,
 )
-from .graphs import GameState, HostGraph, _bfs, _lane_width, _mask_adjacency, edge, full_state
+from .graphs import GameState, HostGraph, _bfs, _lane_kit, _lane_width, _mask_adjacency, edge, full_state
 from .spanning import mrcst_exact, smrcst, smrcst_certificates
 
 SWEEP_COLUMNS = (
@@ -241,9 +243,8 @@ def _block_lanes(n: int, k: int) -> tuple:
     docstring): the lane width W, the guard shift W - 1, the guard bit of
     every lane, 1 in every lane, and per low edge j the guard bits of the
     lanes whose bit j is set."""
-    w = _lane_width(n)
-    ones = ((1 << (w << k)) - 1) // ((1 << w) - 1)
-    guard = ones << (w - 1)
+    w = _lane_width(n * (n - 1) // 2)
+    _, _, ones, guard = _lane_kit(1 << k, w)
     # lanes 2^j to 2^(j+1) - 1 of every run of 2^(j+1) lanes
     halves = [guard // ((1 << (w << j)) + 1) << (w << j) for j in range(k)]
     return w, w - 1, guard, ones, halves
@@ -391,31 +392,28 @@ def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
         block += lo, hi
     # the records, block by block: lo 0 and hi cap mean none; rc, the sum of
     # n sums, is added in lanes of 2W bits, even and odd lanes apart
-    evens = ones // ((1 << w) + 1) * ((1 << w) - 1)
+    unpack = _lane_kit(1 << k, w)[1]
+    _, unpack_pairs, pair_ones, _ = _lane_kit(1 << k - 1, 2 * w)
+    evens = pair_ones * ((1 << w) - 1)
     counts = [[c + t.bit_count() for t in range(1 << k)] for c in range(m - k + 1)]
     lo_of = [None, *range(1, cap + 1)]
     hi_of = [*range(cap), None]
     rc = [0] * (1 << k)
     recs = []
     for prefix, (conn, sums, lo, hi) in blocks.items():
-        rc[::2] = _lane_values(sum(x & evens for x in sums), 2 * w, k - 1)
-        rc[1::2] = _lane_values(sum(x >> w & evens for x in sums), 2 * w, k - 1)
+        rc[::2] = unpack_pairs(sum(x & evens for x in sums))
+        rc[1::2] = unpack_pairs(sum(x >> w & evens for x in sums))
         recs += compress(
             zip(
                 range(prefix, prefix + (1 << k)),
                 counts[prefix.bit_count()],
                 rc,
-                map(lo_of.__getitem__, _lane_values(lo, w, k)),
-                map(hi_of.__getitem__, _lane_values(hi, w, k)),
+                map(lo_of.__getitem__, unpack(lo)),
+                map(hi_of.__getitem__, unpack(hi)),
             ),
-            _lane_values(conn, w, k),
+            unpack(conn),
         )
     return tuple(recs)
-
-
-def _lane_values(x: int, w: int, k: int):
-    """The 2^k lanes of W bits of ``x``, lowest first (W is 8, 16, 32 or 64)."""
-    return memoryview(x.to_bytes(w << k >> 3, sys.byteorder)).cast("BHIQ"[(w >> 4).bit_length()])
 
 
 def _optima(recs, a: Fraction):

@@ -11,6 +11,8 @@ Move legality follows bilateral consent: an edge is removed unilaterally if
 that does not disconnect the state and strictly helps at least one endpoint;
 an edge is added only when it exists in the host and strictly helps both
 endpoints.
+The addition scan's packed distance rows take their lanes from
+``graphs._lane_width`` and ``graphs._lane_kit``, as every packed lane does.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import ParameterError, StructureError
-from .graphs import GameState, _bfs, _lane_width, edge, is_bridge
+from .graphs import GameState, _bfs, _lane_kit, _lane_width, edge, is_bridge
 
 ADD = "add"
 REMOVE = "remove"
@@ -133,18 +134,6 @@ def social_welfare(state: GameState, alpha) -> Fraction:
 _LANE_NODES = 12  # from this many nodes on, additions are scored on packed lanes
 
 
-@lru_cache(maxsize=16)
-def _lane_terms(n: int) -> tuple:
-    """The addition kernel's constants on n lanes of W = ``_lane_width(n)``
-    bits: the bias 2^(W-1) - 1 in every lane, twice that, the guard bit of
-    every lane, the guard shift W - 1, and 2^W - 1."""
-    w = _lane_width(n)
-    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
-    guard = ones << (w - 1)
-    bias = guard - ones
-    return bias, 2 * bias, guard, w - 1, (1 << w) - 1
-
-
 def _decreases(table):
     """``addition_decreases`` on one distance table, as a function of (u, v).
 
@@ -178,7 +167,10 @@ def _decreases(table):
             return dec_u, dec_v
 
         return dec
-    bias, bias2, guard, top, mod = _lane_terms(n)
+    w = _lane_width(n * (n - 1) // 2)
+    _, _, ones, guard = _lane_kit(n, w)
+    bias = guard - ones
+    bias2, top, mod = 2 * bias, w - 1, (1 << w) - 1
     rows = table.lanes
 
     def dec(u: int, v: int) -> tuple[int, int]:

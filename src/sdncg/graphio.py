@@ -22,27 +22,27 @@ def dump_text(graph: HostGraph) -> str:
 
 
 def parse_text(text: str) -> HostGraph:
-    """Parse the text format. The header is read before the rest of the
-    text is split, and a header above the size cap is refused there."""
-    end = text.find("\n")
-    first = (text if end < 0 else text[:end]).splitlines()
-    if not first or not first[0].strip():
+    """Parse the text format, one line at a time: a header above the size
+    cap is refused at line 1, and the first edge line past its count there."""
+    lines = _lines(text)
+    first = next(lines, "")
+    if not first.strip():
         raise GraphParseError("line 1: expected header 'n m'")
-    head = first[0].split()
+    head = first.split()
     if len(head) != 2:
-        raise GraphParseError(f"line 1: expected header 'n m', got {first[0]!r}")
+        raise GraphParseError(f"line 1: expected header 'n m', got {first!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphParseError(f"line 1: non-integer header {first[0]!r}") from None
+        raise GraphParseError(f"line 1: non-integer header {first!r}") from None
     _refuse_oversized(n, m)
-    lines = text.splitlines()
     edges = []
     lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
+    for lineno, raw in enumerate(lines, 2):
         if not raw.strip():
             continue
+        if len(edges) == m:
+            raise GraphParseError(f"line {lineno}: header announced {m} edges but found more")
         parts = raw.split()
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -61,6 +61,16 @@ def parse_text(text: str) -> HostGraph:
         return HostGraph(n, edges)
     except StructureError as exc:
         raise GraphParseError(f"invalid graph: {exc}") from None
+
+
+def _lines(text: str):
+    """The lines of ``text`` as ``str.splitlines`` cuts them, one
+    newline-ended piece at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def dump_json(graph: HostGraph) -> str:

@@ -13,7 +13,10 @@ cycles. A spanning tree's table needs no BFS: ``_rooted`` roots it once,
 and each row follows from its parent's row. A ``TreeScaffold`` holds that
 same rooting and the tree's total and nothing else, so a swap that yields a
 new tree roots it once. ``DistanceTable.lanes`` packs
-each row into one int, which the addition scan reads lane-wise. A
+each row into one int, which the addition scan reads lane-wise. Every
+packed lane in the package, distance rows, census blocks and swap lanes,
+takes its width from ``_lane_width`` and its constants, pack and unpack
+from ``_lane_kit``. A
 ``GameState`` stores its edge set once, as a bitmask over the host's sorted
 edge list; everything else about a state is derived from that mask.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import StructureError
@@ -64,20 +67,32 @@ def _mask_adjacency(n: int, edges, mask: int) -> list[int]:
     return nbr
 
 
-def _lane_width(n: int) -> int:
-    """The least of 8, 16, 32, ... bits W with n(n - 1)/2 below 2^(W-1) - 1.
-
-    In lanes of W bits, every distance and every distance sum of a
-    connected state on n nodes stays below the lane's top (guard) bit, so
-    lane-wise subtractions with the guard bits set borrow across no lane.
-    """
+def _lane_width(bound: int) -> int:
+    """The least of 8, 16, 32 and 64 bits W with ``bound`` below 2^(W-1) - 1:
+    the one width rule of packed lanes. Distance lanes pass n(n - 1)/2, so
+    no distance or distance sum of a connected state on n nodes reaches the
+    lane's top (guard) bit; swap lanes pass twice their bound on |v|."""
     w = 8
-    while n * (n - 1) // 2 >= (1 << w - 1) - 1:
+    while bound >= (1 << w - 1) - 1:
         w *= 2
     return w
 
 
-_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes by lane width
+@lru_cache(maxsize=128)
+def _lane_kit(count: int, w: int) -> tuple:
+    """``(pack, unpack, ones, guard)`` for ``count`` lanes of W bits, lane k
+    at 2^(Wk), built once per (count, W), W one of 8, 16, 32 and 64: the one
+    code that knows a lane's byte format. ``pack`` refuses a value outside
+    [0, 2^W), ``unpack`` gives the lanes lowest first, and ``ones`` and
+    ``guard`` hold 1 and the top bit 2^(W-1) in every lane."""
+    fmt = struct.Struct(f"<{count}{'BHIQ'[w.bit_length() - 4]}")
+    ones = ((1 << w * count) - 1) // ((1 << w) - 1)
+    return (
+        lambda values: int.from_bytes(fmt.pack(*values), "little"),
+        lambda x: fmt.unpack(x.to_bytes(fmt.size, "little")),
+        ones,
+        ones << w - 1,
+    )
 
 
 def _bfs(nbr, sources: int, row=None):
@@ -227,10 +242,9 @@ class DistanceTable:
 
     @cached_property
     def lanes(self) -> tuple:
-        """Each row as one int, d(u, x) in lane x of ``_lane_width(n)`` bits."""
+        """Each row as one int, d(u, x) in lane x of ``_lane_width(n(n - 1)/2)`` bits."""
         n = len(self.dist)
-        pack = struct.Struct(f"<{n}{_LANE_FORMATS[_lane_width(n)]}").pack
-        return tuple(int.from_bytes(pack(*row), "little") for row in self.dist)
+        return tuple(map(_lane_kit(n, _lane_width(n * (n - 1) // 2))[0], self.dist))
 
 
 class GameState:
@@ -365,20 +379,16 @@ def _tree_table(rooting: tuple) -> DistanceTable:
     n = len(parent)
     if len(order) != n:
         raise StructureError("state is disconnected")
-    w = _lane_width(n)
-    fmt = struct.Struct(f"<{n}{_LANE_FORMATS[w]}")
+    w = _lane_width(n * (n - 1) // 2)
+    pack, unpack, ones, _ = _lane_kit(n, w)
     sub = [1 << w * x for x in range(n)]
     for v in reversed(order[1:]):
         sub[parent[v]] += sub[v]
-    ones = sub[0]
     rows = [0] * n
-    rows[0] = int.from_bytes(fmt.pack(*depth), "little")
+    rows[0] = pack(depth)
     for c in order[1:]:
         rows[c] = rows[parent[c]] + ones - 2 * sub[c]
-    width = n * w // 8
-    table = DistanceTable(
-        tuple([fmt.unpack(row.to_bytes(width, "little")) for row in rows]), sums, sum(sums)
-    )
+    table = DistanceTable(tuple(map(unpack, rows)), sums, sum(sums))
     table.__dict__["lanes"] = tuple(rows)
     return table
 

@@ -13,19 +13,22 @@ search's, from depths and distance sums, and the certificate's, per cut
 from the tree's distance table. Both score one packed int per side of a
 non-tree edge, one W-bit lane per cut of the tree (``_lane_blocks``); the
 search walks tree paths instead on hosts where that was measured faster.
+``graphs._lane_kit`` packs the lanes, and W is ``graphs._lane_width`` of
+8n^3 + 2n^2, twice the largest |v| of any lane (see both formulas): v biased
+by 2^(W-1) - 1 stays in [0, 2^W), as does each packed term, so no lane
+spills, and its top bit is set iff v > 0. That is 8 bits at n = 2, 16 up to
+n = 15, 32 up to 644 and 64 beyond, below 2^52 at ``graphs.MAX_NODES``.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Iterator, Optional
 
 from .errors import BudgetExceededError, CertificateError, ParameterError, StructureError
-from .graphs import GameState, HostGraph, TreeScaffold, edge
+from .graphs import GameState, HostGraph, TreeScaffold, _lane_kit, _lane_width, edge
 
 BEST_SWAP = "best"
 FIRST_SWAP = "first"
@@ -169,29 +172,6 @@ def extend_to_spanning_tree(host: HostGraph, path) -> TreeScaffold:
 LANE_BLOCK = 128
 
 
-def _swap_lane_width(n: int) -> int:
-    """Width W of the swap lanes: 32 bits while 4n^3 + n^2 < 2^30, else 64.
-
-    Every lane of ``_find_swap`` and ``smrcst_certificates`` holds a v with
-    |v| <= 4n^3 + n^2 (see their docstrings), below 2^62 at
-    ``graphs.MAX_NODES`` = 2^16. Biased by 2^(W-1) - 1 it stays in [0, 2^W),
-    as does each packed term, so no lane spills into a neighbour, and its
-    top bit is set iff v > 0.
-    """
-    return 32 if 4 * n**3 + n * n < 1 << 30 else 64
-
-
-@lru_cache(maxsize=64)
-def _lane_kit(lanes: int, w: int):
-    """``(pack, ones, top)`` for a block of W-bit lanes, built once per
-    (block length, W): ``pack`` puts values[k] at 2^(Wk) in one struct pack,
-    which refuses a value outside [0, 2^W), and ``ones`` and ``top`` hold 1
-    and the top bit in every lane."""
-    fmt = struct.Struct(f"<{lanes}{'I' if w == 32 else 'Q'}").pack
-    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
-    return lambda values: int.from_bytes(fmt(*values), "little"), ones, ones << w - 1
-
-
 def _chords(scaffold: TreeScaffold) -> list:
     """The host edges off the tree, in index order."""
     mask = scaffold.tree.mask
@@ -220,7 +200,8 @@ def _lane_blocks(scaffold: TreeScaffold, w: int):
             lanc[c] = 1 << w * k + w - 1
         for v in order[1:]:
             lanc[v] |= lanc[parent[v]]
-        yield (block, lanc, *_lane_kit(len(block), w))
+        pack, _, ones, top = _lane_kit(len(block), w)
+        yield block, lanc, pack, ones, top
 
 
 def _find_swap(scaffold: TreeScaffold, pivot: str):
@@ -262,7 +243,7 @@ def _find_swap(scaffold: TreeScaffold, pivot: str):
         return _walk_swap(scaffold, pivot, chords) if chords else None
     ends = {v for f in chords for v in f}
     parent, depth, size, pns = scaffold.parent, scaffold.depth, scaffold.subtree_size, scaffold.per_node_sum
-    w = _swap_lane_width(n)
+    w = _lane_width(8 * n**3 + 2 * n * n)
     nodes, lanc, pack, ones, top = next(_lane_blocks(scaffold, w))
     bias, lane_mask = (1 << w - 1) - 1, (1 << w) - 1
     s = pack([size[c] for c in nodes])
@@ -501,7 +482,7 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     s^2*d(v, a) and (n - s)^2*d(v, c), are packed once per block; then each
     side of a non-tree edge costs one add and one AND, and a flagged lane is
     a violation. For any x, y and lane the left side less the right lies in
-    [-3n^3/2, n^3/2 + n^2], within ``_swap_lane_width``'s bound. The
+    [-3n^3/2, n^3/2 + n^2], within the swap lanes' bound. The
     error names the smallest (tree edge, host edge) pair by index.
     """
     scaffold = result.tree
@@ -526,7 +507,7 @@ def smrcst_certificates(result: SmrcstResult, host: HostGraph) -> dict:
     chords = _chords(scaffold)
     ends = {v for f in chords for v in f}
     parent, pns, size_of = scaffold.parent, scaffold.per_node_sum, scaffold.subtree_size
-    w = _swap_lane_width(n)
+    w = _lane_width(8 * n**3 + 2 * n * n)
     for block, lanc, pack, ones, top in _lane_blocks(scaffold, w) if chords else ():
         dist = scaffold.tree.table.dist
         size, ups = [size_of[c] for c in block], [parent[c] for c in block]

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sdncg import (
@@ -10,6 +14,7 @@ from sdncg import (
     parse_text,
     path,
 )
+from sdncg import graphio
 
 
 def test_text_round_trip():
@@ -51,6 +56,42 @@ def test_parse_error_names_line():
 def test_edge_count_mismatch():
     with pytest.raises(GraphParseError, match="announced"):
         parse_text("3 2\n0 1\n")
+    with pytest.raises(GraphParseError, match="^line 4: header announced 2 edges but found more$"):
+        parse_text("3 2\n0 1\n1 2\n0 2\n")
+    # blank lines count as lines, not as edges
+    with pytest.raises(GraphParseError, match="^line 5: header announced 2 edges but found more$"):
+        parse_text("3 2\n0 1\n\n1 2\n0 2\n")
+
+
+def test_lines_cut_as_splitlines():
+    # one newline-ended piece at a time, the same lines as str.splitlines
+    for text in ("", "\n", "a", "a\n", "a\r\nb", "a\r\rb\n\n", "\x0ca\r\x1c\n\x0c\x85\n\x1c", "a\n\rb\r"):
+        assert list(graphio._lines(text)) == text.splitlines(), repr(text)
+
+
+def test_surplus_edge_lines_refused_in_bounded_memory():
+    # a header of 9 edges and 700,000 edge lines: refused at line 11, before
+    # the other lines are split, in a child process whose peak RSS grows by
+    # less than 25 MB over the 2.8 MB text
+    script = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from sdncg import GraphParseError, parse_text
+text = "10 9\\n" + "0 1\\n" * 700_000
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    parse_text(text)
+except GraphParseError as exc:
+    print(exc)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(Path(graphio.__file__).parents[1])],
+        capture_output=True, text=True, timeout=120,
+    )
+    message, growth = proc.stdout.splitlines()
+    assert message == "line 11: header announced 9 edges but found more", proc.stderr
+    assert int(growth) < 25 << 10  # ru_maxrss is in KiB on Linux
 
 
 def test_invalid_graph_reported():

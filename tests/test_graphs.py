@@ -1,4 +1,5 @@
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -352,11 +353,42 @@ class TestSwappedScaffold:
         assert nxt.tree.table.total == nxt.total
 
 
+class TestLaneKit:
+    @pytest.mark.parametrize("w", [8, 16, 32, 64])
+    def test_width_at_each_boundary(self, w):
+        # the least W with the bound below 2^(W-1) - 1
+        assert graphs._lane_width((1 << w - 1) - 2) == w
+        if w < 64:
+            assert graphs._lane_width((1 << w - 1) - 1) == 2 * w
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 64])
+    @pytest.mark.parametrize("count", [1, 2, 256])
+    def test_pack_unpack_round_trip(self, w, count):
+        pack, unpack, ones, guard = graphs._lane_kit(count, w)
+        rng = random.Random(w * count)
+        top = (1 << w) - 1
+        for values in ([0] * count, [top] * count, [rng.randrange(1 << w) for _ in range(count)]):
+            x = pack(values)
+            assert x == sum(v << w * k for k, v in enumerate(values))
+            assert unpack(x) == tuple(values)
+        lanes = [ones >> w * k & top for k in range(count)]
+        assert lanes == [1] * count and ones >> w * count == 0
+        lanes = [guard >> w * k & top for k in range(count)]
+        assert lanes == [1 << w - 1] * count and guard >> w * count == 0
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 64])
+    def test_pack_refuses_values_outside_a_lane(self, w):
+        pack = graphs._lane_kit(2, w)[0]
+        for bad in (-1, 1 << w):
+            with pytest.raises(struct.error):
+                pack([0, bad])
+
+
 class TestLaneRows:
     @pytest.mark.parametrize("n", [2, 16, 17, 127, 128, 256, 257])
     def test_rows_unpack_to_the_table(self, n):
         # lanes of 8 bits up to n = 16, 16 bits up to 256, 32 bits from 257
-        w = graphs._lane_width(n)
+        w = graphs._lane_width(n * (n - 1) // 2)
         assert w == (8 if n <= 16 else 16 if n <= 256 else 32)
         assert n * (n - 1) // 2 < (1 << w - 1) - 1
         # a tree's table is built packed; a cycle's rows are packed on first use

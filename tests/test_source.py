@@ -162,3 +162,21 @@ def g():
         "__init__.py": "from .a import f\n",
     }
     assert unread_imports(sources) == [("a.py", "js"), ("a.py", "Optional")]
+
+
+def test_one_module_knows_the_lane_bytes():
+    # graphs._lane_kit is the one pack and unpack of packed lanes: no other
+    # module imports struct, and none reads the native byte order
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name in ("struct", "byteorder")]
+    assert found == [("graphs.py", "struct")]

@@ -478,7 +478,7 @@ class TestCrossingSets:
                 h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
                 tree_edges = oracles.random_spanning_tree(n, h.edges, rng)
                 sc = TreeScaffold(GameState(h, tree_edges))
-                w = spanning._swap_lane_width(n)
+                w = spanning._lane_width(8 * n**3 + 2 * n * n)
                 chords = spanning._chords(sc)
                 assert chords == [f for f in h.edges if f not in tree_edges]
                 blocks = list(spanning._lane_blocks(sc, w))
@@ -546,27 +546,29 @@ class TestLaneEdgeCases:
         assert picked >= 20
 
     def test_64_bit_lanes_agree_with_32(self, monkeypatch):
-        # the same picks and verdicts with the width chooser forced to 64
+        # the same picks and verdicts at the natural widths, 8, 16 and 32 bits
+        # on n = 2 to 16, and with the width rule forced to 64
         rng = random.Random(67)
         scaffolds = edge_case_trees()
         for _ in range(60):
             n = rng.randint(2, 16)
             h = host_with_m_edges(n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)), rng)
             scaffolds.append(TreeScaffold(GameState(h, oracles.random_spanning_tree(n, h.edges, rng))))
-        assert {spanning._swap_lane_width(sc.tree.host.n) for sc in scaffolds} == {32}
+        widths = {spanning._lane_width(8 * sc.tree.host.n**3 + 2 * sc.tree.host.n**2) for sc in scaffolds}
+        assert widths == {8, 16, 32}
 
         def outcomes():
             return [(_find_swap(sc, "best"), _find_swap(sc, "first"), certificate_verdict(sc)) for sc in scaffolds]
 
         narrow = outcomes()
-        monkeypatch.setattr(spanning, "_swap_lane_width", lambda n: 64)
+        monkeypatch.setattr(spanning, "_lane_width", lambda bound: 64)
         assert outcomes() == narrow
         assert sum(isinstance(v, str) for _, _, v in narrow) >= 20
 
     def test_width_bound(self):
         # 32 bits up to n = 644; the bound 4n^3 + n^2 stays below 2^62 at the node cap
-        assert spanning._swap_lane_width(644) == 32
-        assert spanning._swap_lane_width(645) == 64
+        assert spanning._lane_width(8 * 644**3 + 2 * 644**2) == 32
+        assert spanning._lane_width(8 * 645**3 + 2 * 645**2) == 64
         assert 4 * 644**3 + 644**2 < 1 << 30 <= 4 * 645**3 + 645**2
         assert 4 * graphs.MAX_NODES**3 + graphs.MAX_NODES**2 < 1 << 62
 
