@@ -4,7 +4,8 @@ Each subcommand is a thin adapter onto one library operation. The input
 graph doubles as the host; state-evaluating commands treat it as the state
 that activates every host edge. Exit status: 0 on success, 1 on domain
 errors (no equilibrium, exceeded budgets, failed certificates), 2 on usage
-errors (bad flags, malformed files, infeasible parameters).
+errors (bad flags, malformed or unreadable files, an ``--output`` that
+cannot be written, infeasible parameters).
 """
 
 from __future__ import annotations
@@ -281,9 +282,7 @@ def _cmd_campaign(args):
         ok = ok and report["passed"]
     sys.stdout.write("\n".join(out_lines) + "\n")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(reports if args.suite == "all" else reports[0], fh, indent=2)
-            fh.write("\n")
+        _out(args, json.dumps(reports if args.suite == "all" else reports[0], indent=2) + "\n")
     return 0 if ok else 1
 
 
@@ -396,6 +395,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.output:  # refused before any work; appending leaves a kept file as it is
+            try:
+                open(args.output, "a", encoding="utf-8").close()
+            except OSError as exc:
+                raise ParameterError(f"cannot write {args.output}: {exc}") from None
         return args.fn(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

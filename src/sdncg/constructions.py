@@ -11,19 +11,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, StructureError
 from .game import as_alpha
-from .graphs import MAX_EDGES, MAX_NODES, GameState, HostGraph
+from .graphs import GameState, HostGraph, _check_cap
 
 
 def _check_size(family: str, n: int, m: int) -> None:
-    """Refuse a host above ``HostGraph``'s cap from its closed-form node and
-    edge counts, before any list is built."""
-    if n > MAX_NODES or m > MAX_EDGES:
-        raise ParameterError(
-            f"{family} would have {n} nodes and {m} edges, "
-            f"above the cap of {MAX_NODES} nodes and {MAX_EDGES} edges"
-        )
+    """Refuse a host above ``HostGraph``'s cap (``graphs._check_cap``) from
+    its closed-form node and edge counts, before any list is built."""
+    try:
+        _check_cap(n, m)
+    except StructureError as exc:
+        raise ParameterError(f"{family}: {exc}") from None
 
 
 def path(n: int) -> HostGraph:
@@ -217,19 +216,14 @@ def path_of_cliques(n: int, d: int) -> HostGraph:
     inner = n - 6
     c = inner // d
     h = d // 2
-    first_sum = (inner + 1) // 2
-    second_sum = inner // 2
-    r1 = first_sum - h * c
-    r2 = second_sum - h * c
+    r1 = (inner + 1) // 2 - h * c  # the first half sums to ceil(inner / 2)
+    r2 = inner // 2 - h * c
     # the size list as runs (count, size): their cliques, then the products
     # of neighbouring sizes within and between runs
     runs = [(k, s) for k, s in ((h - r1, c), (r1, c + 1), (3, 2), (r2, c + 1), (h - r2, c)) if k]
     m = sum(k * s * (s - 1) // 2 + (k - 1) * s * s for k, s in runs)
     _check_size("path_of_cliques", n, m + sum(s * t for (_, s), (_, t) in zip(runs, runs[1:])))
-    sizes_first = [c] * (h - r1) + [c + 1] * r1
-    sizes_second = [c + 1] * r2 + [c] * (h - r2)
-    sizes = sizes_first + [2, 2, 2] + sizes_second
-    return clique_network(path(d + 3), sizes)
+    return clique_network(path(d + 3), [s for k, s in runs for _ in range(k)])
 
 
 def path_of_cliques_middle(n: int) -> tuple[int, int, int, int, int, int]:

@@ -10,7 +10,8 @@ and float ties would silently flip verdicts.
 Move legality follows bilateral consent: an edge is removed unilaterally if
 that does not disconnect the state and strictly helps at least one endpoint;
 an edge is added only when it exists in the host and strictly helps both
-endpoints.
+endpoints. Each half has one scan here, ``_decreases`` and
+``_removal_rises``, and no other module restates either.
 The addition scan's packed distance rows take their lanes from
 ``graphs._lane_width`` and ``graphs._lane_kit``, as every packed lane does.
 """
@@ -251,43 +252,48 @@ def _unit_removals(st: GameState) -> list[int]:
     return unit
 
 
+def _removal_rises(state: GameState):
+    """Every legal removal of a state as ``(u, v, rise)`` in edge order,
+    ``rise`` the larger endpoint increase: the removal improves at alpha iff
+    ``rise > alpha``. Bridges are illegal and skipped; a spanning tree
+    (n - 1 edges) is all bridges. On a state that lacks some host edge,
+    ``_unit_removals`` settles the removals that raise both sums by exactly 1
+    with no BFS. A full state skips that O(n^2) pass: on a sparse host few
+    of its edges lie on a triangle, so it costs more than the BFS it saves.
+    """
+    mask, host = state.mask, state.host
+    count = mask.bit_count()
+    if count < host.n:
+        return
+    unit = _unit_removals(state) if count < host.m else None
+    for i, (u, v) in enumerate(host.edges):
+        if not (mask >> i) & 1:
+            continue
+        if unit is not None and unit[u] >> v & 1 and unit[v] >> u & 1:
+            yield u, v, 1
+        elif (inc := removal_increases(state, u, v)) is not None:
+            yield u, v, inc[0] if inc[0] >= inc[1] else inc[1]
+
+
 def _move_gains(state: GameState):
     """Every legal move of a state with its threshold, in (kind, u, v) order.
 
     Yields ``(kind, u, v, gain)``. For an addition ``gain`` is the larger of
     the two endpoint decreases: the addition improves at alpha iff
     ``gain < alpha``, since both endpoints must gain strictly. For a removal
-    it is the larger of the two endpoint increases: the removal improves iff
-    ``gain > alpha``. Bridges are skipped, since removing one is illegal; a
-    spanning tree (n-1 edges) is all bridges, so its removal scan is skipped.
-    On a state that lacks some host edge, ``_unit_removals`` reads off the
-    table the additions built which removals raise both endpoints' sums by
-    exactly 1; those yield gain 1 with no BFS. A full state skips the lemma:
-    on a sparse host few of its edges lie on a triangle, and the lemma's
-    O(n^2) pass costs more than the BFS it saves. This is the one move
-    scan; every stability query filters it.
+    it is the larger of the two endpoint increases (``_removal_rises``): the
+    removal improves iff ``gain > alpha``. This is the one move scan; every
+    stability query filters it.
     """
-    mask = state.mask
-    host = state.host
-    edges = host.edges
-    lacking = mask.bit_count() < host.m
-    if lacking:
+    mask, host = state.mask, state.host
+    if mask.bit_count() < host.m:
         dec = _decreases(state.table)
-        for i, (u, v) in enumerate(edges):
+        for i, (u, v) in enumerate(host.edges):
             if not (mask >> i) & 1:
                 dec_u, dec_v = dec(u, v)
                 yield ADD, u, v, dec_u if dec_u >= dec_v else dec_v
-    if mask.bit_count() < host.n:
-        return
-    unit = _unit_removals(state) if lacking else None
-    for i, (u, v) in enumerate(edges):
-        if (mask >> i) & 1:
-            if unit is not None and unit[u] >> v & 1 and unit[v] >> u & 1:
-                yield REMOVE, u, v, 1
-                continue
-            inc = removal_increases(state, u, v)
-            if inc is not None:
-                yield REMOVE, u, v, inc[0] if inc[0] >= inc[1] else inc[1]
+    for u, v, rise in _removal_rises(state):
+        yield REMOVE, u, v, rise
 
 
 def _improving_arcs(state: GameState, p: int, q: int, limit: Optional[int] = None) -> tuple:

@@ -4,6 +4,9 @@ Text format: first line ``"n m"``, then m lines ``"u v"`` with 0-indexed,
 whitespace-separated endpoints and u < v. JSON format: an object with fields
 ``"n"`` and ``"edges"`` (array of two-element arrays). Both round-trip
 losslessly; edges are always emitted sorted.
+Every failure to read a graph, an unopenable or non-UTF-8 file included, is
+a ``GraphParseError``; each parser checks ``graphs._check_cap`` before any
+edge tuple is built, in the one wrap around ``HostGraph``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ def dump_text(graph: HostGraph) -> str:
 
 
 def parse_text(text: str) -> HostGraph:
-    """Parse the text format, one line at a time: a header above the size
-    cap is refused at line 1, and the first edge line past its count there."""
+    """Parse the text format, one line at a time: a header with a negative
+    count or above the size cap is refused at line 1, and the first edge
+    line past its count there."""
     lines = _lines(text)
     first = next(lines, "")
     if not first.strip():
@@ -35,29 +39,31 @@ def parse_text(text: str) -> HostGraph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphParseError(f"line 1: non-integer header {first!r}") from None
-    _refuse_oversized(n, m)
-    edges = []
-    lineno = 1
-    for lineno, raw in enumerate(lines, 2):
-        if not raw.strip():
-            continue
-        if len(edges) == m:
-            raise GraphParseError(f"line {lineno}: header announced {m} edges but found more")
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-integer endpoints {raw!r}") from None
-        if u >= v:
-            raise GraphParseError(f"line {lineno}: edges must satisfy u < v, got {raw!r}")
-        edges.append((u, v))
-    if len(edges) != m:
-        raise GraphParseError(
-            f"line {lineno}: header announced {m} edges but found {len(edges)}"
-        )
+    if n < 0 or m < 0:
+        raise GraphParseError(f"line 1: negative count in header {first!r}")
     try:
+        _check_cap(n, m)  # before any edge line is split
+        edges = []
+        lineno = 1
+        for lineno, raw in enumerate(lines, 2):
+            if not raw.strip():
+                continue
+            if len(edges) == m:
+                raise GraphParseError(f"line {lineno}: header announced {m} edges but found more")
+            parts = raw.split()
+            if len(parts) != 2:
+                raise GraphParseError(f"line {lineno}: expected 'u v', got {raw!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError(f"line {lineno}: non-integer endpoints {raw!r}") from None
+            if u >= v:
+                raise GraphParseError(f"line {lineno}: edges must satisfy u < v, got {raw!r}")
+            edges.append((u, v))
+        if len(edges) != m:
+            raise GraphParseError(
+                f"line {lineno}: header announced {m} edges but found {len(edges)}"
+            )
         return HostGraph(n, edges)
     except StructureError as exc:
         raise GraphParseError(f"invalid graph: {exc}") from None
@@ -90,26 +96,18 @@ def parse_json(text: str) -> HostGraph:
     # type() and not isinstance(): JSON true and false load as bools, which are ints
     if type(n) is not int or not isinstance(edges, list):
         raise GraphParseError("'n' must be an integer and 'edges' an array")
-    _refuse_oversized(n, len(edges))
-    pairs = []
-    for i, item in enumerate(edges):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(type(x) is int for x in item)
-        ):
-            raise GraphParseError(f"edge #{i} must be a two-element integer array")
-        pairs.append((item[0], item[1]))
     try:
+        _check_cap(n, len(edges))  # before any edge tuple is built
+        pairs = []
+        for i, item in enumerate(edges):
+            if (
+                not isinstance(item, list)
+                or len(item) != 2
+                or not all(type(x) is int for x in item)
+            ):
+                raise GraphParseError(f"edge #{i} must be a two-element integer array")
+            pairs.append((item[0], item[1]))
         return HostGraph(n, pairs)
-    except StructureError as exc:
-        raise GraphParseError(f"invalid graph: {exc}") from None
-
-
-def _refuse_oversized(n: int, m: int) -> None:
-    # before any edge tuple is built
-    try:
-        _check_cap(n, m)
     except StructureError as exc:
         raise GraphParseError(f"invalid graph: {exc}") from None
 
@@ -119,7 +117,7 @@ def load_graph(path: str) -> HostGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from None
     if os.path.splitext(path)[1].lower() == ".json":
         return parse_json(text)

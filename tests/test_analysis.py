@@ -356,7 +356,7 @@ class TestCensusBuilder:
             (game, "addition_decreases"),
             (game, "stability_interval"),
             (game, "_bfs"),
-            (analysis, "removal_increases"),
+            (analysis, "_removal_rises"),
             (analysis, "stability_interval"),
             (graphs, "bfs_all_pairs"),
             (graphs, "_bfs"),
@@ -508,7 +508,7 @@ class TestCompleteStabilityFailures:
         _tampered_census(monkeypatch, 5, five_cycle_at_one)
         ok, detail = _claim_detail("complete-stability", "complete-stability-n5-alpha-one")
         assert not ok
-        assert detail == "mask 665: removal (0,1) increases (4, 4), not (1,1)"
+        assert detail == "mask 665: removal (0,1) raises a sum by 4, not 1"
 
     def test_crosscheck_names_the_shifted_record(self, monkeypatch):
         # the first sampled tree, its interval shifted up by one: lo becomes 1,

@@ -604,13 +604,59 @@ class TestErrors:
                 '{"n": 4, "edges": [[0, 1], [0, 2], [1, 2]]}',
                 "invalid graph: host graph must be connected",
             ),
+            ("negative.txt", "10 -1\n0 1\n", "line 1: negative count in header '10 -1'"),
+            # a UTF-16 byte-order mark: not UTF-8, in either format
+            (
+                "utf16.txt",
+                b"\xff\xfe3\x00 \x002\x00",
+                "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+            (
+                "utf16.json",
+                b"\xff\xfe{\x00}\x00",
+                "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
         ],
     )
     def test_unreadable_graph_exit_2(self, capsys, tmp_path, name, text, message):
         f = tmp_path / name
-        f.write_text(text)
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run(capsys, "sw", "--alpha", "1", "--input", str(f))
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", f"error: {message.replace('{path}', str(f))}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sw", "--alpha", "1", "--input", "K4"],
+            ["gen", "--family", "path", "--n", "4"],
+            ["campaign", "--suite", "closed-forms"],
+            ["sweep", "--alpha", "1", "--input", "K4"],
+        ],
+        ids=["sw", "gen", "campaign", "sweep"],
+    )
+    def test_unwritable_output_exit_2(self, capsys, monkeypatch, tmp_path, k4, argv):
+        # refused before any work: no suite is run and no host is read
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before the output was checked")
+
+        monkeypatch.setattr(analysis, "theorem_campaign", refuse)
+        monkeypatch.setattr(cli.graphio, "load_graph", refuse)
+        argv = [k4 if a == "K4" else a for a in argv]
+        for target in (tmp_path / "absent" / "out.txt", tmp_path):
+            code, out, err = run(capsys, *argv, "--output", str(target))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert [f.name for f in tmp_path.iterdir()] == ["k4.txt"]
+
+    def test_failed_run_leaves_a_kept_output_as_it_was(self, capsys, tmp_path, k4):
+        # the writability check appends nothing, and a kept file is
+        # overwritten only by a run that succeeds
+        kept = tmp_path / "kept.txt"
+        kept.write_text("old\n")
+        code, _, _ = run(capsys, "opt", "--alpha", "1", "--input", k4, "--budget", "0", "--output", str(kept))
+        assert code == 1 and kept.read_text() == "old\n"
+        code, _, _ = run(capsys, "sw", "--alpha", "1", "--input", k4, "--output", str(kept))
+        assert code == 0 and kept.read_text() == "24\n"
 
     @pytest.mark.parametrize(
         "name, text, n, m",

@@ -27,7 +27,7 @@ from sdncg import (
     wheel_clique_network,
     addition_decreases,
 )
-from sdncg import constructions
+from sdncg import constructions, graphs
 
 
 def block_sizes(graph, expected):
@@ -97,13 +97,13 @@ class TestSizeCap:
         assert (build.__name__, host.n, host.m) in seen
 
     def test_boundaries(self, monkeypatch):
-        assert (constructions.MAX_NODES, constructions.MAX_EDGES) == (1 << 16, 16 << 15)  # hypercube(16)
+        assert (graphs.MAX_NODES, graphs.MAX_EDGES) == (1 << 16, 16 << 15)  # hypercube(16)
         with monkeypatch.context() as patch:
             patch.setattr(constructions, "HostGraph", lambda n, edges: (n, len(edges)))
             assert clique(1024) == (1024, 523_776)  # the largest clique under the cap
         refused = [
             lambda: clique(1025),
-            lambda: path(constructions.MAX_NODES + 1),
+            lambda: path(graphs.MAX_NODES + 1),
             lambda: cycle(10**12),
             lambda: star(10**12),
             lambda: path_clique(10**6, 10**5, 2),
@@ -118,6 +118,12 @@ class TestSizeCap:
         for build in refused:
             with pytest.raises(ParameterError, match="above the cap of 65536 nodes and 524288 edges"):
                 build()
+        # graphs._check_cap's text, named by the family
+        with pytest.raises(ParameterError) as info:
+            clique(1025)
+        assert str(info.value) == (
+            "clique: 1025 nodes and 524800 edges are above the cap of 65536 nodes and 524288 edges"
+        )
 
     def test_cli_refuses_in_bounded_memory(self):
         # a child process with 1 GiB of address space: a family that builds

@@ -70,28 +70,43 @@ def test_lines_cut_as_splitlines():
 
 
 def test_surplus_edge_lines_refused_in_bounded_memory():
-    # a header of 9 edges and 700,000 edge lines: refused at line 11, before
+    # 700,000 edge lines under a header of 9 edges, refused at line 11, and
+    # under a header with a negative count, refused at line 1: each before
     # the other lines are split, in a child process whose peak RSS grows by
     # less than 25 MB over the 2.8 MB text
     script = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from sdncg import GraphParseError, parse_text
-text = "10 9\\n" + "0 1\\n" * 700_000
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-try:
-    parse_text(text)
-except GraphParseError as exc:
-    print(exc)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+lines = "0 1\\n" * 700_000
+for header in ("10 9", "10 -1", "-1 9"):
+    text = header + "\\n" + lines
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    try:
+        parse_text(text)
+    except GraphParseError as exc:
+        print(exc)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    del text
 """
     proc = subprocess.run(
         [sys.executable, "-c", script, str(Path(graphio.__file__).parents[1])],
         capture_output=True, text=True, timeout=120,
     )
-    message, growth = proc.stdout.splitlines()
-    assert message == "line 11: header announced 9 edges but found more", proc.stderr
-    assert int(growth) < 25 << 10  # ru_maxrss is in KiB on Linux
+    out = proc.stdout.splitlines()
+    assert out[::2] == [
+        "line 11: header announced 9 edges but found more",
+        "line 1: negative count in header '10 -1'",
+        "line 1: negative count in header '-1 9'",
+    ], proc.stderr
+    for growth in out[1::2]:
+        assert int(growth) < 25 << 10  # ru_maxrss is in KiB on Linux
+
+
+def test_negative_header_counts_refused_at_line_1():
+    for header in ("3 -2", "-3 2", "-1 -1"):
+        with pytest.raises(GraphParseError, match=f"^line 1: negative count in header '{header}'$"):
+            parse_text(header + "\n0 1\n1 2\n")
 
 
 def test_invalid_graph_reported():

@@ -180,3 +180,66 @@ def test_one_module_knows_the_lane_bytes():
                 continue
             found += [(path.name, name) for name in names if name in ("struct", "byteorder")]
     assert found == [("graphs.py", "struct")]
+
+
+def name_uses(sources, names):
+    """Sorted ``(file, name)`` of every use of one of ``names`` in ``sources``
+    (file name to source text): as a plain name, as an attribute, or as an
+    imported name. A mention in a string or a comment is no use."""
+    found = set()
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text, file)):
+            if isinstance(node, ast.Name):
+                used = [node.id]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                used = [a.name for a in node.names]
+            else:
+                continue
+            found.update((file, name) for name in used if name in names)
+    return sorted(found)
+
+
+def _package_sources():
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def test_only_graphs_reads_the_size_cap():
+    # graphs._check_cap is the one comparison against the cap: constructions
+    # and graphio refuse through it
+    uses = name_uses(_package_sources(), {"MAX_NODES", "MAX_EDGES"})
+    assert {file for file, _ in uses} == {"graphs.py"}
+
+
+def test_only_game_calls_the_unit_removal_lemma():
+    # game._removal_rises is the one removal scan: analysis reads it and
+    # never the lemma behind it
+    uses = name_uses(_package_sources(), {"_unit_removals"})
+    assert {file for file, _ in uses} == {"game.py"}
+
+
+def test_detects_name_uses():
+    sources = {
+        "graphs.py": "MAX_NODES = 1\n",
+        "a.py": """
+from .graphs import MAX_EDGES as cap
+from . import graphs
+
+def f(n):
+    return n > graphs.MAX_NODES or cap
+""",
+        "b.py": '''
+"""MAX_NODES is the cap."""
+# MAX_EDGES too
+LIMIT = "MAX_NODES"
+''',
+        "c.py": "from .game import _unit_removals\n",
+        "d.py": "def g(game, st):\n    return game._unit_removals(st)\n",
+    }
+    assert name_uses(sources, {"MAX_NODES", "MAX_EDGES"}) == [
+        ("a.py", "MAX_EDGES"),
+        ("a.py", "MAX_NODES"),
+        ("graphs.py", "MAX_NODES"),
+    ]
+    assert name_uses(sources, {"_unit_removals"}) == [("c.py", "_unit_removals"), ("d.py", "_unit_removals")]
