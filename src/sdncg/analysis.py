@@ -788,6 +788,16 @@ def _claim(cid: str, ok: bool, detail: str = "") -> dict:
     return {"id": cid, "pass": bool(ok), "detail": detail}
 
 
+def _first(counterexamples, detail: str) -> tuple[bool, str]:
+    """``(False, text)`` for the first text that ``counterexamples`` yields,
+    else ``(True, detail)``. Nothing after the first text is computed, so a
+    failing claim reports its first counterexample in corpus order and
+    stops there; a passing claim runs its generator to the end."""
+    for text in counterexamples:
+        return False, text
+    return True, detail
+
+
 @cache
 def _complete_census(n: int):
     """K_n and its census, memoized per n for the life of the process:
@@ -829,14 +839,7 @@ def _small_hosts(count: int, seed: int) -> list[HostGraph]:
 
 
 def _suite_closed_forms(seed: int) -> list[dict]:
-    claims = []
-    for family, gen in (
-        ("path", path),
-        ("clique", clique),
-        ("cycle", cycle),
-        ("star", star),
-    ):
-        bad = None
+    def misses(family, gen):
         for n in range(3, 51):
             st = full_state(gen(n))
             key = family if family != "cycle" else ("cycle_odd" if n % 2 else "cycle_even")
@@ -844,18 +847,13 @@ def _suite_closed_forms(seed: int) -> list[dict]:
                 want = closed_form_sw(key, n, a)
                 got = social_welfare(st, a)
                 if got != want:
-                    bad = f"n={n} alpha={a}: welfare {got} != formula {want}"
-                    break
-            if bad:
-                break
-        claims.append(
-            _claim(
-                f"closed-form-{family}",
-                bad is None,
-                bad or "exact equality for 3 <= n <= 50, alpha in {1/2, 1, n/3, n}",
-            )
-        )
-    return claims
+                    yield f"n={n} alpha={a}: welfare {got} != formula {want}"
+
+    detail = "exact equality for 3 <= n <= 50, alpha in {1/2, 1, n/3, n}"
+    return [
+        _claim(f"closed-form-{family}", *_first(misses(family, gen), detail))
+        for family, gen in (("path", path), ("clique", clique), ("cycle", cycle), ("star", star))
+    ]
 
 
 def _suite_complete_optimum(seed: int) -> list[dict]:
@@ -916,27 +914,21 @@ def _suite_complete_stability(seed: int) -> list[dict]:
 
         a_one = Fraction(1)
         s_one = stable_set(a_one)
-        ok = trees <= s_one and full_mask in s_one
-        bad = ""
-        for mask in sorted(s_one - trees):
-            # removing a non-bridge edge raises both endpoint sums by at least
-            # 1, so a larger rise of 1 means both rise by exactly 1
-            for u, v, rise in _removal_rises(GameState._from_mask(host, mask)):
-                if rise != 1:
-                    ok = False
-                    bad = f"mask {mask}: removal ({u},{v}) raises a sum by {rise}, not 1"
-                    break
-            if bad:
-                break
-        claims.append(
-            _claim(
-                f"complete-stability-n{n}-alpha-one",
-                ok,
-                bad
-                or f"alpha=1: trees and clique patterns ({len(s_one) - len(trees)} non-tree states, "
-                f"all with unit removal increases)",
-            )
+        # removing a non-bridge edge raises both endpoint sums by at least 1,
+        # so a larger rise of 1 means both rise by exactly 1
+        non_unit = (
+            f"mask {mask}: removal ({u},{v}) raises a sum by {rise}, not 1"
+            for mask in sorted(s_one - trees)
+            for u, v, rise in _removal_rises(GameState._from_mask(host, mask))
+            if rise != 1
         )
+        ok, detail = _first(
+            non_unit,
+            f"alpha=1: trees and clique patterns ({len(s_one) - len(trees)} non-tree states, "
+            f"all with unit removal increases)",
+        )
+        ok = ok and trees <= s_one and full_mask in s_one
+        claims.append(_claim(f"complete-stability-n{n}-alpha-one", ok, detail))
 
         a_path = t.path_stable_limit
         path_mask = 0
@@ -967,93 +959,83 @@ def _suite_complete_stability(seed: int) -> list[dict]:
         # independent cross-check of the interval machinery on a sample
         rng = random.Random(seed * 1009 + n)
         sample = rng.sample(recs, min(40, len(recs)))
-        mismatch = ""
-        for mask, _, _, lo, hi in sample:
-            # one move scan per state answers all four alphas
-            scanned = stability_interval(GameState._from_mask(host, mask))
-            for a in (Fraction(3, 4), a_one, a_path, a_big):
-                if stable_in_interval(scanned, a) != stable_in_interval((lo, hi), a):
-                    mismatch = f"mask {mask} alpha {a}"
-                    break
-            if mismatch:
-                break
-        claims.append(
-            _claim(
-                f"complete-stability-n{n}-crosscheck",
-                not mismatch,
-                mismatch or f"{len(sample)} sampled states agree with the full checker",
-            )
+        # one move scan per state answers all four alphas
+        scans = (
+            (mask, (lo, hi), stability_interval(GameState._from_mask(host, mask)))
+            for mask, _, _, lo, hi in sample
         )
+        mismatches = (
+            f"mask {mask} alpha {a}"
+            for mask, census, scanned in scans
+            for a in (Fraction(3, 4), a_one, a_path, a_big)
+            if stable_in_interval(scanned, a) != stable_in_interval(census, a)
+        )
+        detail = f"{len(sample)} sampled states agree with the full checker"
+        claims.append(_claim(f"complete-stability-n{n}-crosscheck", *_first(mismatches, detail)))
     return claims
 
 
 def _suite_smrcst_stability(seed: int) -> list[dict]:
     hosts = _smrcst_hosts(seed)
-    unstable = ""
-    weak_edge = ""
-    for h in hosts:
-        third = threshold_table(h.n).clique_optimal
-        for pivot in ("best", "first"):
-            # hi is the smallest larger-endpoint drop over the non-tree edges
-            lo, hi = stability_interval(smrcst(h, pivot).tree.tree)
-            if not stable_in_interval((lo, hi), third):
-                unstable = unstable or f"n={h.n} m={h.m} pivot={pivot}"
-            if hi is not None and hi < third:
-                weak_edge = weak_edge or (
-                    f"n={h.n} pivot={pivot}: a non-tree edge drops both "
-                    f"endpoint sums by at most {hi}, below n/3"
-                )
+    # one interval per (host, pivot), read by both claims; its hi is the
+    # smallest larger-endpoint drop over the non-tree edges
+    runs = [
+        (h, pivot, third, stability_interval(smrcst(h, pivot).tree.tree))
+        for h, third in ((h, threshold_table(h.n).clique_optimal) for h in hosts)
+        for pivot in ("best", "first")
+    ]
+    unstable = (
+        f"n={h.n} m={h.m} pivot={pivot}"
+        for h, pivot, third, interval in runs
+        if not stable_in_interval(interval, third)
+    )
+    weak_edges = (
+        f"n={h.n} pivot={pivot}: a non-tree edge drops both "
+        f"endpoint sums by at most {hi}, below n/3"
+        for h, pivot, third, (_, hi) in runs
+        if hi is not None and hi < third
+    )
     return [
         _claim(
             "smrcst-stable-at-n-third",
-            not unstable,
-            unstable or f"{len(hosts)} hosts, both pivots, stable at alpha=n/3",
+            *_first(unstable, f"{len(hosts)} hosts, both pivots, stable at alpha=n/3"),
         ),
         _claim(
             "smrcst-per-edge-distance-drop",
-            not weak_edge,
-            weak_edge or "every non-tree host edge drops some endpoint sum by >= n/3",
+            *_first(weak_edges, "every non-tree host edge drops some endpoint sum by >= n/3"),
         ),
     ]
 
 
 def _suite_mrcst_optimality(seed: int) -> list[dict]:
     hosts = _optimum_hosts(seed)
-    bad = ""
-    for h in hosts:
-        mr = mrcst_exact(h)
-        recs = host_census(h)
-        for a in (Fraction(1, 2), Fraction(1)):
-            opt_w = _optima(recs, a)[0]
-            sw = social_welfare(mr.tree, a)
-            if sw != opt_w:
-                bad = bad or f"n={h.n} m={h.m} alpha={a}: SW(MRCST)={sw} != SW(OPT)={opt_w}"
-    return [
-        _claim(
-            "mrcst-socially-optimal",
-            not bad,
-            bad or f"{len(hosts)} hosts, alpha in {{1/2, 1}}: exact welfare equality",
-        )
-    ]
+
+    def misses():
+        for h in hosts:
+            mr = mrcst_exact(h)
+            recs = host_census(h)
+            for a in (Fraction(1, 2), Fraction(1)):
+                opt_w = _optima(recs, a)[0]
+                sw = social_welfare(mr.tree, a)
+                if sw != opt_w:
+                    yield f"n={h.n} m={h.m} alpha={a}: SW(MRCST)={sw} != SW(OPT)={opt_w}"
+
+    detail = f"{len(hosts)} hosts, alpha in {{1/2, 1}}: exact welfare equality"
+    return [_claim("mrcst-socially-optimal", *_first(misses(), detail))]
 
 
 def _suite_host_uniqueness(seed: int) -> list[dict]:
     hosts = _small_hosts(50, seed)
-    bad = ""
-    for h in hosts:
-        a = threshold_table(h.n).host_unique + 1
-        atlas = enumerate_stable_states(h, a)
-        want = (1 << h.m) - 1
-        got = sorted(st.mask for st in atlas.stable_states)
-        if got != [want]:
-            bad = bad or f"n={h.n} m={h.m} alpha={a}: stable masks {got[:4]}"
-    return [
-        _claim(
-            "host-unique-above-threshold",
-            not bad,
-            bad or f"{len(hosts)} hosts at alpha=(n^2-5n+8)/2 + 1: stable set is exactly the host",
-        )
-    ]
+
+    def misses():
+        for h in hosts:
+            a = threshold_table(h.n).host_unique + 1
+            got = sorted(st.mask for st in enumerate_stable_states(h, a).stable_states)
+            if got != [(1 << h.m) - 1]:
+                yield f"n={h.n} m={h.m} alpha={a}: stable masks {got[:4]}"
+
+    detail = f"{len(hosts)} hosts at alpha=(n^2-5n+8)/2 + 1: stable set is exactly the host"
+    return [_claim("host-unique-above-threshold", *_first(misses(), detail))]
 
 
 def _suite_improving_cycle(seed: int) -> list[dict]:
@@ -1128,70 +1110,54 @@ def _suite_poa_pos(seed: int) -> list[dict]:
             t.path_stable_limit,
             t.clique_unique + Fraction(1, 4),
         )
-        bad = ""
-        for a in grid:
-            opt, count, _, best = _read_census(classes[n], a)
-            if not count or best != opt:
-                bad = bad or f"n={n} alpha={a}: PoS != 1"
-        claims.append(
-            _claim(
-                f"pos-complete-n{n}",
-                not bad,
-                bad or f"PoS(K_{n}) = 1 across alpha grid {[str(a) for a in grid]}",
-            )
+        reads = ((a, *_read_census(classes[n], a)) for a in grid)
+        misses = (
+            f"n={n} alpha={a}: PoS != 1"
+            for a, opt, count, _, best in reads
+            if not count or best != opt
         )
+        detail = f"PoS(K_{n}) = 1 across alpha grid {[str(a) for a in grid]}"
+        claims.append(_claim(f"pos-complete-n{n}", *_first(misses, detail)))
     hosts = _small_hosts(20, seed)
-    bad = ""
-    for h in hosts:
-        a = threshold_table(h.n).host_optimal + 1
-        val = poa_exact(h, a)
-        if val != 1:
-            bad = bad or f"n={h.n} m={h.m} alpha={a}: PoA = {val}"
-    claims.append(
-        _claim(
-            "poa-one-above-host-optimal",
-            not bad,
-            bad or f"{len(hosts)} hosts at alpha = n(n-1)(n-2)/6 + 1: PoA = 1",
-        )
-    )
+
+    def poa_misses():
+        for h in hosts:
+            a = threshold_table(h.n).host_optimal + 1
+            val = poa_exact(h, a)
+            if val != 1:
+                yield f"n={h.n} m={h.m} alpha={a}: PoA = {val}"
+
+    detail = f"{len(hosts)} hosts at alpha = n(n-1)(n-2)/6 + 1: PoA = 1"
+    claims.append(_claim("poa-one-above-host-optimal", *_first(poa_misses(), detail)))
     return claims
 
 
 def _suite_smrcst_certificates(seed: int) -> list[dict]:
-    hosts = _smrcst_hosts(seed)
-    bad = ""
-    for h in hosts:
-        for pivot in ("best", "first"):
-            res = smrcst(h, pivot)
+    def refusals(cases):
+        # each case is (label, check, *args): the label and text of every
+        # CertificateError that check(*args) raises
+        for label, check, *args in cases:
             try:
-                smrcst_certificates(res, h)
+                check(*args)
             except CertificateError as exc:
-                bad = bad or f"n={h.n} m={h.m} pivot={pivot}: {exc}"
-    claims = [
-        _claim(
-            "smrcst-certificates-corpus",
-            not bad,
-            bad
-            or f"{len(hosts)} hosts, both pivots: iteration bound, 9*rc >= n*l^2, swap-maximal rescan",
-        )
-    ]
+                yield f"{label}: {exc}"
+
+    hosts = _smrcst_hosts(seed)
+    corpus = (
+        (f"n={h.n} m={h.m} pivot={pivot}", smrcst_certificates, smrcst(h, pivot), h)
+        for h in hosts
+        for pivot in ("best", "first")
+    )
+    detail = f"{len(hosts)} hosts, both pivots: iteration bound, 9*rc >= n*l^2, swap-maximal rescan"
+    claims = [_claim("smrcst-certificates-corpus", *_first(refusals(corpus), detail))]
     opt_hosts = _optimum_hosts(seed)
     alphas = _APPROXIMATION_ALPHAS
-    bad = ""
-    for h in opt_hosts:
-        try:
-            approximation_report(h, alphas)
-        except CertificateError as exc:
-            bad = bad or f"n={h.n} m={h.m}: {exc}"
-    claims.append(
-        _claim(
-            "mrcst-approximation-bound",
-            not bad,
-            bad
-            or f"{len(opt_hosts)} hosts: SW(OPT)/SW(MRCST) <= m/(n-1) + 1 at alpha in "
-            f"{{{', '.join(map(str, alphas))}}}",
-        )
+    reports = ((f"n={h.n} m={h.m}", approximation_report, h, alphas) for h in opt_hosts)
+    detail = (
+        f"{len(opt_hosts)} hosts: SW(OPT)/SW(MRCST) <= m/(n-1) + 1 at alpha in "
+        f"{{{', '.join(map(str, alphas))}}}"
     )
+    claims.append(_claim("mrcst-approximation-bound", *_first(refusals(reports), detail)))
     return claims
 
 

@@ -43,13 +43,16 @@ def parse_alpha(text: str) -> Fraction:
     """Parse an exact rational from ``"p"`` or ``"p/q"`` text.
 
     Decimal notation is rejected on purpose: boundary cases like alpha = n/3
-    must be decided exactly, and a float detour can corrupt them.
+    must be decided exactly, and a float detour can corrupt them. So are
+    other scripts' digits and ``_``, which ``int()`` would read.
     """
     s = text.strip()
     if "." in s or "e" in s.lower():
         raise ParameterError(
             f"alpha must be an exact rational like '7/3' or '2', got {text!r}"
         )
+    if not s.isascii() or "_" in s:
+        raise ParameterError(f"cannot parse alpha {text!r}: digits must be ASCII 0-9, with no '_'")
     try:
         if "/" in s:
             num, den = s.split("/")
@@ -64,11 +67,12 @@ def parse_alpha(text: str) -> Fraction:
 
 
 def as_alpha(value) -> Fraction:
-    """Coerce an int/Fraction/str to a positive exact rational; floats are refused."""
+    """Coerce an int/Fraction/str to a positive exact rational; floats and
+    bools are refused."""
     if isinstance(value, str):
         return parse_alpha(value)
-    if isinstance(value, float):
-        raise ParameterError("alpha must be exact (int, Fraction, or 'p/q' string)")
+    if isinstance(value, (bool, float)):
+        raise ParameterError(f"alpha must be exact (int, Fraction, or 'p/q' string), got {value!r}")
     out = Fraction(value)
     if out <= 0:
         raise ParameterError(f"alpha must be positive, got {out}")

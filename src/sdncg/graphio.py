@@ -6,7 +6,8 @@ whitespace-separated endpoints and u < v. JSON format: an object with fields
 losslessly; edges are always emitted sorted.
 Every failure to read a graph, an unopenable or non-UTF-8 file included, is
 a ``GraphParseError``; each parser checks ``graphs._check_cap`` before any
-edge tuple is built, in the one wrap around ``HostGraph``.
+edge tuple is built, in the one wrap around ``HostGraph``. Text is parsed
+one newline-ended piece at a time, a file as it is read; JSON is read whole.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ def parse_text(text: str) -> HostGraph:
     """Parse the text format, one line at a time: a header with a negative
     count or above the size cap is refused at line 1, and the first edge
     line past its count there."""
-    lines = _lines(text)
+    return _parse_pieces(_pieces(text))
+
+
+def _parse_pieces(pieces) -> HostGraph:
+    """``parse_text`` of the text that ``pieces`` make up."""
+    lines = _lines(pieces)
     first = next(lines, "")
     if not first.strip():
         raise GraphParseError("line 1: expected header 'n m'")
@@ -69,14 +75,23 @@ def parse_text(text: str) -> HostGraph:
         raise GraphParseError(f"invalid graph: {exc}") from None
 
 
-def _lines(text: str):
-    """The lines of ``text`` as ``str.splitlines`` cuts them, one
-    newline-ended piece at a time."""
+def _pieces(text: str):
+    """``text`` in newline-ended slices, the pieces ``io.StringIO(text)``
+    gives, without the copy of four bytes per character it makes first."""
     start = 0
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
+
+
+def _lines(pieces):
+    """The lines of the text that ``pieces`` make up, as ``str.splitlines``
+    cuts that text. Each piece ends with a newline, the last one may not,
+    as ``_pieces`` and a file opened with ``newline="\n"`` give them, so
+    no piece splits a ``"\r\n"``."""
+    for piece in pieces:
+        yield from piece.splitlines()
 
 
 def dump_json(graph: HostGraph) -> str:
@@ -113,12 +128,13 @@ def parse_json(text: str) -> HostGraph:
 
 
 def load_graph(path: str) -> HostGraph:
-    """Load a graph file; JSON when the extension is .json, text otherwise."""
+    """Load a graph file; JSON when the extension is .json, text otherwise.
+    A JSON file is read whole. A text file is parsed as it is read, one
+    newline-ended piece at a time, so a refusal at line k reads the file
+    little further than line k."""
+    is_json = os.path.splitext(path)[1].lower() == ".json"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="utf-8", newline=None if is_json else "\n") as fh:
+            return parse_json(fh.read()) if is_json else _parse_pieces(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from None
-    if os.path.splitext(path)[1].lower() == ".json":
-        return parse_json(text)
-    return parse_text(text)

@@ -4,6 +4,7 @@ import io
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -943,6 +944,25 @@ class TestMrcstOptimality:
             mr = mrcst_exact(h)
             for a in (Fraction(1, 2), Fraction(1)):
                 assert social_welfare(mr.tree, a) == optimum_exact(h, a, 1 << 22).welfare
+
+    def test_claim_stops_at_its_first_counterexample(self, monkeypatch):
+        # hosts 0 and 1 get a star for their MRCST, which a path beats at
+        # alpha 1/2; the claim names host 0 and never checks host 2
+        hosts = [clique(4), clique(5), clique(6)]
+
+        def star_tree(h):
+            if h is hosts[2]:
+                raise AssertionError("checked a host after the first counterexample")
+            return SimpleNamespace(tree=GameState(h, [(0, v) for v in range(1, h.n)]))
+
+        monkeypatch.setattr(analysis, "_optimum_hosts", lambda seed: hosts)
+        monkeypatch.setattr(analysis, "mrcst_exact", star_tree)
+        sw = social_welfare(GameState(hosts[0], [(0, 1), (0, 2), (0, 3)]), Fraction(1, 2))
+        opt = optimum_exact(hosts[0], Fraction(1, 2)).welfare
+        assert sw < opt
+        ok, detail = _claim_detail("mrcst-optimality", "mrcst-socially-optimal")
+        assert not ok
+        assert detail == f"n=4 m=6 alpha=1/2: SW(MRCST)={sw} != SW(OPT)={opt}"
 
 
 class TestHostUniqueness:

@@ -233,6 +233,13 @@ class TestStable:
         code, _, err = run(capsys, "stable", "--alpha", "0.5", "--input", k4)
         assert code == 2 and "exact rational" in err
 
+    @pytest.mark.parametrize("alpha", ["\u0663", "1_0"], ids=["arabic-indic-3", "underscore"])
+    def test_alpha_beyond_ascii_digits_exit_2(self, capsys, k4, alpha):
+        # int() would read these as 3 and 10
+        code, out, err = run(capsys, "sw", "--alpha", alpha, "--input", k4)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse alpha '{alpha}': digits must be ASCII 0-9, with no '_'\n"
+
 
 class TestDynamics:
     def test_first_policy_golden(self, capsys, k4):
@@ -623,6 +630,16 @@ class TestErrors:
         f.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run(capsys, "sw", "--alpha", "1", "--input", str(f))
         assert (code, out, err) == (2, "", f"error: {message.replace('{path}', str(f))}\n")
+
+    def test_undecodable_byte_past_the_first_chunk_exit_2(self, capsys, tmp_path):
+        # the file is read as it is parsed: the bad byte comes after three
+        # good lines and more than one read of the file
+        f = tmp_path / "late.txt"
+        f.write_bytes(b"3 2\n0 1\n1 2\n" + b"\n" * 20_000 + b"\xff\n")
+        code, out, err = run(capsys, "sw", "--alpha", "1", "--input", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -89,6 +89,21 @@ class TestAlpha:
             with pytest.raises(ParameterError):
                 parse_alpha(bad)
 
+    def test_rejects_digits_beyond_ascii(self):
+        # int() reads these as 3, 10, 3/4 and 12: alpha is "p" or "p/q" in 0-9
+        for bad in ("\u0663", "1_0", "\u0663/\u0664", "\uff11\uff12"):
+            with pytest.raises(ParameterError, match=f"^cannot parse alpha '{bad}': "):
+                parse_alpha(bad)
+        assert parse_alpha("7 / 3") == Fraction(7, 3)
+        assert parse_alpha("+2") == 2
+
+    def test_rejects_bools(self):
+        # bool is a subclass of int, so Fraction(True) would be 1
+        for bad in (True, False):
+            with pytest.raises(ParameterError, match=f"got {bad}$"):
+                game.as_alpha(bad)
+        assert game.as_alpha(1) == 1
+
     def test_rejects_float_values(self):
         with pytest.raises(ParameterError):
             utility(full_state(path(3)), 0, 0.5)

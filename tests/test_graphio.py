@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -63,10 +64,31 @@ def test_edge_count_mismatch():
         parse_text("3 2\n0 1\n\n1 2\n0 2\n")
 
 
-def test_lines_cut_as_splitlines():
-    # one newline-ended piece at a time, the same lines as str.splitlines
+def test_lines_cut_as_splitlines(tmp_path):
+    # one newline-ended piece at a time, the same lines as str.splitlines,
+    # whether the pieces are slices of a string, io.StringIO's or a file's
+    f = tmp_path / "pieces.txt"
     for text in ("", "\n", "a", "a\n", "a\r\nb", "a\r\rb\n\n", "\x0ca\r\x1c\n\x0c\x85\n\x1c", "a\n\rb\r"):
-        assert list(graphio._lines(text)) == text.splitlines(), repr(text)
+        f.write_bytes(text.encode())
+        with open(f, encoding="utf-8", newline="\n") as fh:
+            from_file = list(graphio._lines(fh))
+        assert list(graphio._lines(graphio._pieces(text))) == text.splitlines(), repr(text)
+        assert list(graphio._lines(io.StringIO(text))) == text.splitlines(), repr(text)
+        assert from_file == text.splitlines(), repr(text)
+
+
+# The head of a child process's script: puts the package on its path and
+# defines its own peak RSS in KiB. Not ru_maxrss, which Linux carries from
+# the parent across fork and exec: a child of a large test process would
+# start at that peak and show no growth.
+PEAK_KIB = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+"""
 
 
 def test_surplus_edge_lines_refused_in_bounded_memory():
@@ -74,19 +96,17 @@ def test_surplus_edge_lines_refused_in_bounded_memory():
     # under a header with a negative count, refused at line 1: each before
     # the other lines are split, in a child process whose peak RSS grows by
     # less than 25 MB over the 2.8 MB text
-    script = """
-import resource, sys
-sys.path.insert(0, sys.argv[1])
+    script = PEAK_KIB + """
 from sdncg import GraphParseError, parse_text
 lines = "0 1\\n" * 700_000
 for header in ("10 9", "10 -1", "-1 9"):
     text = header + "\\n" + lines
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = peak_kib()
     try:
         parse_text(text)
     except GraphParseError as exc:
         print(exc)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    print(peak_kib() - before)
     del text
 """
     proc = subprocess.run(
@@ -100,7 +120,34 @@ for header in ("10 9", "10 -1", "-1 9"):
         "line 1: negative count in header '-1 9'",
     ], proc.stderr
     for growth in out[1::2]:
-        assert int(growth) < 25 << 10  # ru_maxrss is in KiB on Linux
+        assert int(growth) < 25 << 10
+
+
+def test_surplus_edge_lines_in_a_file_refused_in_bounded_memory(tmp_path):
+    # a 28 MB file, 7,000,000 edge lines under a header of 9 edges, refused
+    # at line 11 while the file is read, in a child process whose peak RSS
+    # grows by less than 10 MB
+    f = tmp_path / "surplus.txt"
+    with open(f, "w") as fh:
+        fh.write("10 9\n")
+        for _ in range(70):
+            fh.write("0 1\n" * 100_000)
+    script = PEAK_KIB + """
+from sdncg import GraphParseError, load_graph
+before = peak_kib()
+try:
+    load_graph(sys.argv[2])
+except GraphParseError as exc:
+    print(exc)
+print(peak_kib() - before)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(Path(graphio.__file__).parents[1]), str(f)],
+        capture_output=True, text=True, timeout=120,
+    )
+    message, growth = proc.stdout.splitlines()
+    assert message == "line 11: header announced 9 edges but found more", proc.stderr
+    assert int(growth) < 10 << 10
 
 
 def test_negative_header_counts_refused_at_line_1():

@@ -57,6 +57,53 @@ def fine(host):
     assert [name for name, _ in self_calls(ast.parse(code))] == ["rec", "inner", "walk"]
 
 
+def accumulators(tree):
+    """``(name, line)`` of every ``name = name or ...`` assignment: it keeps
+    the first value it meets and still computes every later one. The way to
+    keep a first counterexample is to stop at it (``analysis._first``)."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.BoolOp)
+            and isinstance(node.value.op, ast.Or)
+            and isinstance(node.value.values[0], ast.Name)
+            and node.value.values[0].id == node.targets[0].id
+        ):
+            found.append((node.targets[0].id, node.lineno))
+    return found
+
+
+def test_no_first_value_accumulator():
+    hits = {
+        path.name: accumulators(ast.parse(path.read_text(), str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
+def test_detects_accumulators():
+    code = """
+def suite(hosts):
+    bad = ""
+    weak = None
+    for h in hosts:
+        if h.bad:
+            bad = bad or f"n={h.n}"
+        for x in h.xs:
+            weak = weak or (
+                f"x={x}"
+            )
+    ok = bad or weak
+    bad = weak or bad
+    weak = weak and bad
+    return bad
+"""
+    assert accumulators(ast.parse(code)) == [("bad", 7), ("weak", 9)]
+
+
 def unreferenced_privates(sources):
     """``(file, name)`` of every module-level private function or class that
     no code in ``sources`` (file name to source text) reads outside its own
