@@ -667,16 +667,20 @@ def approximation_report(host: HostGraph, alphas, subset_budget: int = CENSUS_BU
 
 def random_connected_host(n: int, p: float, rng: random.Random) -> HostGraph:
     """Random spanning tree unioned with Bernoulli(p) extra edges."""
-    order = list(range(n))
-    rng.shuffle(order)
-    chosen = set()
-    for i in range(1, n):
-        chosen.add(edge(order[i], order[rng.randrange(i)]))
+    chosen = _random_tree(n, rng)
     for u in range(n):
         for v in range(u + 1, n):
             if (u, v) not in chosen and rng.random() < p:
                 chosen.add((u, v))
     return HostGraph(n, chosen)
+
+
+def _random_tree(n: int, rng: random.Random) -> set:
+    """The spanning tree ``random_connected_host`` draws first, one
+    ``rng.randrange`` per node after a shuffle."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return {edge(order[i], order[rng.randrange(i)]) for i in range(1, n)}
 
 
 # consecutive draws over the edge cap after which host_corpus gives up: a cap
@@ -706,8 +710,16 @@ def host_corpus(
     while len(out) < count:
         n = rng.randint(*n_range)
         p = rng.uniform(*p_range)
-        h = random_connected_host(n, p, rng)
-        if max_edges is not None and h.m > max_edges:
+        if max_edges is not None and n - 1 > max(max_edges, 0):
+            # a tree on two or more nodes over the cap: the same draws, the
+            # extra-edge ones skipped 4096 at a time, two 32-bit words each
+            _random_tree(n, rng)
+            for skip in range((n - 1) * (n - 2) // 2, 0, -4096):
+                rng.getrandbits(64 * min(skip, 4096))
+            h = None
+        else:
+            h = random_connected_host(n, p, rng)
+        if h is None or (max_edges is not None and h.m > max_edges):
             rejects += 1
             if rejects == _MAX_REJECTS:
                 raise ParameterError(

@@ -31,6 +31,13 @@ def _out(args, text):
         sys.stdout.write(text)
 
 
+def _emit(args, payload, text, head=""):
+    """Write ``head``, then what the function ``payload`` builds as one JSON
+    line under ``--format json``, or else ``text``: text mode builds no
+    JSON-only field."""
+    _out(args, head + (json.dumps(payload()) + "\n" if args.format == "json" else text))
+
+
 def _sizes(text):
     try:
         return tuple(int(s) for s in text.split(","))
@@ -38,56 +45,56 @@ def _sizes(text):
         raise ParameterError(f"--sizes must be comma-separated integers, got {text!r}") from None
 
 
-# per builder parameter of the constructions, the gen flag that sets it
-_GEN_FLAGS = {"n": "n", "d": "d", "k": "k", "c": "c", "alpha": "alpha", "base": "input", "sizes": "sizes"}
+# per builder parameter of the constructions: the gen flag that sets it and
+# what reads that flag's value; an empty string is no value
+_GEN_FLAGS = {
+    "n": ("n", int),
+    "d": ("d", int),
+    "k": ("k", int),
+    "c": ("c", int),
+    "alpha": ("alpha", game.parse_alpha),
+    "base": ("input", graphio.load_graph),
+    "sizes": ("sizes", _sizes),
+}
 
 
 def _cmd_gen(args):
     fn, names = constructions._FAMILY_BUILDERS[args.family]
-    for name, flag in _GEN_FLAGS.items():
+    for name, (flag, _) in _GEN_FLAGS.items():
         if name not in names and getattr(args, flag) is not None:
             raise ParameterError(f"family {args.family!r} does not take --{flag}")
-    values = {
-        "n": args.n,
-        "d": args.d,
-        "k": args.k,
-        "c": args.c,
-        "alpha": game.parse_alpha(args.alpha) if args.alpha else None,
-        "base": graphio.load_graph(args.input) if args.input else None,
-        "sizes": _sizes(args.sizes) if args.sizes else None,
-    }
+    values = {}  # every given value is read before a missing one is named
+    for name, (flag, read) in _GEN_FLAGS.items():
+        raw = getattr(args, flag)
+        values[name] = None if raw in (None, "") else read(raw)
     for name in names:
         # path-clique ignores c when k is 0 or n, and checks it otherwise
         if values[name] is None and not (args.family == "path-clique" and name == "c"):
             raise ParameterError(f"family {args.family!r} requires parameter {name!r}")
     g = fn(*(values[name] for name in names))
-    text = graphio.dump_json(g) if args.format == "json" else graphio.dump_text(g)
-    _out(args, text)
-    return 0
+    _out(args, graphio.dump_json(g) if args.format == "json" else graphio.dump_text(g))
 
 
 def _cmd_sw(args):
     host = graphio.load_graph(args.input)
     value = game.social_welfare(full_state(host), game.parse_alpha(args.alpha))
     _out(args, analysis.format_exact(value) + "\n")
-    return 0
 
 
 def _cmd_stable(args):
     host = graphio.load_graph(args.input)
     report = game.is_pairwise_stable(full_state(host), game.parse_alpha(args.alpha))
-    if args.format == "json":
-        payload = {
+
+    def payload():
+        return {
             "stable": report.stable,
             "stable_against_addition": report.stable_against_addition,
             "stable_against_removal": report.stable_against_removal,
             "witnesses": [str(m) for m in report.witnesses],
             "moves_examined": report.moves_examined,
         }
-        _out(args, json.dumps(payload) + "\n")
-    else:
-        _out(args, ("stable" if report.stable else "unstable") + "\n")
-    return 0
+
+    _emit(args, payload, ("stable" if report.stable else "unstable") + "\n")
 
 
 def _cmd_dynamics(args):
@@ -98,39 +105,30 @@ def _cmd_dynamics(args):
     outcome = game.run_dynamics(
         full_state(host), alpha, policy=args.policy, budget=args.budget, seed=args.seed
     )
-    lines = []
-    if args.policy == "random":
-        lines.append(f"# seed: {args.seed}")
-    if args.format == "json":
-        payload = {
+
+    def payload():
+        return {
             "terminal": outcome.terminal,
             "steps": outcome.steps,
             "cycle_start": outcome.cycle_start,
             "moves": [str(mv) for _, mv in outcome.trajectory],
             "final_edges": sorted(outcome.final_state.active),
         }
-        lines.append(json.dumps(payload))
-    else:
-        lines.append(f"terminal: {outcome.terminal}")
-        lines.append(f"steps: {outcome.steps}")
-        if outcome.cycle_start is not None:
-            lines.append(f"cycle_start: {outcome.cycle_start}")
-    _out(args, "\n".join(lines) + "\n")
-    return 0
+
+    text = f"terminal: {outcome.terminal}\nsteps: {outcome.steps}\n"
+    if outcome.cycle_start is not None:
+        text += f"cycle_start: {outcome.cycle_start}\n"
+    _emit(args, payload, text, head=f"# seed: {args.seed}\n" if args.policy == "random" else "")
 
 
 def _emit_tree(args, scaffold, **extra):
     tree = scaffold.tree
-    if args.format == "json":
-        payload = {
-            "n": tree.host.n,
-            "edges": [list(e) for e in sorted(tree.active)],
-            "routing_cost": scaffold.total,
-            **extra,
-        }
-        _out(args, json.dumps(payload) + "\n")
-    else:
-        _out(args, graphio.dump_text(HostGraph(tree.host.n, tree.active)))
+
+    def payload():
+        edges = [list(e) for e in sorted(tree.active)]
+        return {"n": tree.host.n, "edges": edges, "routing_cost": scaffold.total, **extra}
+
+    _emit(args, payload, graphio.dump_text(HostGraph(tree.host.n, tree.active)))
 
 
 def _cmd_smrcst(args):
@@ -139,91 +137,72 @@ def _cmd_smrcst(args):
     _emit_tree(
         args, result.tree, iterations=result.iterations, seed_path_length=result.seed_path_length
     )
-    return 0
 
 
 def _cmd_mrcst(args):
     host = graphio.load_graph(args.input)
     scaffold = spanning.mrcst_exact(host, args.budget)
     _emit_tree(args, scaffold)
-    return 0
 
 
 def _cmd_opt(args):
     host = graphio.load_graph(args.input)
     result = analysis.optimum_exact(host, game.parse_alpha(args.alpha), args.budget)
-    if args.format == "json":
-        payload = {
-            "welfare": analysis.format_exact(result.welfare),
+    welfare = analysis.format_exact(result.welfare)
+
+    def payload():
+        return {
+            "welfare": welfare,
             "optima": len(result.best_states),
             "states_examined": result.states_examined,
             "best_edges": [sorted(st.active) for st in result.best_states],
         }
-        _out(args, json.dumps(payload) + "\n")
-    else:
-        _out(args, analysis.format_exact(result.welfare) + "\n")
-    return 0
+
+    _emit(args, payload, welfare + "\n")
 
 
 def _cmd_atlas(args):
     host = graphio.load_graph(args.input)
     atlas = analysis.enumerate_stable_states(host, game.parse_alpha(args.alpha), args.budget)
-    if args.format == "json":
-        payload = {
+    worst = analysis.format_exact(atlas.worst_welfare)
+    best = analysis.format_exact(atlas.best_welfare)
+
+    def payload():
+        return {
             "stable_count": atlas.stable_count,
-            "sw_worst_stable": analysis.format_exact(atlas.worst_welfare),
-            "sw_best_stable": analysis.format_exact(atlas.best_welfare),
+            "sw_worst_stable": worst,
+            "sw_best_stable": best,
             "states_examined": atlas.states_examined,
             "stable_edges": [sorted(st.active) for st in atlas.stable_states],
         }
-        _out(args, json.dumps(payload) + "\n")
-    else:
-        lines = [
-            f"stable_count: {atlas.stable_count}",
-            f"sw_worst_stable: {analysis.format_exact(atlas.worst_welfare)}",
-            f"sw_best_stable: {analysis.format_exact(atlas.best_welfare)}",
-        ]
-        _out(args, "\n".join(lines) + "\n")
-    return 0
+
+    text = f"stable_count: {atlas.stable_count}\nsw_worst_stable: {worst}\nsw_best_stable: {best}\n"
+    _emit(args, payload, text)
 
 
 def _cmd_poa(args):
     host = graphio.load_graph(args.input)
     price = analysis.poa_exact(host, game.parse_alpha(args.alpha), args.budget)
     _out(args, analysis.format_exact(price) + "\n")
-    return 0
 
 
 def _cmd_cycle(args):
     outcome = analysis.find_improving_cycle(args.n, game.parse_alpha(args.alpha), args.budget)
-    lines = []
-    if args.format == "json":
-        if outcome is None:
-            lines.append(json.dumps({"found": False}))
-        else:
-            lines.append(
-                json.dumps(
-                    {
-                        "found": True,
-                        "steps": outcome.steps,
-                        "cycle_start": outcome.cycle_start,
-                        "moves": [str(mv) for _, mv in outcome.trajectory],
-                    }
-                )
-            )
-    elif outcome is None:
-        lines.append("cycle: not-found")
-    else:
-        lines.append("cycle: found")
-        lines.append(f"steps: {outcome.steps}")
-        lines.append(f"cycle_start: {outcome.cycle_start}")
-        lines.append(f"length: {outcome.steps - outcome.cycle_start}")
-        start = sorted(outcome.final_state.active)
-        lines.append("start: " + " ".join(f"{u}-{v}" for u, v in start))
-        for _, mv in outcome.trajectory[outcome.cycle_start :]:
-            lines.append(str(mv))
-    _out(args, "\n".join(lines) + "\n")
-    return 0
+    if outcome is None:
+        _emit(args, lambda: {"found": False}, "cycle: not-found\n")
+        return
+    steps, begin = outcome.steps, outcome.cycle_start
+    moves = [str(mv) for _, mv in outcome.trajectory]
+    lines = [
+        "cycle: found",
+        f"steps: {steps}",
+        f"cycle_start: {begin}",
+        f"length: {steps - begin}",
+        "start: " + " ".join(f"{u}-{v}" for u, v in sorted(outcome.final_state.active)),
+        *moves[begin:],
+    ]
+    text = "\n".join(lines) + "\n"
+    _emit(args, lambda: {"found": True, "steps": steps, "cycle_start": begin, "moves": moves}, text)
 
 
 def _cmd_sweep(args):
@@ -262,13 +241,11 @@ def _cmd_sweep(args):
     buf = io.StringIO()
     analysis.write_sweep_csv([row for rows in per_host for row in rows], buf)
     _out(args, buf.getvalue())
-    return 0
 
 
 def _cmd_campaign(args):
     suites = analysis.list_suites() if args.suite == "all" else [args.suite]
     reports = []
-    ok = True
     out_lines = []
     for suite in suites:
         report = analysis.theorem_campaign(suite, seed=args.seed)
@@ -279,11 +256,10 @@ def _cmd_campaign(args):
             if not claim["pass"] and claim["detail"]:
                 line += f": {claim['detail']}"
             out_lines.append(line)
-        ok = ok and report["passed"]
     sys.stdout.write("\n".join(out_lines) + "\n")
     if args.output:
         _out(args, json.dumps(reports if args.suite == "all" else reports[0], indent=2) + "\n")
-    return 0 if ok else 1
+    return 0 if all(report["passed"] for report in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,13 +376,10 @@ def main(argv=None) -> int:
                 open(args.output, "a", encoding="utf-8").close()
             except OSError as exc:
                 raise ParameterError(f"cannot write {args.output}: {exc}") from None
-        return args.fn(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.fn(args) or 0  # a subcommand returns None on success
     except SdncgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
 
 
 def console_main() -> None:

@@ -38,15 +38,15 @@ def _parse_pieces(pieces) -> HostGraph:
     first = next(lines, "")
     if not first.strip():
         raise GraphParseError("line 1: expected header 'n m'")
-    head = first.split()
+    head = first.split(maxsplit=2)  # a third piece is refused, however long
     if len(head) != 2:
-        raise GraphParseError(f"line 1: expected header 'n m', got {first!r}")
+        raise GraphParseError(f"line 1: expected header 'n m', got {_quote(first)}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphParseError(f"line 1: non-integer header {first!r}") from None
+        raise GraphParseError(f"line 1: non-integer header {_quote(first)}") from None
     if n < 0 or m < 0:
-        raise GraphParseError(f"line 1: negative count in header {first!r}")
+        raise GraphParseError(f"line 1: negative count in header {_quote(first)}")
     try:
         _check_cap(n, m)  # before any edge line is split
         edges = []
@@ -56,15 +56,15 @@ def _parse_pieces(pieces) -> HostGraph:
                 continue
             if len(edges) == m:
                 raise GraphParseError(f"line {lineno}: header announced {m} edges but found more")
-            parts = raw.split()
+            parts = raw.split(maxsplit=2)
             if len(parts) != 2:
-                raise GraphParseError(f"line {lineno}: expected 'u v', got {raw!r}")
+                raise GraphParseError(f"line {lineno}: expected 'u v', got {_quote(raw)}")
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise GraphParseError(f"line {lineno}: non-integer endpoints {raw!r}") from None
+                raise GraphParseError(f"line {lineno}: non-integer endpoints {_quote(raw)}") from None
             if u >= v:
-                raise GraphParseError(f"line {lineno}: edges must satisfy u < v, got {raw!r}")
+                raise GraphParseError(f"line {lineno}: edges must satisfy u < v, got {_quote(raw)}")
             edges.append((u, v))
         if len(edges) != m:
             raise GraphParseError(
@@ -73,6 +73,18 @@ def _parse_pieces(pieces) -> HostGraph:
         return HostGraph(n, edges)
     except StructureError as exc:
         raise GraphParseError(f"invalid graph: {exc}") from None
+
+
+# characters of a refused line that its message quotes
+_QUOTED = 80
+
+
+def _quote(line: str) -> str:
+    """``repr(line)``, cut to its first ``_QUOTED`` characters when it is
+    longer, so the refusal of an overlong line stays short."""
+    if len(line) <= _QUOTED:
+        return repr(line)
+    return f"{line[:_QUOTED]!r}... (cut from {len(line)} characters)"
 
 
 def _pieces(text: str):

@@ -1003,6 +1003,44 @@ class TestCorpus:
             host_corpus(3, n_range, (0.1, 0.45), seed=1, max_edges=max_edges)
 
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_corpus_as_drawing_every_host(self, seed):
+        # hosts whose tree is over the cap are skipped without their extra
+        # edges being drawn, and the generator lands where the draws would
+        rng = random.Random(seed)
+        plain = []
+        while len(plain) < 3:
+            n, p = rng.randint(4, 40), rng.uniform(0.1, 0.45)
+            h = random_connected_host(n, p, rng)
+            if h.m <= 13:
+                plain.append(h)
+        assert host_corpus(3, (4, 40), (0.1, 0.45), seed, max_edges=13) == plain
+
+    def test_no_extra_edge_drawn_for_a_tree_over_the_cap(self, monkeypatch):
+        # random() is called once per host for p, by uniform(), and once per
+        # non-tree pair of each host whose tree fits the cap, and no more
+        calls, sizes = [], []
+
+        class Counting(random.Random):
+            def random(self):
+                calls.append(1)
+                return super().random()
+
+            def randint(self, a, b):
+                sizes.append(super().randint(a, b))
+                return sizes[-1]
+
+            def getrandbits(self, k):
+                # defined here so that randrange and shuffle keep drawing
+                # bits, as they do in random.Random, and not random()
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(analysis.random, "Random", Counting)
+        host_corpus(3, (4, 40), (0.1, 0.45), seed=0, max_edges=13)
+        assert max(sizes) - 1 > 13
+        assert len(calls) == len(sizes) + sum((n - 1) * (n - 2) // 2 for n in sizes if n - 1 <= 13)
+
+
 class TestSweep:
     def test_cell_and_csv(self):
         rows = [sweep_cell(clique(4), Fraction(1, 2), 1 << 8), sweep_cell(clique(4), 2, 1 << 8)]

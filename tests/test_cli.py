@@ -1,6 +1,8 @@
 """Golden-file coverage for every CLI path."""
 
 import argparse
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -20,6 +22,7 @@ from sdncg import (
     cli,
     clique,
     clique_network,
+    cycle,
     dump_text,
     errors,
     game,
@@ -75,6 +78,64 @@ def help_text():
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     parts = [f"$ sdncg --help\n{parser.format_help()}"]
     parts += [f"$ sdncg {name} --help\n{p.format_help()}" for name, p in sub.choices.items()]
+    return "".join(parts)
+
+
+def output_cases():
+    """The argument lists ``tests/golden/cli-outputs.txt`` pins: every
+    subcommand with a JSON form, in text and in JSON, on K_4, C_5 and P_4
+    (``K4``, ``C5``, ``P4`` stand for their files) at three alphas, plus a
+    dynamics run cut by its budget and a cycle search found and not found."""
+    cases = []
+    for graph in ("K4", "C5", "P4"):
+        for alpha in ("1/2", "1", "5/2"):
+            run_on = ["--input", graph, "--alpha", alpha]
+            cases += [
+                ["stable", *run_on],
+                ["dynamics", *run_on],
+                ["dynamics", *run_on, "--policy", "best"],
+                ["dynamics", *run_on, "--policy", "random", "--seed", "7"],
+                ["opt", *run_on],
+                ["atlas", *run_on],
+            ]
+        cases += [
+            ["smrcst", "--input", graph],
+            ["smrcst", "--input", graph, "--policy", "first"],
+            ["mrcst", "--input", graph],
+        ]
+    cases += [
+        ["dynamics", "--input", "K4", "--alpha", "1/2", "--budget", "1"],
+        ["cycle", "--n", "5", "--alpha", "5/2"],
+        ["cycle", "--n", "4", "--alpha", "1"],
+    ]
+    return [form for case in cases for form in (case, case + ["--format", "json"])]
+
+
+def cli_outputs(tmp):
+    """Exit code, stdout and stderr of every ``output_cases`` run, each after
+    a ``$`` line naming it, then one ``--output`` run and its file. Graph
+    files are written to the directory ``tmp``. After a deliberate output
+    change:
+
+        PYTHONPATH=src:tests python -c "import tempfile, test_cli; \\
+            print(test_cli.cli_outputs(tempfile.mkdtemp()), end='')" > tests/golden/cli-outputs.txt
+    """
+    files = {}
+    for name, graph in (("K4", clique(4)), ("C5", cycle(5)), ("P4", path(4))):
+        files[name] = os.path.join(tmp, f"{name}.txt")
+        Path(files[name]).write_text(dump_text(graph))
+    target = os.path.join(tmp, "out.json")
+
+    def one(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([files.get(a, a) for a in argv])
+        shown = " ".join("OUT" if a == target else a for a in argv)
+        return f"$ sdncg {shown}\n[exit {code}]\n{out.getvalue()}{err.getvalue()}"
+
+    parts = [one(argv) for argv in output_cases()]
+    parts.append(one(["atlas", "--input", "C5", "--alpha", "1", "--format", "json", "--output", target]))
+    parts.append(f"$ cat OUT\n{Path(target).read_text()}")
     return "".join(parts)
 
 
@@ -175,9 +236,16 @@ class TestGen:
             assert code == 0 and parse_text(out).n == n, flags[0]
 
     def test_missing_parameter_exit_2(self, capsys):
-        code, out, err = run(capsys, "gen", "--family", "star-of-cliques", "--n", "14")
-        assert code == 2 and out == ""
-        assert err == "error: family 'star-of-cliques' requires parameter 'alpha'\n"
+        # an empty string value is missing, a zero is a value
+        for flags, err_want in [
+            (("star-of-cliques", "--n", "14"), "family 'star-of-cliques' requires parameter 'alpha'"),
+            (("star-of-cliques", "--n", "14", "--alpha", ""), "family 'star-of-cliques' requires parameter 'alpha'"),
+            (("clique-network", "--input", "", "--sizes", "2"), "family 'clique-network' requires parameter 'base'"),
+            (("path", "--n", "0"), "path needs n >= 2, got 0"),
+        ]:
+            code, out, err = run(capsys, "gen", "--family", *flags)
+            assert code == 2 and out == ""
+            assert err == f"error: {err_want}\n"
 
     def test_path_clique_k0_needs_no_c(self, capsys):
         code, out, _ = run(capsys, "gen", "--family", "path-clique", "--n", "6", "--k", "0")
@@ -583,6 +651,12 @@ class TestCampaign:
     def test_unknown_suite_exit_2(self, capsys):
         code, _, err = run(capsys, "campaign", "--suite", "bogus")
         assert code == 2 and "unknown suite" in err
+
+
+class TestOutputs:
+    def test_every_output_matches_golden(self, tmp_path):
+        # every subcommand's text and JSON form, byte for byte
+        assert cli_outputs(str(tmp_path)).encode() == (GOLDEN / "cli-outputs.txt").read_bytes()
 
 
 class TestHelp:

@@ -150,6 +150,47 @@ print(peak_kib() - before)
     assert int(growth) < 10 << 10
 
 
+def test_overlong_line_quoted_cut():
+    # a refused line of up to 80 characters is quoted whole, a longer one
+    # by its first 80 and its length
+    line = "0 1 " + "2" * 76
+    with pytest.raises(GraphParseError, match=f"^line 2: expected 'u v', got '{line}'$"):
+        parse_text("3 2\n" + line + "\n1 2\n")
+    cut = f"line 2: expected 'u v', got '{line}'... (cut from 81 characters)"
+    with pytest.raises(GraphParseError) as info:
+        parse_text("3 2\n" + line + "2\n1 2\n")
+    assert str(info.value) == cut
+    with pytest.raises(GraphParseError) as info:
+        parse_text("x" * 100 + " 2\n0 1\n")
+    assert str(info.value) == f"line 1: non-integer header {'x' * 80!r}... (cut from 102 characters)"
+
+
+def test_overlong_header_in_a_file_refused_in_bounded_memory(tmp_path):
+    # a 6 MB file whose only line is a header of three million pieces,
+    # refused at line 1 with a short message, in a child process whose peak
+    # RSS grows by less than 23 MB: the line is split into three pieces at
+    # most, and quoted by its start
+    f = tmp_path / "long.txt"
+    f.write_text("10 9" + " 1" * 2_999_998 + "\n")
+    script = PEAK_KIB + """
+from sdncg import GraphParseError, load_graph
+before = peak_kib()
+try:
+    load_graph(sys.argv[2])
+except GraphParseError as exc:
+    print(exc)
+print(peak_kib() - before)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(Path(graphio.__file__).parents[1]), str(f)],
+        capture_output=True, text=True, timeout=120,
+    )
+    message, growth = proc.stdout.splitlines()
+    assert message.startswith("line 1: expected header 'n m', got '10 9 1 1"), proc.stderr
+    assert message.endswith("... (cut from 6000000 characters)") and len(message) <= 200
+    assert int(growth) < 23 << 10
+
+
 def test_negative_header_counts_refused_at_line_1():
     for header in ("3 -2", "-3 2", "-1 -1"):
         with pytest.raises(GraphParseError, match=f"^line 1: negative count in header '{header}'$"):

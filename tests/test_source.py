@@ -290,3 +290,42 @@ LIMIT = "MAX_NODES"
         ("graphs.py", "MAX_NODES"),
     ]
     assert name_uses(sources, {"_unit_removals"}) == [("c.py", "_unit_removals"), ("d.py", "_unit_removals")]
+
+
+def format_readers(tree):
+    """Names of the module-level functions of ``tree`` that read
+    ``args.format``, inside a nested function too."""
+    found = []
+    for fn in tree.body:
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(node, ast.Attribute)
+            and node.attr == "format"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+            for node in ast.walk(fn)
+        ):
+            found.append(fn.name)
+    return found
+
+
+def test_one_emitter_decides_the_format():
+    # cli._emit writes each subcommand's JSON line or its text; gen alone
+    # reads --format itself, as its graph formats belong to graphio
+    assert format_readers(ast.parse((SRC / "cli.py").read_text())) == ["_emit", "_cmd_gen"]
+
+
+def test_detects_format_readers():
+    code = """
+def _cmd_a(args):
+    if args.format == "json":
+        return 1
+
+def _cmd_b(args):
+    def inner():
+        return args.format
+    return inner
+
+def _cmd_c(args, opts):
+    return opts.format, args.output, "{}".format(args)
+"""
+    assert format_readers(ast.parse(code)) == ["_cmd_a", "_cmd_b"]
