@@ -70,14 +70,15 @@ No move is scanned and no BFS runs. The blocks are held until the records
 are decoded: n + 3 ints of 2^k lanes per surviving prefix (K_6: 128
 blocks).
 
-``host_census`` keeps nothing between calls: a caller that asks one host
+``host_census`` keeps no record between calls: a caller that asks one host
 several questions builds its census once and reads it as often as it needs
-(``sweep_host``, ``approximation_report``, the campaign suites). The one
-process-wide store is the per-n memo of the complete hosts' censuses
-(``_complete_census``), which three suites read and which the CLI runs as
-separate ``campaign`` calls; K_6's census alone takes 0.015 to 0.03 s to build.
-The campaigns restate no move rule: they read moves from ``game``, the
-alpha-one claim from the removal scan ``game._removal_rises``.
+(``sweep_host``, ``approximation_report``, the campaign suites). The
+process-wide stores are the |E| table of each block shape (``_edge_counts``)
+and the per-n memo of the complete hosts' censuses (``_complete_census``),
+which three suites read and which the CLI runs as separate ``campaign``
+calls; K_6's census alone takes 0.015 to 0.03 s to build. The campaigns
+restate no move rule: they read moves from ``game``, and the alpha-one claim
+reads ``game._non_unit_removals``, which certifies K_n's states in lanes.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ from .game import (
     DynamicsOutcome,
     _improving_arcs,
     _in_interval,
-    _removal_rises,
+    _non_unit_removals,
     apply_move,
     as_alpha,
     improving_moves,
@@ -345,6 +346,12 @@ def _check_subsets(host: HostGraph, budget: int) -> None:
         raise BudgetExceededError(f"2^{host.m} subsets exceed budget {budget}")
 
 
+@cache
+def _edge_counts(high: int, k: int) -> tuple:
+    """|E| at [c][t] of lane t in a block whose prefix has c edges."""
+    return tuple(tuple(c + t.bit_count() for t in range(1 << k)) for c in range(high + 1))
+
+
 def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
     """Alpha-free census of a host, in ascending mask order: one record
     ``(mask, |E|, rc, lo, hi)`` per connected spanning edge subset.
@@ -356,7 +363,7 @@ def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
     caps the 2^m subsets and is checked before anything is built; a
     negative budget raises ParameterError.
 
-    Every call builds the census anew; nothing is cached. Every
+    Every call builds the census anew; no record is cached. Every
     ``inc``/``dec`` is the difference of two neighbouring states' per-node
     distance sums, read lane by lane from the blocks of pass 1 (see the
     module docstring), which are held until the records are decoded.
@@ -396,7 +403,7 @@ def host_census(host: HostGraph, budget: int = CENSUS_BUDGET) -> tuple:
     unpack = _lane_kit(1 << k, w)[1]
     _, unpack_pairs, pair_ones, _ = _lane_kit(1 << k - 1, 2 * w)
     evens = pair_ones * ((1 << w) - 1)
-    counts = [[c + t.bit_count() for t in range(1 << k)] for c in range(m - k + 1)]
+    counts = _edge_counts(m - k, k)
     lo_of = [None, *range(1, cap + 1)]
     hi_of = [*range(cap), None]
     rc = [0] * (1 << k)
@@ -930,9 +937,7 @@ def _suite_complete_stability(seed: int) -> list[dict]:
         # so a larger rise of 1 means both rise by exactly 1
         non_unit = (
             f"mask {mask}: removal ({u},{v}) raises a sum by {rise}, not 1"
-            for mask in sorted(s_one - trees)
-            for u, v, rise in _removal_rises(GameState._from_mask(host, mask))
-            if rise != 1
+            for mask, u, v, rise in _non_unit_removals(host, sorted(s_one - trees))
         )
         ok, detail = _first(
             non_unit,

@@ -11,7 +11,8 @@ Move legality follows bilateral consent: an edge is removed unilaterally if
 that does not disconnect the state and strictly helps at least one endpoint;
 an edge is added only when it exists in the host and strictly helps both
 endpoints. Each half has one scan here, ``_decreases`` and
-``_removal_rises``, and no other module restates either.
+``_removal_rises``, and no other module restates either; the lemma behind
+the latter also runs on whole state sets in lanes (``_non_unit_lanes``).
 The addition scan's packed distance rows take their lanes from
 ``graphs._lane_width`` and ``graphs._lane_kit``, as every packed lane does.
 """
@@ -256,6 +257,51 @@ def _unit_removals(st: GameState) -> list[int]:
     return unit
 
 
+def _non_unit_lanes(host, masks) -> tuple:
+    """The set form of ``_unit_removals``: per connected spanning state of
+    ``host`` in ``masks``, 0 if every removal raises both endpoint sums by
+    exactly 1, else 1. Each mask is one lane of a packed int (``_lane_kit``),
+    so bit i of every lane is the set of states that hold host edge i, and
+    one ``&`` or ``|`` acts on every state at once. A state fails if some
+    edge's ends share no neighbour, as a bridge's never do, or if the BFS
+    from some node x, run level by level on all lanes, reaches a node u at
+    distance 2 or more through one neighbour only, u's sole first hop toward
+    x. A lane holds a mask of at most 63 edges.
+    """
+    n = host.n
+    w = _lane_width(1 << host.m - 1)  # every mask stays below the lane's guard bit
+    pack, unpack, ones, _ = _lane_kit(len(masks), w)
+    packed = pack(masks)
+    nbr = [{} for _ in range(n)]  # nbr[u][v]: the states that hold edge (u, v)
+    for i, (u, v) in enumerate(host.edges):
+        nbr[u][v] = nbr[v][u] = packed >> i & ones
+    bad = 0
+    for u, v in host.edges:
+        shared = 0
+        for z in nbr[u].keys() & nbr[v].keys():
+            shared |= nbr[u][z] & nbr[v][z]
+        bad |= nbr[u][v] & ~shared
+    for x in range(n):
+        front = nbr[x]  # front[z]: the states where z is at the current distance from x
+        seen = [front.get(y, 0) for y in range(n)]
+        seen[x] = ones
+        while front:
+            one = [0] * n  # the states where u has a neighbour in front
+            many = [0] * n  # ... and where it has two or more
+            for z, lanes in front.items():
+                for u, has in nbr[z].items():
+                    c = lanes & has
+                    many[u] |= one[u] & c
+                    one[u] |= c
+            front = {}
+            for u in range(n):
+                if new := one[u] & ~seen[u]:
+                    seen[u] |= new
+                    front[u] = new
+                    bad |= new & ~many[u]
+    return unpack(bad)
+
+
 def _removal_rises(state: GameState):
     """Every legal removal of a state as ``(u, v, rise)`` in edge order,
     ``rise`` the larger endpoint increase: the removal improves at alpha iff
@@ -277,6 +323,18 @@ def _removal_rises(state: GameState):
             yield u, v, 1
         elif (inc := removal_increases(state, u, v)) is not None:
             yield u, v, inc[0] if inc[0] >= inc[1] else inc[1]
+
+
+def _non_unit_removals(host, masks):
+    """``(mask, u, v, rise)`` for every legal removal of rise other than 1
+    in a list of connected spanning states: ``_removal_rises`` chained over
+    the masks, less its rises of 1. One lane pass (``_non_unit_lanes``) runs
+    at the first item; only the states it fails are scanned, lazily."""
+    for mask, failed in zip(masks, _non_unit_lanes(host, masks)):
+        if failed:
+            for u, v, rise in _removal_rises(GameState._from_mask(host, mask)):
+                if rise != 1:
+                    yield mask, u, v, rise
 
 
 def _move_gains(state: GameState):

@@ -357,7 +357,8 @@ class TestCensusBuilder:
             (game, "addition_decreases"),
             (game, "stability_interval"),
             (game, "_bfs"),
-            (analysis, "_removal_rises"),
+            (game, "_removal_rises"),
+            (game, "_non_unit_removals"),
             (analysis, "stability_interval"),
             (graphs, "bfs_all_pairs"),
             (graphs, "_bfs"),
@@ -482,6 +483,102 @@ class TestUnitRemovals:
                 inc = game.removal_increases(st_, u, v)
                 assert bool(unit[u] >> v & 1) == (inc is not None and inc[0] == 1), (mask, u, v)
                 assert bool(unit[v] >> u & 1) == (inc is not None and inc[1] == 1), (mask, u, v)
+
+
+def _fails_lemma(host, mask):
+    """``_unit_removals`` on one state: some active edge lacks a unit rise
+    at one of its ends."""
+    st_ = GameState._from_mask(host, mask)
+    unit = game._unit_removals(st_)
+    return not all(unit[u] >> v & 1 and unit[v] >> u & 1 for u, v in st_.active)
+
+
+def _chained_scan(host, masks):
+    """``_non_unit_removals`` spelled out: the per-state removal scan chained
+    over the masks, rises of 1 left out."""
+    return [
+        (mask, u, v, rise)
+        for mask in masks
+        for u, v, rise in game._removal_rises(GameState._from_mask(host, mask))
+        if rise != 1
+    ]
+
+
+def _alpha_one_states(n):
+    # the non-tree states of K_n stable at alpha = 1, as the claim reads them
+    host, recs = analysis._complete_census(n)
+    return host, sorted(mask for mask, cnt, _, lo, hi in recs if cnt >= n and game._in_interval(lo, hi, 1, 1))
+
+
+SET_FORM_HOSTS = [clique(6), *LEMMA_HOSTS]
+
+
+class TestUnitLanes:
+    @pytest.mark.parametrize(
+        "host", SET_FORM_HOSTS, ids=[f"n{h.n}-m{h.m}-{i}" for i, h in enumerate(SET_FORM_HOSTS)]
+    )
+    def test_lanes_fail_exactly_the_states_the_lemma_fails(self, host):
+        # every connected spanning state, trees and the full state included,
+        # in one lane pass; bridges fail the shared-neighbour test
+        recs = host_census(host)
+        masks = [mask for mask, *_ in recs]
+        verdicts = game._non_unit_lanes(host, masks)
+        assert verdicts == tuple(int(_fails_lemma(host, mask)) for mask in masks)
+        assert all(verdicts[i] for i, (_, cnt, *_) in enumerate(recs) if cnt == host.n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_clique_passes_and_the_alpha_one_set_is_certified(self, n):
+        host, masks = _alpha_one_states(n)
+        full = (1 << host.m) - 1
+        assert full in masks
+        assert game._non_unit_lanes(host, masks) == (0,) * len(masks)
+        assert len(masks) == {3: 1, 4: 7, 5: 66, 6: 1713}[n]
+
+
+class TestNonUnitRemovals:
+    def test_k5_lists_match_the_chained_scan(self):
+        host, recs = analysis._complete_census(5)
+        non_trees = [mask for mask, cnt, *_ in recs if cnt >= 5]
+        assert len(non_trees) == 603
+        rng = random.Random(37)
+        lists = [non_trees, _alpha_one_states(5)[1], non_trees[::-1]]
+        lists += [rng.sample(non_trees, k) for k in (1, 2, 17, 300)]
+        for masks in lists:
+            assert list(game._non_unit_removals(host, masks)) == _chained_scan(host, masks)
+
+    def test_crafted_lists(self):
+        host = clique(5)
+        full = (1 << host.m) - 1
+        tree = path(5).edges
+        tree_mask = sum(1 << host.edge_index[e] for e in tree)
+        # the 5-cycle 0-1-2-3-4: removing (0, 1) puts 1 at distance 4 from 0
+        assert next(game._non_unit_removals(host, [665])) == (665, 0, 1, 4)
+        # a tree fails the lanes on its bridges, and the scan finds no legal removal
+        assert game._non_unit_lanes(host, [tree_mask, full]) == (1, 0)
+        assert list(game._non_unit_removals(host, [tree_mask, full])) == []
+        assert list(game._non_unit_removals(host, [])) == []
+        assert game._non_unit_lanes(host, []) == ()
+        masks = [full, 665, tree_mask, 665]
+        assert list(game._non_unit_removals(host, masks)) == _chained_scan(host, masks)
+
+    def test_alpha_one_set_runs_no_scan(self, monkeypatch):
+        # K_6's 1,713 non-tree alpha-one states are certified in lanes: the
+        # per-state removal scan runs on none of them
+        host, masks = _alpha_one_states(6)
+        scan = game._removal_rises
+        calls = []
+
+        def counted(state):
+            calls.append(state.mask)
+            return scan(state)
+
+        monkeypatch.setattr(game, "_removal_rises", counted)
+        assert list(game._non_unit_removals(host, masks)) == []
+        assert calls == []
+        # a list with the 5-cycle of K_5 scans that state alone
+        k5 = clique(5)
+        assert next(game._non_unit_removals(k5, [(1 << k5.m) - 1, 665, 665])) == (665, 0, 1, 4)
+        assert calls == [665]
 
 
 def _tampered_census(monkeypatch, n, change):

@@ -260,9 +260,10 @@ def test_only_graphs_reads_the_size_cap():
 
 
 def test_only_game_calls_the_unit_removal_lemma():
-    # game._removal_rises is the one removal scan: analysis reads it and
-    # never the lemma behind it
-    uses = name_uses(_package_sources(), {"_unit_removals"})
+    # game._removal_rises is the one removal scan and game._non_unit_removals
+    # its form over a state set: analysis reads those and never the lemma
+    # behind them, per state or in lanes
+    uses = name_uses(_package_sources(), {"_unit_removals", "_non_unit_lanes"})
     assert {file for file, _ in uses} == {"game.py"}
 
 
