@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 
 from . import analysis, constructions, game, graphio, spanning
 from .errors import GraphParseError, ParameterError, SdncgError, StructureError
@@ -262,6 +263,7 @@ def _cmd_campaign(args):
     return 0 if all(report["passed"] for report in reports) else 1
 
 
+@cache  # one parser per process: parse_args leaves it as it was, and main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdncg",

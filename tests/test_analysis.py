@@ -622,7 +622,41 @@ class TestCompleteStabilityFailures:
         _tampered_census(monkeypatch, 4, shift)
         ok, detail = _claim_detail("complete-stability", "complete-stability-n4-crosscheck")
         assert not ok
-        assert detail == f"mask {tree[0]} alpha 3/4"
+        assert detail == f"mask {tree[0]}: census [1, {tree[4] + 1}], scan [None, {tree[4]}]"
+
+
+class TestClaimFailures:
+    def test_complete_optimum_wants_the_clique_alone_above(self, monkeypatch):
+        # K_4 less edge 0, given the clique's |E| and rc, ties the clique at
+        # every alpha: the tie and the above side fail, the path side holds
+        host, recs = analysis._complete_census(4)
+        full = recs[-1]
+        assert full[0] == (1 << host.m) - 1
+
+        def twin(recs):
+            return tuple(r[:1] + full[1:3] + r[3:] if r[0] == full[0] ^ 1 else r for r in recs)
+
+        _tampered_census(monkeypatch, 4, twin)
+        claims = theorem_campaign("complete-optimum", seed=0)["claims"]
+        assert [c["id"] for c in claims if not c["pass"]] == [
+            "complete-optimum-n4-tie",
+            "complete-optimum-n4-above",
+        ]
+        ok, detail = _claim_detail("complete-optimum", "complete-optimum-n4-above")
+        assert not ok and detail.startswith("n=4 alpha=11/6: welfare 34")
+
+    def test_improving_cycle_says_the_replay_refused(self, monkeypatch):
+        monkeypatch.setattr(analysis, "replay_validates_cycle", lambda out, alpha: False)
+        ok, detail = _claim_detail("improving-cycle", "improving-cycle-found")
+        assert not ok
+        assert detail == "cycle of length 8 after 16 improving moves, replay refused it"
+
+    def test_poa_names_the_missing_stable_state(self, monkeypatch):
+        # every K_6 state stable only from alpha = 2 on: PoA(K_6, 1) is undefined
+        _tampered_census(monkeypatch, 6, lambda recs: tuple(r[:3] + (2, r[4]) for r in recs))
+        ok, detail = _claim_detail("poa-pos", "poa-k6-alpha-1")
+        assert not ok
+        assert detail == "no state of K_6 is stable at alpha=1: PoA(K_6, 1) undefined"
 
 
 def _read_reference(recs, a):
@@ -1173,6 +1207,15 @@ class TestCampaignPlumbing:
         assert rep["suite"] == "closed-forms"
         assert rep["passed"] is True
         assert all({"id", "pass", "detail"} <= set(c) for c in rep["claims"])
+
+    def test_every_claim_has_one_shape(self):
+        # the claims of --suite all: ids unique across suites, each claim
+        # exactly {id, pass, detail} with a bool pass and a str detail
+        claims = [c for suite in list_suites() for c in theorem_campaign(suite, seed=0)["claims"]]
+        ids = [c["id"] for c in claims]
+        assert len(ids) == len(set(ids))
+        assert all(list(c) == ["id", "pass", "detail"] for c in claims)
+        assert all(type(c["pass"]) is bool and type(c["detail"]) is str for c in claims)
 
 
 def test_no_equilibrium_error_path(monkeypatch):

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from sdncg import analysis
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sdncg"
 
@@ -330,3 +333,54 @@ def _cmd_c(args, opts):
     return opts.format, args.output, "{}".format(args)
 """
     assert format_readers(ast.parse(code)) == ["_cmd_a", "_cmd_b"]
+
+
+def pass_writers(tree):
+    """Sorted names of the functions of ``tree`` that write a ``"pass"`` key,
+    in a dict display or by item assignment. A write in a nested function
+    names that function; one outside every function names ``<module>``."""
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions come first, so inner ones win
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        else:
+            continue
+        if any(isinstance(k, ast.Constant) and k.value == "pass" for k in keys):
+            found.add(owner.get(id(node), "<module>"))
+    return sorted(found)
+
+
+def test_one_builder_of_claims():
+    # every campaign suite yields (claim id, pass, detail) per claim, and
+    # analysis.theorem_campaign alone turns them into the report's dicts
+    suites = [fn for name, fn in vars(analysis).items() if name.startswith("_suite_")]
+    assert len(suites) == len(analysis.list_suites())
+    assert [fn.__name__ for fn in suites if not inspect.isgeneratorfunction(fn)] == []
+    hits = {name: pass_writers(ast.parse(text, name)) for name, text in _package_sources().items()}
+    assert {name: found for name, found in hits.items() if found} == {
+        "analysis.py": ["theorem_campaign"]
+    }
+
+
+def test_detects_pass_writers():
+    code = """
+def _claim(cid: str, ok: bool, detail: str = "") -> dict:
+    return {"id": cid, "pass": bool(ok), "detail": detail}
+
+def suite(claims):
+    def fail(claim):
+        claim["pass"] = False
+    return [fail(c) for c in claims]
+
+def reader(claim):
+    return claim["pass"], {"passed": claim.get("pass")}
+
+DEFAULT = {"pass": True}
+"""
+    assert pass_writers(ast.parse(code)) == ["<module>", "_claim", "fail"]
